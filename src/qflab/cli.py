@@ -13,6 +13,7 @@ error record, 2 validation error.
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 from pathlib import Path
 
@@ -51,7 +52,7 @@ from .operators import (
     build_bs_hamiltonian,
     build_mg_hamiltonian,
 )
-from .sde import export_csv, simulate_gbm, simulate_mg
+from .sde import _check_rows, _check_sizes, export_csv, simulate_gbm, simulate_mg
 from .vacuum import (
     bs_extremum_roots,
     bs_vacuum_exact,
@@ -275,8 +276,7 @@ def _write_manifest(out: str, verb: str, args: argparse.Namespace, argv: list[st
             lines.append(f"opt_{name} = {' '.join(repr(v) for v in val)}")
         else:
             lines.append(f"opt_{name} = {val}")
-    quoted = " ".join(str(a) for a in argv)
-    lines.append(f"argv = {quoted}")
+    lines.append(f"argv = {shlex.join(str(a) for a in argv)}")
     Path(str(out) + ".manifest").write_text("\n".join(lines) + "\n")
 
 
@@ -400,6 +400,9 @@ def _run_evolve(args, cfg) -> None:
 
 
 def _run_simulate(args, cfg) -> None:
+    # refuse an oversized CSV before simulating the ensemble
+    n_steps = _check_sizes(args.s0, args.t, args.dt, args.n_paths)
+    _check_rows(args.n_paths * (n_steps + 1), force=args.force_big)
     if args.model == "gbm":
         sigma_sq = _require(_merge(args, "sigma_sq", cfg, "sigma_sq"), "--sigma-sq")
         r = _require(_merge(args, "r", cfg, "r"), "--r")

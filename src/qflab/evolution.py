@@ -22,6 +22,7 @@ from .operators import (
     KIND_DOWN_AND_OUT,
     OperatorMatrix,
     Potential,
+    _pin_rows,
     build_bs_hamiltonian,
     build_double_knockout,
     build_effective_bs,
@@ -29,7 +30,6 @@ from .operators import (
 
 MODE_EUCLIDEAN = "euclidean"
 MODE_UNITARY = "unitary"
-SCHEME_CN = "crank-nicolson"
 
 PAYOFF_CALL = "call"
 PAYOFF_PUT = "put"
@@ -46,14 +46,13 @@ class SingularSolveError(ArithmeticError):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Stepping parameters. The scheme is fixed to Crank-Nicolson; dt
-    should not exceed the lattice spacing for accuracy (unconditional
-    stability notwithstanding)."""
+    """Crank-Nicolson stepping parameters. dt should not exceed the
+    lattice spacing for accuracy (unconditional stability
+    notwithstanding)."""
 
     dt: float
     n_steps: int
     mode: str = MODE_EUCLIDEAN
-    scheme: str = SCHEME_CN
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
@@ -62,8 +61,6 @@ class EvolutionConfig:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.mode not in (MODE_EUCLIDEAN, MODE_UNITARY):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.scheme != SCHEME_CN:
-            raise ValueError(f"unsupported scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -173,27 +170,22 @@ def _cn_run(
     i (unitary). Pinned rows become identity on the left and zero on
     the right; their new-time values are injected into the right-hand
     side each step. Optional Rannacher startup replaces the first
-    ``rannacher`` steps by pairs of implicit half-steps (used for
-    rough initial data; incompatible with pinning by construction).
+    ``rannacher`` steps by pairs of implicit half-steps, whose matrix
+    I + z dt/2 H is the left-hand side already factored (used for rough
+    initial data; incompatible with pinning by construction).
     """
-    n = psi0.size
-    z = 1j if unitary else 1.0
-    ident = sparse.identity(n, format="lil", dtype=complex if unitary else float)
-    m_plus = (ident + (z * dt / 2.0) * matrix).tolil()
-    m_minus = (ident - (z * dt / 2.0) * matrix).tolil()
-    pinned_idx = np.where(pinned)[0]
-    if rannacher and pinned_idx.size:
+    if rannacher and pinned.any():
         raise ValueError("Rannacher startup does not support pinned nodes")
-    for i in pinned_idx:
-        m_plus.rows[i] = [int(i)]
-        m_plus.data[i] = [1.0]
-        m_minus.rows[i] = []
-        m_minus.data[i] = []
+    z = 1j if unitary else 1.0
+    ident = sparse.identity(psi0.size, format="csr", dtype=complex if unitary else float)
+    step = (z * dt / 2.0) * matrix
+    m_plus = _pin_rows(ident + step, pinned) + sparse.diags(pinned.astype(float))
+    m_minus = _pin_rows(ident - step, pinned)
+    pinned_idx = np.where(pinned)[0]
     try:
         lu = splu(m_plus.tocsc())
     except RuntimeError as exc:
         raise SingularSolveError(f"singular linear solve: {exc}") from exc
-    m_minus = m_minus.tocsr()
 
     psi = psi0.astype(complex) if unitary else psi0.astype(float)
     mass = [float(np.real(psi.sum()) * cell)]
@@ -205,13 +197,8 @@ def _cn_run(
 
     steps_done = 0
     if rannacher:
-        half = ident.tocsc() + (z * dt / 2.0) * matrix.tocsc()
-        try:
-            lu_half = splu(half.tocsc())
-        except RuntimeError as exc:
-            raise SingularSolveError(f"singular linear solve: {exc}") from exc
         for _ in range(min(rannacher, n_steps)):
-            psi = lu_half.solve(lu_half.solve(psi))
+            psi = lu.solve(lu.solve(psi))
             steps_done += 1
             record()
 

@@ -16,6 +16,7 @@ from scipy.optimize import brentq
 
 from .model import Grid1D, Grid2D, MarketParams, MGParams, SDEParams, StateVector
 from .operators import OperatorMatrix
+from .sde import _block_normals
 
 CONSTRAINT_TOL = 1e-12
 MC_BLOCK = 8192
@@ -168,11 +169,6 @@ def cross_parameter_identity(p: MGParams) -> dict:
     }
 
 
-def _philox_normals(seed: int, block_index: int, shape) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=[int(seed), int(block_index)]))
-    return gen.standard_normal(shape)
-
-
 def mc_martingale_check(
     sp: SDEParams, s0: float, T: float, n_paths: int, seed: int
 ) -> tuple[float, float]:
@@ -201,7 +197,7 @@ def mc_martingale_check(
     discounted = np.empty(n_paths)
     for start in range(0, n_paths, MC_BLOCK):
         stop = min(start + MC_BLOCK, n_paths)
-        z = _philox_normals(seed, start, stop - start)
+        z = _block_normals(seed, start, stop - start)
         discounted[start:stop] = s0 * np.exp(log_drift + scale * z)
     statistic = float(discounted.mean() - s0)
     if n_paths > 1:

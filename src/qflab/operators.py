@@ -15,7 +15,6 @@ from typing import Union
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import cumulative_trapezoid
 
 from .model import (
     Grid1D,
@@ -178,42 +177,44 @@ class SimilarityTransform:
     alpha_coef: float
 
 
-def _d1_matrix(n: int, h: float, boundary: str) -> sparse.lil_matrix:
-    """Central first difference; second-order one-sided rows at the edges
-    under the one-sided closure, zero rows under Dirichlet."""
-    m = sparse.lil_matrix((n, n))
-    inv = 1.0 / (2.0 * h)
-    for i in range(1, n - 1):
-        m[i, i - 1] = -inv
-        m[i, i + 1] = inv
+def _stencil(n: int, h: float, order: int, boundary: str) -> sparse.csr_matrix:
+    """Central difference of the given order (1 or 2) as CSR with sorted
+    indices. The one-sided closure adds second-order one-sided edge rows
+    (the 3-point stencil when n < 4 leaves no other estimate for D2);
+    the Dirichlet closure leaves the edge rows empty. The last D1 edge
+    row mirrors the first with the sign flipped, the last D2 row without."""
+    if order == 1:
+        inv = 1.0 / (2.0 * h)
+        offsets = np.array([-1, 1])
+        weights = np.array([-inv, inv])
+        first = np.array([-3.0, 4.0, -1.0]) * inv
+        last = -first[::-1]
+    else:
+        inv = 1.0 / h**2
+        offsets = np.array([-1, 0, 1])
+        weights = np.array([inv, -2.0 * inv, inv])
+        first = np.array([2.0, -5.0, 4.0, -1.0] if n >= 4 else [1.0, -2.0, 1.0]) * inv
+        last = first[::-1]
+    rows = np.repeat(np.arange(1, n - 1), offsets.size)
+    cols = rows + np.tile(offsets, n - 2)
+    vals = np.tile(weights, n - 2)
     if boundary == BOUNDARY_ONE_SIDED:
-        m[0, 0], m[0, 1], m[0, 2] = -3.0 * inv, 4.0 * inv, -1.0 * inv
-        m[n - 1, n - 3], m[n - 1, n - 2], m[n - 1, n - 1] = 1.0 * inv, -4.0 * inv, 3.0 * inv
-    return m
+        k = first.size
+        rows = np.concatenate((np.zeros(k, dtype=int), rows, np.full(k, n - 1)))
+        cols = np.concatenate((np.arange(k), cols, np.arange(n - k, n)))
+        vals = np.concatenate((first, vals, last))
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def _d2_matrix(n: int, h: float, boundary: str) -> sparse.lil_matrix:
-    """Central second difference with second-order one-sided edge rows."""
-    m = sparse.lil_matrix((n, n))
-    inv = 1.0 / h**2
-    for i in range(1, n - 1):
-        m[i, i - 1] = inv
-        m[i, i] = -2.0 * inv
-        m[i, i + 1] = inv
-    if boundary == BOUNDARY_ONE_SIDED:
-        if n >= 4:
-            m[0, 0], m[0, 1], m[0, 2], m[0, 3] = 2.0 * inv, -5.0 * inv, 4.0 * inv, -1.0 * inv
-            m[n - 1, n - 4], m[n - 1, n - 3], m[n - 1, n - 2], m[n - 1, n - 1] = (
-                -1.0 * inv,
-                4.0 * inv,
-                -5.0 * inv,
-                2.0 * inv,
-            )
-        else:
-            # minimum grid: the 3-point stencil is the only estimate left
-            m[0, 0], m[0, 1], m[0, 2] = inv, -2.0 * inv, inv
-            m[n - 1, n - 3], m[n - 1, n - 2], m[n - 1, n - 1] = inv, -2.0 * inv, inv
-    return m
+def _pin_rows(a: sparse.spmatrix, mask: np.ndarray) -> sparse.csr_matrix:
+    """Copy of ``a`` with every row flagged in ``mask`` emptied.
+
+    Indices come back sorted: products and factorizations sum each row
+    in stored order, so the order is part of the result.
+    """
+    pinned = sparse.diags((~mask).astype(float)) @ a
+    pinned.sort_indices()
+    return pinned
 
 
 def build_bs_hamiltonian(
@@ -243,10 +244,10 @@ def build_effective_bs(
     x = g.points
     vals = v.values_on(g, inside_value=p.r)
 
-    d1 = _d1_matrix(n, h, boundary)
-    d2 = _d2_matrix(n, h, boundary)
+    d1 = _stencil(n, h, 1, boundary)
+    d2 = _stencil(n, h, 2, boundary)
     drift = sparse.diags(0.5 * p.sigma_sq - vals)
-    a = (-0.5 * p.sigma_sq) * d2.tocsr() + drift @ d1.tocsr() + sparse.diags(vals)
+    a = (-0.5 * p.sigma_sq) * d2 + drift @ d1 + sparse.diags(vals)
 
     knocked = np.zeros(n, dtype=bool)
     if v.kind == KIND_DOWN_AND_OUT:
@@ -268,12 +269,9 @@ def build_effective_bs(
     mask = knocked.copy()
     if boundary == BOUNDARY_DIRICHLET:
         mask[0] = mask[-1] = True
-    if mask.any():
-        a = a.tolil()
-        for i in np.where(mask)[0]:
-            a[i, :] = 0.0
-        a = a.tocsr()
-    return OperatorMatrix(matrix=a, grid=g, boundary=boundary, dirichlet_mask=mask)
+    return OperatorMatrix(
+        matrix=_pin_rows(a, mask), grid=g, boundary=boundary, dirichlet_mask=mask
+    )
 
 
 def build_double_knockout(p: MarketParams, v: Potential, g: Grid1D) -> OperatorMatrix:
@@ -301,10 +299,10 @@ def build_mg_hamiltonian(p: MGParams, g: Grid2D) -> OperatorMatrix:
     hx, hy = g.x_axis.h, g.y_axis.h
     y = g.y_axis.points
 
-    dx1 = _d1_matrix(nx, hx, BOUNDARY_ONE_SIDED).tocsr()
-    dx2 = _d2_matrix(nx, hx, BOUNDARY_ONE_SIDED).tocsr()
-    dy1 = _d1_matrix(ny, hy, BOUNDARY_ONE_SIDED).tocsr()
-    dy2 = _d2_matrix(ny, hy, BOUNDARY_ONE_SIDED).tocsr()
+    dx1 = _stencil(nx, hx, 1, BOUNDARY_ONE_SIDED)
+    dx2 = _stencil(nx, hx, 2, BOUNDARY_ONE_SIDED)
+    dy1 = _stencil(ny, hy, 1, BOUNDARY_ONE_SIDED)
+    dy2 = _stencil(ny, hy, 2, BOUNDARY_ONE_SIDED)
     ix = sparse.identity(nx, format="csr")
     iy = sparse.identity(ny, format="csr")
 
@@ -320,7 +318,7 @@ def build_mg_hamiltonian(p: MGParams, g: Grid2D) -> OperatorMatrix:
         - ydiag(mg_yy_coef(p, y)) @ sparse.kron(ix, dy2, format="csr")
         + p.r * sparse.identity(nx * ny, format="csr")
     )
-    return OperatorMatrix(matrix=a.tocsr(), grid=g, boundary=BOUNDARY_ONE_SIDED)
+    return OperatorMatrix(matrix=a, grid=g, boundary=BOUNDARY_ONE_SIDED)
 
 
 def hermiticity_defect(op: OperatorMatrix) -> float:
@@ -377,7 +375,9 @@ def similarity_transform(
             f"< sigma_sq, got {peclet:.6g} >= {p.sigma_sq:.6g}; refine the grid"
         )
 
-    s_vals = 0.5 * x - cumulative_trapezoid(vals, x, initial=0.0) / p.sigma_sq
+    # trapezoid rule accumulated from the left edge
+    integral = np.concatenate(([0.0], np.cumsum(np.diff(x) * (vals[1:] + vals[:-1]) / 2.0)))
+    s_vals = 0.5 * x - integral / p.sigma_sq
     transform = SimilarityTransform(
         s_values=StateVector(s_vals, g),
         gamma=(p.r + 0.5 * p.sigma_sq) ** 2 / (2.0 * p.sigma_sq),
@@ -385,18 +385,19 @@ def similarity_transform(
     )
 
     diff = 0.5 * p.sigma_sq / h**2
-    m = sparse.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        m[i, i] = p.sigma_sq / h**2 + vals[i]
-    # bond i <-> i+1 pairs row i's superdiagonal with row i+1's subdiagonal
-    for i in range(1, n - 2):
-        sup_i = -diff + d[i] / (2.0 * h)
-        sub_next = -diff - d[i + 1] / (2.0 * h)
-        m[i, i + 1] = m[i + 1, i] = -np.sqrt(sup_i * sub_next)
+    main = np.zeros(n)
+    main[1:-1] = p.sigma_sq / h**2 + vals[1:-1]
+    # bond i <-> i+1 (1 <= i <= n-3) pairs row i's superdiagonal with row
+    # i+1's subdiagonal; bonds touching an edge node stay zero
+    sup = -diff + d[1:-2] / (2.0 * h)
+    sub_next = -diff - d[2:-1] / (2.0 * h)
+    bond = np.zeros(n - 1)
+    bond[1:-1] = -np.sqrt(sup * sub_next)
+    m = sparse.diags([bond, main, bond], [-1, 0, 1], format="csr")
     mask = np.zeros(n, dtype=bool)
     mask[0] = mask[-1] = True
     herm = OperatorMatrix(
-        matrix=m.tocsr(), grid=g, boundary=BOUNDARY_DIRICHLET, dirichlet_mask=mask
+        matrix=m, grid=g, boundary=BOUNDARY_DIRICHLET, dirichlet_mask=mask
     )
     return transform, herm
 
@@ -410,5 +411,5 @@ def apply_momentum(state: StateVector, g: Grid1D) -> StateVector:
     """
     if state.grid.size != g.size:
         raise ValueError("state and grid sizes differ")
-    d1 = _d1_matrix(g.n_points, g.h, BOUNDARY_ONE_SIDED).tocsr()
+    d1 = _stencil(g.n_points, g.h, 1, BOUNDARY_ONE_SIDED)
     return StateVector(d1 @ state.values, g)

@@ -43,6 +43,8 @@ class PathEnsemble:
 
 
 def _block_normals(seed: int, block_start: int, shape) -> np.ndarray:
+    """Standard normals of one path block, from the Philox substream keyed
+    by (seed, first path index of the block)."""
     gen = np.random.Generator(np.random.Philox(key=[int(seed), int(block_start)]))
     return gen.standard_normal(shape)
 
@@ -58,6 +60,15 @@ def _check_sizes(s0: float, T: float, dt: float, n_paths: int) -> int:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
     n_steps = max(1, int(round(T / dt)))
     return n_steps
+
+
+def _check_rows(rows: int, max_rows: int = CSV_ROW_GUARD, force: bool = False) -> None:
+    """Refuse a CSV export of more than ``max_rows`` rows unless forced."""
+    if rows > max_rows and not force:
+        raise ValueError(
+            f"export of {rows} rows exceeds the guard of {max_rows}; "
+            "pass force=True to override"
+        )
 
 
 def simulate_gbm(
@@ -145,11 +156,7 @@ def export_csv(
     sweep script cannot silently fill a disk.
     """
     rows = ens.n_paths * (ens.n_steps + 1)
-    if rows > max_rows and not force:
-        raise ValueError(
-            f"export of {rows} rows exceeds the guard of {max_rows}; "
-            "pass force=True to override"
-        )
+    _check_rows(rows, max_rows, force)
     with_v = ens.v_paths is not None
     lines = ["path_id,t,S,V" if with_v else "path_id,t,S"]
     for i in range(ens.n_paths):

@@ -1,8 +1,11 @@
 """End-to-end command-line runs: outputs, manifests, exit codes."""
 
+import shlex
+
 import numpy as np
 import pytest
 
+import qflab.cli
 from qflab.cli import main
 
 
@@ -40,6 +43,15 @@ class TestBSVacuum:
         recorded = read_kv(tmp_path / "roots.csv.manifest")["argv"].split()
         assert main(recorded) == 0
         assert out.read_bytes() == first
+
+    def test_manifest_argv_keeps_quoting(self, tmp_path):
+        out_dir = tmp_path / "q dir"
+        out_dir.mkdir()
+        argv = ["bs-vacuum", "--r", "0.05", "--sigma-sq", "0.04", "--n", "2",
+                "--out", str(out_dir / "roots.csv")]
+        assert main(argv) == 0
+        recorded = read_kv(out_dir / "roots.csv.manifest")["argv"]
+        assert shlex.split(recorded) == argv
 
     def test_weak_family(self, tmp_path):
         out = tmp_path / "weak.csv"
@@ -246,6 +258,16 @@ class TestSimulate:
                 "--n-paths", "300", "--seed", "1", "--out", str(out)]
         assert main(base) == 2  # validation refusal, guard names the fix
         assert main(base + ["--force-big"]) == 0
+
+    def test_size_guard_refuses_before_simulating(self, tmp_path, monkeypatch):
+        def no_simulation(*args):
+            raise AssertionError("ensemble simulated before the size guard")
+
+        monkeypatch.setattr(qflab.cli, "simulate_gbm", no_simulation)
+        argv = ["simulate", "--model", "gbm", "--r", "0.05", "--sigma-sq", "0.04",
+                "--drift", "0.05", "--s0", "100", "--t", "1.0", "--dt", "0.0001",
+                "--n-paths", "300", "--out", str(tmp_path / "big.csv")]
+        assert main(argv) == 2
 
 
 class TestClassify:

@@ -49,10 +49,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             EvolutionConfig(dt=dt, n_steps=n_steps, mode=mode)
 
-    def test_scheme_is_fixed(self):
-        cfg = EvolutionConfig(dt=0.01, n_steps=10)
-        assert cfg.scheme == "crank-nicolson"
-
 
 class TestPayoffs:
     G = Grid1D(np.log(50.0), np.log(200.0), 31)

@@ -20,6 +20,7 @@ from qflab.operators import (
     hermiticity_defect,
     similarity_transform,
 )
+from qflab.operators import _stencil
 
 DEFECT_ZERO_TOL = 1e-14
 SPECTRUM_TOL = 1e-8
@@ -164,6 +165,70 @@ class TestBarriers:
         g = Grid1D(0.0, 1.0, 11)
         with pytest.raises(ValueError):
             Potential.tabulated(np.ones(7)).values_on(g, 0.0)
+
+
+class TestStencilBuilder:
+    H = 0.5  # a power of two keeps every weight exact
+
+    @pytest.mark.parametrize("n,order,want", [
+        (3, 1, [[-3, 4, -1], [-1, 0, 1], [1, -4, 3]]),
+        (3, 2, [[1, -2, 1], [1, -2, 1], [1, -2, 1]]),
+        (4, 1, [[-3, 4, -1, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 1, -4, 3]]),
+        (4, 2, [[2, -5, 4, -1], [1, -2, 1, 0], [0, 1, -2, 1], [-1, 4, -5, 2]]),
+    ])
+    def test_rows_against_hand_written(self, n, order, want):
+        scale = 1.0 / (2.0 * self.H) if order == 1 else 1.0 / self.H**2
+        want = np.array(want, dtype=float) * scale
+        one_sided = _stencil(n, self.H, order, BOUNDARY_ONE_SIDED)
+        assert np.array_equal(one_sided.toarray(), want)
+        assert one_sided.nnz == np.count_nonzero(want), "stored zeros"
+        want[0] = want[-1] = 0.0
+        assert np.array_equal(_stencil(n, self.H, order, BOUNDARY_DIRICHLET).toarray(), want)
+
+
+def _rows(m):
+    return [
+        (m.indices[m.indptr[i]:m.indptr[i + 1]], m.data[m.indptr[i]:m.indptr[i + 1]])
+        for i in range(m.shape[0])
+    ]
+
+
+def _pinned_builds(n):
+    """(operator, its unpinned reference or None) for every 1D builder."""
+    p = MarketParams(r=0.05, sigma_sq=0.04)
+    g = Grid1D(np.log(50.0), np.log(200.0), n)
+    lo, hi = g.x_min, g.x_max
+    smooth = [Potential.constant(0.03), Potential.tabulated(0.05 + 0.01 * np.sin(g.points))]
+    barriers = [
+        Potential.down_and_out(lo + 0.3 * (hi - lo)),
+        Potential.double_knockout(lo + 0.2 * (hi - lo), lo + 0.7 * (hi - lo)),
+        Potential.double_knockout(lo, hi - 0.2 * (hi - lo)),
+    ]
+    vanilla = build_bs_hamiltonian(p, g)
+    out = [(vanilla, None), (build_bs_hamiltonian(p, g, BOUNDARY_DIRICHLET), vanilla)]
+    for v in smooth:
+        ref = build_effective_bs(p, v, g)
+        out += [(ref, None), (build_effective_bs(p, v, g, BOUNDARY_DIRICHLET), ref)]
+    for v in barriers:
+        out += [(build_effective_bs(p, v, g, b), vanilla) for b in (BOUNDARY_ONE_SIDED, BOUNDARY_DIRICHLET)]
+    out.append((build_double_knockout(p, barriers[1], g), vanilla))
+    out.append((similarity_transform(p, smooth[0], g)[1], None))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 21])
+def test_builders_sorted_and_pinned(n):
+    for op, ref in _pinned_builds(n):
+        rows = _rows(op.matrix)
+        for i, (cols, _) in enumerate(rows):
+            assert np.all(np.diff(cols) > 0), f"row {i} indices not sorted"
+            if op.dirichlet_mask[i]:
+                assert cols.size == 0, f"pinned row {i} not empty"
+        if ref is None:
+            continue
+        for i in np.where(~op.dirichlet_mask)[0]:
+            (cols, vals), (ref_cols, ref_vals) = rows[i], _rows(ref.matrix)[i]
+            assert np.array_equal(cols, ref_cols) and np.array_equal(vals, ref_vals), f"row {i}"
 
 
 class TestCOOExport:
