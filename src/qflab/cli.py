@@ -345,6 +345,8 @@ def _run_constraint_solve(args, cfg) -> None:
 
 
 def _run_price(args, cfg) -> None:
+    if args.barrier_level is not None and args.corridor is not None:
+        raise ValueError("choose one of --barrier-level or --corridor")
     p = _market_params(args, cfg)
     g = _grid_1d(args, cfg)
     if args.payoff in ("call", "put") and args.strike is None:
@@ -355,25 +357,18 @@ def _run_price(args, cfg) -> None:
         "bond": Payoff.bond,
         "asset": Payoff.martingale_asset,
     }[args.payoff]()
+    # the pricers read only the target step; the count is derived from --t
     dt = args.dt if args.dt is not None else args.t / 400.0
-    cfg_run = EvolutionConfig(dt=dt, n_steps=max(1, int(round(args.t / dt))))
-    if args.barrier_level is not None and args.corridor is not None:
-        raise ValueError("choose one of --barrier-level or --corridor")
+    cfg_run = EvolutionConfig(dt=dt, n_steps=1)
+    barrier = None
     if args.barrier_level is not None:
-        curve = price_barrier(
-            p, payoff, Potential.down_and_out(args.barrier_level), args.t, g, cfg_run
-        )
+        barrier = Potential.down_and_out(args.barrier_level)
     elif args.corridor is not None:
-        curve = price_barrier(
-            p,
-            payoff,
-            Potential.double_knockout(args.corridor[0], args.corridor[1]),
-            args.t,
-            g,
-            cfg_run,
-        )
-    else:
+        barrier = Potential.double_knockout(*args.corridor)
+    if barrier is None:
         curve = price_option(p, payoff, args.t, g, cfg_run)
+    else:
+        curve = price_barrier(p, payoff, barrier, args.t, g, cfg_run)
     Path(args.out).write_text(_curve_csv(g.points, curve.values))
 
 

@@ -4,13 +4,17 @@ Euclidean mode steps the pricing semigroup exp(-tau H); unitary mode
 steps exp(-i tau H), where norm conservation is exactly the symmetry
 statement for the generator. Pinned nodes (Dirichlet rows of the
 operator, or caller-supplied boundary values) are held at prescribed
-values by replacing their rows in the stepping matrices.
+values by replacing their rows in the stepping matrices. One stepper
+serves ``evolve``, the pricers and ``kernel_row``; the pricers read only
+the target step ``cfg.dt`` of their config.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from itertools import chain
+from numbers import Integral
+from typing import Callable, Iterator, Mapping, Union
 
 import numpy as np
 from scipy import sparse
@@ -24,7 +28,6 @@ from .operators import (
     Potential,
     _pin_rows,
     build_bs_hamiltonian,
-    build_double_knockout,
     build_effective_bs,
 )
 
@@ -55,12 +58,20 @@ class EvolutionConfig:
     mode: str = MODE_EUCLIDEAN
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, Integral):
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.mode not in (MODE_EUCLIDEAN, MODE_UNITARY):
             raise ValueError(f"unknown mode {self.mode!r}")
+
+
+def _checked_strike(strike: float) -> float:
+    if not (np.isfinite(strike) and strike >= 0.0):
+        raise ValueError(f"strike must be finite and nonnegative, got {strike}")
+    return float(strike)
 
 
 @dataclass(frozen=True)
@@ -74,15 +85,11 @@ class Payoff:
 
     @classmethod
     def call(cls, strike: float) -> "Payoff":
-        if strike < 0.0:
-            raise ValueError(f"strike must be nonnegative, got {strike}")
-        return cls(kind=PAYOFF_CALL, strike=float(strike))
+        return cls(kind=PAYOFF_CALL, strike=_checked_strike(strike))
 
     @classmethod
     def put(cls, strike: float) -> "Payoff":
-        if strike < 0.0:
-            raise ValueError(f"strike must be nonnegative, got {strike}")
-        return cls(kind=PAYOFF_PUT, strike=float(strike))
+        return cls(kind=PAYOFF_PUT, strike=_checked_strike(strike))
 
     @classmethod
     def bond(cls) -> "Payoff":
@@ -157,22 +164,23 @@ def _cn_run(
     matrix: sparse.csr_matrix,
     psi0: np.ndarray,
     dt: float,
-    n_steps: int,
     unitary: bool,
     pinned: np.ndarray,
-    boundary_fns: dict,
-    cell: float,
+    pinned_idx: np.ndarray,
+    pin_values: np.ndarray,
     rannacher: int = 0,
-):
-    """Core Crank-Nicolson loop.
+) -> Iterator[np.ndarray]:
+    """Crank-Nicolson stepper: yields the state after each step.
 
     (I + z dt/2 H) psi' = (I - z dt/2 H) psi with z = 1 (Euclidean) or
     i (unitary). Pinned rows become identity on the left and zero on
-    the right; their new-time values are injected into the right-hand
-    side each step. Optional Rannacher startup replaces the first
-    ``rannacher`` steps by pairs of implicit half-steps, whose matrix
-    I + z dt/2 H is the left-hand side already factored (used for rough
-    initial data; incompatible with pinning by construction).
+    the right. ``pinned_idx`` lists the nodes of ``pinned`` in
+    ascending order, and row s of ``pin_values`` holds their values
+    after step s + 1, so its length is the step count. Optional
+    Rannacher startup replaces the first ``rannacher`` steps by pairs of
+    implicit half-steps, whose matrix I + z dt/2 H is the left-hand side
+    already factored (used for rough initial data; incompatible with
+    pinning by construction).
     """
     if rannacher and pinned.any():
         raise ValueError("Rannacher startup does not support pinned nodes")
@@ -181,50 +189,31 @@ def _cn_run(
     step = (z * dt / 2.0) * matrix
     m_plus = _pin_rows(ident + step, pinned) + sparse.diags(pinned.astype(float))
     m_minus = _pin_rows(ident - step, pinned)
-    pinned_idx = np.where(pinned)[0]
     try:
         lu = splu(m_plus.tocsc())
     except RuntimeError as exc:
         raise SingularSolveError(f"singular linear solve: {exc}") from exc
 
-    psi = psi0.astype(complex) if unitary else psi0.astype(float)
-    mass = [float(np.real(psi.sum()) * cell)]
-    norm = [float(np.sqrt(np.sum(np.abs(psi) ** 2) * cell))]
-
-    def record() -> None:
-        mass.append(float(np.real(psi.sum()) * cell))
-        norm.append(float(np.sqrt(np.sum(np.abs(psi) ** 2) * cell)))
-
-    steps_done = 0
-    if rannacher:
-        for _ in range(min(rannacher, n_steps)):
-            psi = lu.solve(lu.solve(psi))
-            steps_done += 1
-            record()
-
-    for _ in range(n_steps - steps_done):
-        tau_new = (steps_done + 1) * dt
+    psi = psi0
+    n_startup = min(rannacher, len(pin_values))
+    for _ in range(n_startup):
+        psi = lu.solve(lu.solve(psi))
+        yield psi
+    for values in pin_values[n_startup:]:
         rhs = m_minus @ psi
-        for i, fn in boundary_fns.items():
-            rhs[i] = fn(tau_new) if callable(fn) else fn
+        rhs[pinned_idx] = values
         psi = lu.solve(rhs)
         # pinned rows are identity rows, but the factored solve can
         # smear roundoff into them; hold them at their targets exactly
-        psi[pinned_idx] = rhs[pinned_idx]
-        steps_done += 1
-        record()
+        psi[pinned_idx] = values
+        yield psi
 
-    mass_arr = np.array(mass)
-    norm_arr = np.array(norm)
-    report = FlowReport(
-        mass_series=mass_arr,
-        norm_series=norm_arr,
-        mass_drift=abs(mass_arr[-1] - mass_arr[0]) / max(abs(mass_arr[0]), _EPS),
-        norm_drift=abs(norm_arr[-1] - norm_arr[0]) / max(abs(norm_arr[0]), _EPS),
-        dt=dt,
-        mode=MODE_UNITARY if unitary else MODE_EUCLIDEAN,
-    )
-    return psi, report
+
+def _final(steps: Iterator[np.ndarray]) -> np.ndarray:
+    """The last state a stepper yields."""
+    for psi in steps:
+        pass
+    return psi
 
 
 def evolve(
@@ -239,6 +228,8 @@ def evolve(
     default to zero and can be prescribed per node through
     ``boundary_values`` (a constant or a function of elapsed time).
     Nodes named in ``boundary_values`` are pinned even when unmasked.
+    The mass and norm of the state are recorded before the first step
+    and after each step.
     """
     if op.grid.size != state.grid.size:
         raise ValueError("operator and state grids differ")
@@ -246,56 +237,85 @@ def evolve(
         state.values.imag != 0.0
     ):
         raise ValueError("euclidean evolution requires a real state")
+    unitary = cfg.mode == MODE_UNITARY
     pinned = op.dirichlet_mask.copy()
-    boundary_fns: dict = {}
-    if boundary_values:
-        for i, fn in boundary_values.items():
-            idx = int(i)
-            if not 0 <= idx < op.grid.size:
-                raise ValueError(f"boundary node {idx} outside grid")
-            pinned[idx] = True
-            boundary_fns[idx] = fn
-    psi, report = _cn_run(
-        op.matrix,
-        state.values,
-        cfg.dt,
-        cfg.n_steps,
-        unitary=cfg.mode == MODE_UNITARY,
-        pinned=pinned,
-        boundary_fns=boundary_fns,
-        cell=_cell_volume(op),
+    prescribed: dict = {}
+    for i, value in (boundary_values or {}).items():
+        idx = int(i)
+        if not 0 <= idx < op.grid.size:
+            raise ValueError(f"boundary node {idx} outside grid")
+        pinned[idx] = True
+        prescribed[idx] = value
+    pinned_idx = np.flatnonzero(pinned)
+    pin_values = np.zeros((cfg.n_steps, pinned_idx.size), dtype=complex if unitary else float)
+    taus = (np.arange(1, cfg.n_steps + 1) * cfg.dt).tolist()
+    for idx, value in prescribed.items():
+        column = np.searchsorted(pinned_idx, idx)
+        pin_values[:, column] = [value(tau) for tau in taus] if callable(value) else value
+
+    cell = _cell_volume(op)
+    psi0 = state.values.astype(complex) if unitary else state.values.astype(float)
+    steps = _cn_run(op.matrix, psi0, cfg.dt, unitary, pinned, pinned_idx, pin_values)
+    mass, norm = [], []
+    for psi in chain([psi0], steps):
+        mass.append(float(np.real(psi.sum()) * cell))
+        norm.append(float(np.sqrt(np.sum(np.abs(psi) ** 2) * cell)))
+    mass_arr = np.array(mass)
+    norm_arr = np.array(norm)
+    report = FlowReport(
+        mass_series=mass_arr,
+        norm_series=norm_arr,
+        mass_drift=abs(mass_arr[-1] - mass_arr[0]) / max(abs(mass_arr[0]), _EPS),
+        norm_drift=abs(norm_arr[-1] - norm_arr[0]) / max(abs(norm_arr[0]), _EPS),
+        dt=cfg.dt,
+        mode=cfg.mode,
     )
     return StateVector(psi, state.grid), report
 
 
-def _far_field(payoff: Payoff, p: MarketParams, g: Grid1D) -> dict:
-    """Asymptotic boundary values for vanilla pricing runs, as
-    functions of time to expiry."""
-    r = p.r
-    lo, hi = g.x_min, g.x_max
-    if payoff.kind == PAYOFF_CALL:
-        k = payoff.strike
-        return {0: 0.0, g.n_points - 1: lambda tau: np.exp(hi) - k * np.exp(-r * tau)}
-    if payoff.kind == PAYOFF_PUT:
-        k = payoff.strike
-        return {0: lambda tau: k * np.exp(-r * tau) - np.exp(lo), g.n_points - 1: 0.0}
-    if payoff.kind == PAYOFF_BOND:
-        return {0: lambda tau: np.exp(-r * tau), g.n_points - 1: lambda tau: np.exp(-r * tau)}
-    if payoff.kind == PAYOFF_ASSET:
-        return {0: np.exp(lo), g.n_points - 1: np.exp(hi)}
-    # tabulated: hold the discounted end values
-    vals = payoff.values_on(g)
+def _edge_pairs(payoff: Payoff, vals: np.ndarray) -> tuple:
+    """Far-field coefficients (a, b) at the low and the high edge: the
+    price there is a e^{x_edge} + b e^{-r tau}. A tabulated payoff holds
+    its discounted end values."""
+    k = payoff.strike or 0.0  # only call and put payoffs carry a strike
     return {
-        0: lambda tau: vals[0] * np.exp(-r * tau),
-        g.n_points - 1: lambda tau: vals[-1] * np.exp(-r * tau),
-    }
+        PAYOFF_CALL: ((0.0, 0.0), (1.0, -k)),
+        PAYOFF_PUT: ((-1.0, k), (0.0, 0.0)),
+        PAYOFF_BOND: ((0.0, 1.0), (0.0, 1.0)),
+        PAYOFF_ASSET: ((1.0, 0.0), (1.0, 0.0)),
+        PAYOFF_TABULATED: ((0.0, vals[0]), (0.0, vals[-1])),
+    }[payoff.kind]
 
 
-def _steps_for(T: float, cfg: EvolutionConfig) -> tuple[float, int]:
-    """Derive the actual step so the requested horizon is hit exactly;
-    cfg.dt acts as a target step size."""
+def _price(
+    p: MarketParams, payoff: Payoff, T: float, cfg: EvolutionConfig, op: OperatorMatrix
+) -> StateVector:
+    """Present value over T under ``op``: knocked nodes (its Dirichlet
+    mask) held at zero, each free edge at its far field. Only cfg.dt is
+    read, as a target step; the count is derived so the steps land
+    exactly on T."""
+    if T <= 0.0:
+        raise ValueError(f"maturity must be positive, got {T}")
+    g = op.grid
     n_steps = max(1, int(round(T / cfg.dt)))
-    return T / n_steps, n_steps
+    dt = T / n_steps
+    vals = payoff.values_on(g)
+    pairs = _edge_pairs(payoff, vals)
+    knocked = op.dirichlet_mask
+    vals[knocked] = 0.0
+    pinned = knocked.copy()
+    pinned[[0, -1]] = True
+    pinned_idx = np.flatnonzero(pinned)
+    pin_values = np.zeros((n_steps, pinned_idx.size))
+    discount = np.exp(-p.r * (np.arange(1, n_steps + 1) * dt))
+    # node 0 and node -1 are also the first and the last pinned column
+    for (a, b), end, x_edge in zip(pairs, (0, -1), (g.x_min, g.x_max)):
+        if not knocked[end]:
+            far = b * discount
+            if a:  # e^{x_edge} may overflow where a = 0 leaves the value finite
+                far = a * np.exp(x_edge) + far
+            pin_values[:, end] = far
+    return StateVector(_final(_cn_run(op.matrix, vals, dt, False, pinned, pinned_idx, pin_values)), g)
 
 
 def price_option(
@@ -304,17 +324,11 @@ def price_option(
     """Present-value curve of a vanilla payoff at every grid node.
 
     Euclidean Crank-Nicolson under the one-factor generator with
-    far-field Dirichlet values at both edges. cfg.dt is a target step;
-    the count is derived so the steps land exactly on T.
+    far-field Dirichlet values at both edges. Only cfg.dt is read, as a
+    target step (its n_steps and mode are unused); the count is derived
+    so the steps land exactly on T.
     """
-    if T <= 0.0:
-        raise ValueError(f"maturity must be positive, got {T}")
-    op = build_bs_hamiltonian(p, g)
-    dt, n_steps = _steps_for(T, cfg)
-    run_cfg = EvolutionConfig(dt=dt, n_steps=n_steps, mode=MODE_EUCLIDEAN)
-    state = StateVector(payoff.values_on(g), g)
-    out, _ = evolve(op, state, run_cfg, boundary_values=_far_field(payoff, p, g))
-    return out
+    return _price(p, payoff, T, cfg, build_bs_hamiltonian(p, g))
 
 
 def price_barrier(
@@ -326,60 +340,41 @@ def price_barrier(
     cfg: EvolutionConfig,
 ) -> StateVector:
     """Knock-out price curve: zero in the knocked regions, far-field
-    values at any free domain edge."""
-    if T <= 0.0:
-        raise ValueError(f"maturity must be positive, got {T}")
-    if barrier.kind == KIND_DOWN_AND_OUT:
-        op = build_effective_bs(p, barrier, g)
-    elif barrier.kind == KIND_DOUBLE_KNOCKOUT:
-        op = build_double_knockout(p, barrier, g)
-    else:
+    values at any free domain edge. Only cfg.dt is read, as a target
+    step, as in price_option."""
+    if barrier.kind not in (KIND_DOWN_AND_OUT, KIND_DOUBLE_KNOCKOUT):
         raise ValueError(
             f"barrier must be a knock-out potential, got kind {barrier.kind!r}"
         )
-    if not (~op.dirichlet_mask).any():
+    op = build_effective_bs(p, barrier, g)
+    if op.dirichlet_mask.all():
         raise ValueError("corridor is empty: every node is knocked out")
-
-    vals = payoff.values_on(g)
-    vals[op.dirichlet_mask] = 0.0
-    boundary: dict = {}
-    far = _far_field(payoff, p, g)
-    if not op.dirichlet_mask[0]:
-        boundary[0] = far[0]
-    if not op.dirichlet_mask[g.n_points - 1]:
-        boundary[g.n_points - 1] = far[g.n_points - 1]
-    dt, n_steps = _steps_for(T, cfg)
-    run_cfg = EvolutionConfig(dt=dt, n_steps=n_steps, mode=MODE_EUCLIDEAN)
-    out, _ = evolve(op, StateVector(vals, g), run_cfg, boundary_values=boundary)
-    return out
+    return _price(p, payoff, T, cfg, op)
 
 
 def kernel_row(p: MarketParams, x: float, tau: float, g: Grid1D) -> StateVector:
     """Numeric propagator row: the pricing kernel from source point x.
 
-    Evolves a discrete delta (unit mass at the nearest node, 1/h tall)
-    under the transposed generator with a short implicit startup to damp
-    the delta's high modes. The row integrates to the discount factor,
-    reproduces e^x against the asset state, and is nonnegative on fine
-    grids once the kernel width clears a few cells.
+    The source must lie in [g.x_min, g.x_max]; a source between nodes
+    is snapped to the nearest node. Evolves a discrete delta (unit mass
+    at that node, 1/h tall) under the transposed generator with a short
+    implicit startup to damp the delta's high modes. The row integrates
+    to the discount factor, reproduces e^x against the asset state, and
+    is nonnegative on fine grids once the kernel width clears a few
+    cells.
     """
     if tau <= 0.0:
         raise ValueError(f"kernel time must be positive, got {tau}")
+    if not g.x_min <= x <= g.x_max:
+        raise ValueError(f"kernel source x={x} lies outside the grid [{g.x_min}, {g.x_max}]")
     idx = int(np.argmin(np.abs(g.points - x)))
     op = build_bs_hamiltonian(p, g)
     delta = np.zeros(g.n_points)
     delta[idx] = 1.0 / g.h
     n_steps = max(50, int(np.ceil(8.0 * tau / g.h)))
-    dt = tau / n_steps
-    row, _ = _cn_run(
-        op.matrix.T.tocsr(),
-        delta,
-        dt,
-        n_steps,
-        unitary=False,
-        pinned=np.zeros(g.n_points, dtype=bool),
-        boundary_fns={},
-        cell=g.h,
-        rannacher=2,
+    no_pins = np.zeros(g.n_points, dtype=bool)
+    steps = _cn_run(
+        op.matrix.T.tocsr(), delta, tau / n_steps, False, no_pins, np.flatnonzero(no_pins),
+        np.zeros((n_steps, 0)), rannacher=2,
     )
-    return StateVector(np.real(row), g)
+    return StateVector(np.real(_final(steps)), g)

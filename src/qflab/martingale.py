@@ -16,10 +16,9 @@ from scipy.optimize import brentq
 
 from .model import Grid1D, Grid2D, MarketParams, MGParams, SDEParams, StateVector
 from .operators import OperatorMatrix
-from .sde import _block_normals
+from .sde import PATH_BLOCK, _block_normals
 
 CONSTRAINT_TOL = 1e-12
-MC_BLOCK = 8192
 
 
 class NoRootError(ArithmeticError):
@@ -195,8 +194,8 @@ def mc_martingale_check(
     scale = sig * np.sqrt(T)
 
     discounted = np.empty(n_paths)
-    for start in range(0, n_paths, MC_BLOCK):
-        stop = min(start + MC_BLOCK, n_paths)
+    for start in range(0, n_paths, PATH_BLOCK):
+        stop = min(start + PATH_BLOCK, n_paths)
         z = _block_normals(seed, start, stop - start)
         discounted[start:stop] = s0 * np.exp(log_drift + scale * z)
     statistic = float(discounted.mean() - s0)

@@ -44,7 +44,18 @@ def closed_form_put(s, k, r, sigma, t):
 
 
 class TestConfig:
-    @pytest.mark.parametrize("dt,n_steps,mode", [(0.0, 10, "euclidean"), (0.01, 0, "euclidean"), (0.01, 10, "sideways")])
+    @pytest.mark.parametrize(
+        "dt,n_steps,mode",
+        [
+            (0.0, 10, "euclidean"),
+            (0.01, 0, "euclidean"),
+            (0.01, 10, "sideways"),
+            (float("nan"), 10, "euclidean"),
+            (float("inf"), 10, "euclidean"),
+            (0.01, 2.5, "euclidean"),
+            (0.01, True, "euclidean"),
+        ],
+    )
     def test_invalid_config(self, dt, n_steps, mode):
         with pytest.raises(ValueError):
             EvolutionConfig(dt=dt, n_steps=n_steps, mode=mode)
@@ -70,6 +81,12 @@ class TestPayoffs:
     def test_negative_strike_rejected(self):
         with pytest.raises(ValueError):
             Payoff.call(-1.0)
+
+    @pytest.mark.parametrize("make", [Payoff.call, Payoff.put])
+    @pytest.mark.parametrize("strike", [float("nan"), float("inf")])
+    def test_non_finite_strike_rejected(self, make, strike):
+        with pytest.raises(ValueError):
+            make(strike)
 
     def test_tabulated_wrong_length(self):
         with pytest.raises(ValueError):
@@ -192,6 +209,25 @@ class TestPricing:
         with pytest.raises(ValueError):
             price_option(P, Payoff.call(self.K), 0.0, self.G, self.CFG)
 
+    @pytest.mark.parametrize(
+        "payoff", [Payoff.call(K), Payoff.put(K), Payoff.bond(), Payoff.martingale_asset(),
+                   Payoff.tabulated(np.linspace(1.0, 3.0, 601))],
+        ids=lambda pf: pf.kind,
+    )
+    def test_edges_hold_far_field(self, payoff):
+        # 300 steps of T/300 land exactly on T, so the last pins use e^{-rT}
+        curve = price_option(P, payoff, self.T, self.G, self.CFG).values
+        lo, hi = np.exp(self.G.x_min), np.exp(self.G.x_max)
+        d = np.exp(-0.05 * self.T)
+        want = {
+            "call": (0.0, hi - self.K * d),
+            "put": (self.K * d - lo, 0.0),
+            "bond": (d, d),
+            "martingale-asset": (lo, hi),
+            "tabulated": (1.0 * d, 3.0 * d),
+        }[payoff.kind]
+        assert (curve[0], curve[-1]) == want
+
 
 class TestBarrierPricing:
     T = 1.0
@@ -210,6 +246,13 @@ class TestBarrierPricing:
         below = g.points <= np.log(self.B) + 1e-12
         assert np.max(np.abs(curve.values[below])) == 0.0
         assert curve.values[~below].real.max() > 0.0
+
+    def test_knocked_low_edge_and_far_field_top(self):
+        g = self.make_grid()
+        cfg = EvolutionConfig(dt=1.0 / 200, n_steps=200)
+        curve = price_barrier(P, Payoff.call(100.0), Potential.down_and_out(np.log(self.B)), self.T, g, cfg)
+        assert curve.values[0] == 0.0
+        assert curve.values[-1] == np.exp(g.x_max) - 100.0 * np.exp(-0.05 * self.T)
 
     def test_knocked_price_below_vanilla(self):
         g = self.make_grid()
@@ -266,6 +309,11 @@ class TestKernel:
         g = Grid1D(-1.0, 1.0, 201)
         row = kernel_row(P, 0.0, 0.5, g).values
         assert row.min() > -1e-7, f"kernel dipped to {row.min():.2e}"
+
+    @pytest.mark.parametrize("x", [5.0, -1.5, float("nan")])
+    def test_source_outside_grid_rejected(self, x):
+        with pytest.raises(ValueError):
+            kernel_row(P, x, 0.5, Grid1D(-1.0, 1.0, 201))
 
     def test_nonpositive_time_rejected(self):
         with pytest.raises(ValueError):
