@@ -13,6 +13,7 @@ error record, 2 validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import shlex
 import sys
 from pathlib import Path
@@ -95,6 +96,7 @@ def _add_grid_flags(sub: argparse.ArgumentParser, two_d: bool = False) -> None:
         sub.add_argument("--m-points", type=int, default=None)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qflab",
@@ -198,77 +200,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge(args: argparse.Namespace, attr: str, cfg: dict, key: str):
-    """Flag value if given, else the config value, else None."""
-    val = getattr(args, attr, None)
-    if val is None and key in cfg:
-        return cfg[key]
-    return val
+def _required(args: argparse.Namespace, *dests: str) -> list:
+    """Values of the options ``dests``, refusing the first one left unset."""
+    for dest in dests:
+        if getattr(args, dest) is None:
+            flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+            raise ValueError(f"missing required option {flag} (flag or config)")
+    return [getattr(args, dest) for dest in dests]
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise ValueError(f"missing required option {flag} (flag or config)")
-    return value
+def _market_params(args) -> MarketParams:
+    return MarketParams(*_required(args, "r", "sigma_sq"))
 
 
-def _market_params(args, cfg) -> MarketParams:
-    return MarketParams(
-        r=_require(_merge(args, "r", cfg, "r"), "--r"),
-        sigma_sq=_require(_merge(args, "sigma_sq", cfg, "sigma_sq"), "--sigma-sq"),
-    )
+def _mg_params(args) -> MGParams:
+    return MGParams(*_required(args, "r", "lam", "mu", "zeta", "alpha", "rho"))
 
 
-def _mg_params(args, cfg) -> MGParams:
-    return MGParams(
-        r=_require(_merge(args, "r", cfg, "r"), "--r"),
-        lam=_require(_merge(args, "lam", cfg, "lambda"), "--lambda"),
-        mu=_require(_merge(args, "mu", cfg, "mu"), "--mu"),
-        zeta=_require(_merge(args, "zeta", cfg, "zeta"), "--zeta"),
-        alpha=_require(_merge(args, "alpha", cfg, "alpha"), "--alpha"),
-        rho=_require(_merge(args, "rho", cfg, "rho"), "--rho"),
-    )
+_X_AXIS = ("x_min", "x_max", "n_points")
+_Y_AXIS = ("y_min", "y_max", "m_points")
 
 
-def _grid_1d(args, cfg, default: Grid1D | None = None) -> Grid1D:
-    x_min = _merge(args, "x_min", cfg, "x_min")
-    x_max = _merge(args, "x_max", cfg, "x_max")
-    n_points = _merge(args, "n_points", cfg, "n_points")
-    if x_min is None and x_max is None and n_points is None and default is not None:
+def _grid_1d(args, default: Grid1D | None = None) -> Grid1D:
+    if default is not None and all(getattr(args, k) is None for k in _X_AXIS):
         return default
-    return Grid1D(
-        x_min=_require(x_min, "--x-min"),
-        x_max=_require(x_max, "--x-max"),
-        n_points=_require(n_points, "--n-points"),
-    )
+    return Grid1D(*_required(args, *_X_AXIS))
 
 
-def _grid_2d(args, cfg, default: Grid2D | None = None) -> Grid2D:
-    keys = ("x_min", "x_max", "n_points", "y_min", "y_max", "m_points")
-    vals = {k: _merge(args, k, cfg, k) for k in keys}
-    if all(v is None for v in vals.values()) and default is not None:
+def _grid_2d(args, default: Grid2D | None = None) -> Grid2D:
+    if default is not None and all(getattr(args, k) is None for k in _X_AXIS + _Y_AXIS):
         return default
-    x = Grid1D(
-        x_min=_require(vals["x_min"], "--x-min"),
-        x_max=_require(vals["x_max"], "--x-max"),
-        n_points=_require(vals["n_points"], "--n-points"),
-    )
-    y = Grid1D(
-        x_min=_require(vals["y_min"], "--y-min"),
-        x_max=_require(vals["y_max"], "--y-max"),
-        n_points=_require(vals["m_points"], "--m-points"),
-    )
-    return Grid2D(x_axis=x, y_axis=y)
+    x = Grid1D(*_required(args, *_X_AXIS))
+    return Grid2D(x_axis=x, y_axis=Grid1D(*_required(args, *_Y_AXIS)))
 
 
-def _write_manifest(out: str, verb: str, args: argparse.Namespace, argv: list[str]) -> None:
+def _write_manifest(out: str, verb: str, opts: dict, argv: list[str]) -> None:
     lines = [f"verb = {verb}", f"version = {__version__}"]
     skip = {"verb", "config"}
-    for name in sorted(vars(args)):
-        if name in skip:
-            continue
-        val = getattr(args, name)
-        if val is None:
+    for name, val in sorted(opts.items()):
+        if name in skip or val is None:
             continue
         if isinstance(val, float):
             lines.append(f"opt_{name} = {val!r}")
@@ -287,8 +257,8 @@ def _curve_csv(xs: np.ndarray, values: np.ndarray, header: str = "x,value") -> s
     return "\n".join(lines) + "\n"
 
 
-def _run_bs_vacuum(args, cfg) -> None:
-    p = _market_params(args, cfg)
+def _run_bs_vacuum(args) -> None:
+    p = _market_params(args)
     sol = _BS_FAMILIES[args.family](p, args.n)
     lines = ["index,phi"]
     for k, pt in enumerate(sol.roots):
@@ -296,8 +266,8 @@ def _run_bs_vacuum(args, cfg) -> None:
     Path(args.out).write_text("\n".join(lines) + "\n")
 
 
-def _run_mg_vacuum(args, cfg) -> None:
-    p = _mg_params(args, cfg)
+def _run_mg_vacuum(args) -> None:
+    p = _mg_params(args)
     if args.regime is None:
         sol = mg_case_solver(p, args.y, args.n, args.m)
     else:
@@ -307,19 +277,15 @@ def _run_mg_vacuum(args, cfg) -> None:
         Path(args.csv_out).write_text(sol.to_csv())
 
 
-def _run_martingale_check(args, cfg) -> MartingaleReport:
+def _run_martingale_check(args) -> MartingaleReport:
     if args.model == "bs":
-        p = _market_params(args, cfg)
-        g = _grid_1d(args, cfg, default=Grid1D(-4.0, 4.0, 801))
+        p = _market_params(args)
+        g = _grid_1d(args, default=Grid1D(-4.0, 4.0, 801))
         op = build_bs_hamiltonian(p, g)
         state = sample_martingale_state(g)
     else:
-        p = _mg_params(args, cfg)
-        g2 = _grid_2d(
-            args,
-            cfg,
-            default=Grid2D(Grid1D(-1.0, 1.0, 201), Grid1D(-4.0, -2.0, 81)),
-        )
+        p = _mg_params(args)
+        g2 = _grid_2d(args, default=Grid2D(Grid1D(-1.0, 1.0, 201), Grid1D(-4.0, -2.0, 81)))
         op = build_mg_hamiltonian(p, g2)
         if args.state == "extended":
             state = sample_extended_martingale_state(g2)
@@ -332,8 +298,8 @@ def _run_martingale_check(args, cfg) -> MartingaleReport:
     return report
 
 
-def _run_constraint_solve(args, cfg) -> None:
-    p = _mg_params(args, cfg)
+def _run_constraint_solve(args) -> None:
+    p = _mg_params(args)
     root = solve_extended_constraint(p, (args.bracket[0], args.bracket[1]))
     lines = [
         f"y_star = {float(root.y_star)!r}",
@@ -344,11 +310,11 @@ def _run_constraint_solve(args, cfg) -> None:
     Path(args.out).write_text("\n".join(lines) + "\n")
 
 
-def _run_price(args, cfg) -> None:
+def _run_price(args) -> None:
     if args.barrier_level is not None and args.corridor is not None:
         raise ValueError("choose one of --barrier-level or --corridor")
-    p = _market_params(args, cfg)
-    g = _grid_1d(args, cfg)
+    p = _market_params(args)
+    g = _grid_1d(args)
     if args.payoff in ("call", "put") and args.strike is None:
         raise ValueError("--strike is required for call and put payoffs")
     payoff = {
@@ -357,6 +323,9 @@ def _run_price(args, cfg) -> None:
         "bond": Payoff.bond,
         "asset": Payoff.martingale_asset,
     }[args.payoff]()
+    # the default step is derived from --t, so a bad --t is named before the step is checked
+    if args.dt is None and not args.t > 0.0:
+        raise ValueError(f"maturity must be positive, got {args.t}")
     # the pricers read only the target step; the count is derived from --t
     dt = args.dt if args.dt is not None else args.t / 400.0
     cfg_run = EvolutionConfig(dt=dt, n_steps=1)
@@ -372,9 +341,9 @@ def _run_price(args, cfg) -> None:
     Path(args.out).write_text(_curve_csv(g.points, curve.values))
 
 
-def _run_evolve(args, cfg) -> None:
-    p = _market_params(args, cfg)
-    g = _grid_1d(args, cfg)
+def _run_evolve(args) -> None:
+    p = _market_params(args)
+    g = _grid_1d(args)
     boundary = BOUNDARY_DIRICHLET if args.boundary == "dirichlet" else BOUNDARY_ONE_SIDED
     op = build_bs_hamiltonian(p, g, boundary=boundary)
     if args.state == "asset":
@@ -394,28 +363,26 @@ def _run_evolve(args, cfg) -> None:
         Path(args.flow_out).write_text(flow.to_csv())
 
 
-def _run_simulate(args, cfg) -> None:
+def _run_simulate(args) -> None:
     # refuse an oversized CSV before simulating the ensemble
     n_steps = _check_sizes(args.s0, args.t, args.dt, args.n_paths)
     _check_rows(args.n_paths * (n_steps + 1), force=args.force_big)
     if args.model == "gbm":
-        sigma_sq = _require(_merge(args, "sigma_sq", cfg, "sigma_sq"), "--sigma-sq")
-        r = _require(_merge(args, "r", cfg, "r"), "--r")
-        sp = SDEParams(expected_return=args.drift, base=MarketParams(r=r, sigma_sq=sigma_sq))
+        sp = SDEParams(expected_return=args.drift, base=_market_params(args))
         ens = simulate_gbm(sp, args.s0, args.t, args.dt, args.n_paths, args.seed)
     else:
-        p = _mg_params(args, cfg)
-        v0 = _require(args.v0, "--v0")
+        p = _mg_params(args)
+        (v0,) = _required(args, "v0")
         ens = simulate_mg(p, args.drift, args.s0, v0, args.t, args.dt, args.n_paths, args.seed)
     export_csv(ens, args.out, force=args.force_big)
 
 
-def _run_classify(args, cfg) -> None:
+def _run_classify(args) -> None:
     if args.model == "bs":
-        p = _market_params(args, cfg)
+        p = _market_params(args)
         report = classify_information_flow(p)
     else:
-        p = _mg_params(args, cfg)
+        p = _mg_params(args)
         if args.y is None:
             raise ValueError("--y is required for the two-factor classification")
         report = classify_information_flow(p, y=args.y)
@@ -442,11 +409,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    cfg: dict = {}
+    cli_opts = dict(vars(args))  # the manifest echoes the command line only
     try:
-        if getattr(args, "config", None):
-            cfg = load_config(args.config)
-        result = _RUNNERS[args.verb](args, cfg)
+        if args.config:
+            # config values fill the options this verb declares and argv left unset
+            for key, val in load_config(args.config).items():
+                dest = "lam" if key == "lambda" else key
+                if hasattr(args, dest) and getattr(args, dest) is None:
+                    setattr(args, dest, val)
+        result = _RUNNERS[args.verb](args)
     except ArithmeticError as exc:
         record = (
             f"error = {type(exc).__name__}\n"
@@ -461,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error = validation\nverb = {args.verb}\nmessage = {exc}\n")
         return 2
 
-    _write_manifest(args.out, args.verb, args, argv)
+    _write_manifest(args.out, args.verb, cli_opts, argv)
     if isinstance(result, MartingaleReport):
         sys.stdout.write(f"verdict = {result.verdict}\n")
     return 0

@@ -7,7 +7,8 @@ otherwise unitless (no currency handling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral
 from pathlib import Path
 from typing import Union
 
@@ -42,9 +43,9 @@ class MarketParams:
     Parameters
     ----------
     r : float
-        Spot interest rate, per year. Must be positive.
+        Spot interest rate, per year. Must be positive and finite.
     sigma_sq : float
-        Squared volatility, per year. Must be nonnegative.
+        Squared volatility, per year. Must be nonnegative and finite.
     """
 
     r: float
@@ -56,6 +57,10 @@ class MarketParams:
         if self.sigma_sq < 0.0:
             raise ValueError(
                 f"squared volatility must be nonnegative, got sigma_sq={self.sigma_sq}"
+            )
+        if not (np.isfinite(self.r) and np.isfinite(self.sigma_sq)):
+            raise ValueError(
+                f"market parameters must be finite, got r={self.r}, sigma_sq={self.sigma_sq}"
             )
 
     def hermitian(self) -> bool:
@@ -72,6 +77,7 @@ class MGParams:
 
     The instantaneous variance is e^y. The field ``lam`` holds the
     volatility drift offset (the config-file key for it is "lambda").
+    Every field must be finite.
 
     Parameters
     ----------
@@ -103,6 +109,9 @@ class MGParams:
             raise ValueError(f"zeta must be nonnegative, got zeta={self.zeta}")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [-1, 1], got rho={self.rho}")
+        bad = [f.name for f in fields(self) if not np.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ValueError(f"volatility parameters must be finite, got non-finite {bad}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +129,11 @@ class SDEParams:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform lattice on a closed interval of the log-price axis."""
+    """Uniform lattice on a closed interval of the log-price axis.
+
+    The bounds must be finite and ``n_points`` an integer (not a bool) of
+    at least 3.
+    """
 
     x_min: float
     x_max: float
@@ -131,6 +144,12 @@ class Grid1D:
             raise ValueError(
                 f"invalid grid: need x_min < x_max, got [{self.x_min}, {self.x_max}]"
             )
+        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
+            raise ValueError(
+                f"invalid grid: bounds must be finite, got [{self.x_min}, {self.x_max}]"
+            )
+        if isinstance(self.n_points, bool) or not isinstance(self.n_points, Integral):
+            raise ValueError(f"invalid grid: n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 3:
             raise ValueError(f"invalid grid: need n_points >= 3, got {self.n_points}")
 
@@ -259,40 +278,3 @@ def load_config(path) -> dict:
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: bad value for {key!r}: {val!r}") from exc
     return cfg
-
-
-def market_params_from_config(cfg: dict) -> MarketParams:
-    missing = {"r", "sigma_sq"} - cfg.keys()
-    if missing:
-        raise ValueError(f"config missing keys for market parameters: {sorted(missing)}")
-    return MarketParams(r=cfg["r"], sigma_sq=cfg["sigma_sq"])
-
-
-def mg_params_from_config(cfg: dict) -> MGParams:
-    missing = {"r", "lambda", "mu", "zeta", "alpha", "rho"} - cfg.keys()
-    if missing:
-        raise ValueError(f"config missing keys for volatility parameters: {sorted(missing)}")
-    return MGParams(
-        r=cfg["r"],
-        lam=cfg["lambda"],
-        mu=cfg["mu"],
-        zeta=cfg["zeta"],
-        alpha=cfg["alpha"],
-        rho=cfg["rho"],
-    )
-
-
-def grid1d_from_config(cfg: dict) -> Grid1D:
-    missing = {"x_min", "x_max", "n_points"} - cfg.keys()
-    if missing:
-        raise ValueError(f"config missing grid keys: {sorted(missing)}")
-    return Grid1D(x_min=cfg["x_min"], x_max=cfg["x_max"], n_points=cfg["n_points"])
-
-
-def grid2d_from_config(cfg: dict) -> Grid2D:
-    missing = {"x_min", "x_max", "n_points", "y_min", "y_max", "m_points"} - cfg.keys()
-    if missing:
-        raise ValueError(f"config missing grid keys: {sorted(missing)}")
-    x = Grid1D(x_min=cfg["x_min"], x_max=cfg["x_max"], n_points=cfg["n_points"])
-    y = Grid1D(x_min=cfg["y_min"], x_max=cfg["y_max"], n_points=cfg["m_points"])
-    return Grid2D(x_axis=x, y_axis=y)

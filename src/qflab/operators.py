@@ -59,14 +59,20 @@ class Potential:
 
     @classmethod
     def constant(cls, value: float) -> "Potential":
+        if np.isnan(value):
+            raise ValueError("constant potential is NaN")
         return cls(kind=KIND_CONSTANT, value=float(value))
 
     @classmethod
     def down_and_out(cls, level: float) -> "Potential":
+        if np.isnan(level):
+            raise ValueError("down-and-out level is NaN")
         return cls(kind=KIND_DOWN_AND_OUT, level=float(level))
 
     @classmethod
     def double_knockout(cls, lo: float, hi: float) -> "Potential":
+        if np.isnan(lo) or np.isnan(hi):
+            raise ValueError(f"double knockout bounds must not be NaN, got lo={lo}, hi={hi}")
         if lo >= hi:
             raise ValueError(f"double knockout needs lo < hi, got lo={lo}, hi={hi}")
         return cls(kind=KIND_DOUBLE_KNOCKOUT, lo=float(lo), hi=float(hi))

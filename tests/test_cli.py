@@ -188,6 +188,16 @@ class TestPrice:
         first_val = float(lines[0].split(",")[1])
         assert first_val == 0.0
 
+    @pytest.mark.parametrize("t", ["0", "-1"])
+    def test_non_positive_maturity_named(self, tmp_path, capsys, t):
+        code = main([
+            "price", "--payoff", "bond", "--r", "0.05", "--sigma-sq", "0.04",
+            "--t", t, "--x-min", "-1", "--x-max", "1", "--n-points", "11",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert f"maturity must be positive, got {float(t)}" in capsys.readouterr().err
+
     def test_strike_required_for_call(self, tmp_path):
         code = main([
             "price", "--payoff", "call", "--r", "0.05", "--sigma-sq", "0.04",
@@ -318,6 +328,55 @@ class TestConfigMerge:
         code = main(["bs-vacuum", "--n", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    MG_FLAGS = ["--r", "0.05", "--lambda", "0.01", "--mu", "-0.3", "--zeta", "0.1",
+                "--alpha", "1.0", "--rho", "-0.5"]
+    GRID_FLAGS = ["--x-min", "-1", "--x-max", "1", "--n-points", "21",
+                  "--y-min", "-4", "--y-max", "-2", "--m-points", "11"]
+
+    def test_config_supplies_lambda_and_2d_grid(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "r = 0.05\nlambda = 0.01\nmu = -0.3\nzeta = 0.1\nalpha = 1.0\nrho = -0.5\n"
+            "x_min = -1\nx_max = 1\nn_points = 21\ny_min = -4\ny_max = -2\nm_points = 11\n"
+        )
+        from_flags, from_config = tmp_path / "flags.txt", tmp_path / "config.txt"
+        base = ["martingale-check", "--model", "mg", "--state", "extended"]
+        assert main([*base, *self.MG_FLAGS, *self.GRID_FLAGS, "--out", str(from_flags)]) == 0
+        assert main([*base, "--config", str(cfg), "--out", str(from_config)]) == 0
+        assert from_config.read_bytes() == from_flags.read_bytes()
+
+    def test_missing_two_factor_option_named_as_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r = 0.05\nmu = -0.3\nzeta = 0.1\nalpha = 1.0\nrho = -0.5\n")
+        code = main([
+            "constraint-solve", "--config", str(cfg), "--bracket", "-7", "-0.8",
+            "--out", str(tmp_path / "x.txt"),
+        ])
+        assert code == 2
+        assert "missing required option --lambda (flag or config)" in capsys.readouterr().err
+
+    def test_keys_the_verb_does_not_take_are_ignored(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.CONFIG + "x_min = -4.0\nlambda = 0.01\n")
+        plain, with_extra = tmp_path / "plain.csv", tmp_path / "extra.csv"
+        flags = ["--r", "0.05", "--sigma-sq", "0.04"]
+        assert main(["bs-vacuum", *flags, "--n", "2", "--out", str(plain)]) == 0
+        assert main(["bs-vacuum", "--config", str(cfg), "--n", "2", "--out", str(with_extra)]) == 0
+        assert with_extra.read_bytes() == plain.read_bytes()
+
+    def test_manifest_lists_command_line_options_only(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.CONFIG)
+        out = tmp_path / "roots.csv"
+        argv = ["bs-vacuum", "--config", str(cfg), "--sigma-sq", "0.08", "--n", "1",
+                "--out", str(out)]
+        assert main(argv) == 0
+        manifest = read_kv(tmp_path / "roots.csv.manifest")
+        assert manifest["opt_sigma_sq"] == "0.08"
+        assert manifest["opt_n"] == "1"
+        assert "opt_r" not in manifest and "opt_config" not in manifest
+        assert shlex.split(manifest["argv"]) == argv
+
 
 class TestExitCodes:
     def test_unknown_verb(self):
@@ -329,6 +388,22 @@ class TestExitCodes:
             "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bs-vacuum", "--r", "0.05", "--sigma-sq", "nan", "--n", "2"],
+            ["classify", "--model", "mg", "--r", "0.05", "--lambda", "nan", "--mu", "0.005",
+             "--zeta", "0.1", "--alpha", "1.0", "--rho", "0.0", "--y", "-3"],
+            ["price", "--payoff", "bond", "--r", "0.05", "--sigma-sq", "0.04", "--t", "1",
+             "--x-min", "-1", "--x-max", "1", "--n-points", "11", "--barrier-level", "nan"],
+        ],
+        ids=["sigma_sq", "lambda", "barrier_level"],
+    )
+    def test_non_finite_input_is_validation_error(self, tmp_path, argv):
+        out = tmp_path / "x.out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

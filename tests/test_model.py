@@ -12,12 +12,8 @@ from qflab.model import (
     MGParams,
     SDEParams,
     StateVector,
-    grid1d_from_config,
-    grid2d_from_config,
     load_config,
-    market_params_from_config,
     mg_cross_coef,
-    mg_params_from_config,
     mg_y_drift,
     mg_yy_coef,
     sample_extended_martingale_state,
@@ -41,6 +37,13 @@ class TestMarketParams:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             MarketParams(r=0.05, sigma_sq=-1e-9)
+
+    @pytest.mark.parametrize(
+        "r,sigma_sq", [(np.inf, 0.04), (0.05, np.nan), (0.05, np.inf)]
+    )
+    def test_non_finite_rejected(self, r, sigma_sq):
+        with pytest.raises(ValueError, match="finite"):
+            MarketParams(r=r, sigma_sq=sigma_sq)
 
     def test_zero_variance_allowed(self):
         assert MarketParams(r=0.05, sigma_sq=0.0).sigma_sq == 0.0
@@ -84,6 +87,14 @@ class TestMGParams:
     def test_correlation_endpoints_allowed(self, rho):
         MGParams(r=0.05, lam=0.01, mu=-0.3, zeta=0.1, alpha=1.0, rho=rho)
 
+    @pytest.mark.parametrize("field", ["r", "lam", "mu", "zeta", "alpha", "rho"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        kw = dict(r=0.05, lam=0.01, mu=-0.3, zeta=0.1, alpha=1.0, rho=-0.5)
+        kw[field] = bad
+        with pytest.raises(ValueError):
+            MGParams(**kw)
+
 
 class TestSDEParams:
     def test_wraps_market_base(self):
@@ -111,6 +122,19 @@ class TestGrid1D:
     def test_degenerate_interval(self):
         with pytest.raises(ValueError, match="invalid grid"):
             Grid1D(1.0, 1.0, 11)
+
+    @pytest.mark.parametrize("x_min,x_max", [(0.0, np.inf), (-np.inf, 1.0), (-np.inf, np.inf)])
+    def test_infinite_bounds_rejected(self, x_min, x_max):
+        with pytest.raises(ValueError, match="finite"):
+            Grid1D(x_min, x_max, 11)
+
+    @pytest.mark.parametrize("n", [5.5, 11.0, True, "11"])
+    def test_non_integer_points_rejected(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            Grid1D(0.0, 1.0, n)
+
+    def test_numpy_integer_points_allowed(self):
+        assert Grid1D(0.0, 1.0, np.int64(11)).points.shape == (11,)
 
     @given(
         x_min=st.floats(-50.0, 49.0),
@@ -221,15 +245,6 @@ m_points = 61
         assert cfg["r"] == 0.05
         assert cfg["lambda"] == 0.01
         assert cfg["n_points"] == 801 and isinstance(cfg["n_points"], int)
-
-        p = market_params_from_config(cfg)
-        assert p == MarketParams(r=0.05, sigma_sq=0.04)
-        mg = mg_params_from_config(cfg)
-        assert mg.lam == 0.01 and mg.rho == -0.5
-        g = grid1d_from_config(cfg)
-        assert g == Grid1D(-4.0, 4.0, 801)
-        g2 = grid2d_from_config(cfg)
-        assert g2.y_axis == Grid1D(-5.0, -2.0, 61)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

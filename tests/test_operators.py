@@ -147,6 +147,20 @@ class TestBarriers:
         with pytest.raises(ValueError):
             Potential.double_knockout(0.8, 0.2)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Potential.constant(np.nan),
+            lambda: Potential.down_and_out(np.nan),
+            lambda: Potential.double_knockout(np.nan, 0.75),
+            lambda: Potential.double_knockout(0.25, np.nan),
+        ],
+        ids=["constant", "down_and_out", "double_knockout_lo", "double_knockout_hi"],
+    )
+    def test_nan_rejected(self, make):
+        with pytest.raises(ValueError, match="NaN"):
+            make()
+
     def test_double_knockout_wrong_kind_rejected(self):
         g = Grid1D(0.0, 1.0, 11)
         with pytest.raises(ValueError):
