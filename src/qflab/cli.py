@@ -351,6 +351,10 @@ def _run_evolve(args) -> None:
     elif args.state == "bond":
         state = StateVector(np.ones(g.n_points), g)
     else:
+        if not (np.isfinite(args.width) and args.width > 0.0):
+            raise ValueError(f"--width must be positive and finite, got {args.width}")
+        if not np.isfinite(args.center):
+            raise ValueError(f"--center must be finite, got {args.center}")
         state = StateVector(
             np.exp(-((g.points - args.center) ** 2) / (2.0 * args.width**2)), g
         )

@@ -2,11 +2,15 @@
 
 Euclidean mode steps the pricing semigroup exp(-tau H); unitary mode
 steps exp(-i tau H), where norm conservation is exactly the symmetry
-statement for the generator. Pinned nodes (Dirichlet rows of the
-operator, or caller-supplied boundary values) are held at prescribed
-values by replacing their rows in the stepping matrices. One stepper
-serves ``evolve``, the pricers and ``kernel_row``; the pricers read only
-the target step ``cfg.dt`` of their config.
+statement for the generator. Each Crank-Nicolson step is an implicit
+half-step through I + z dt/2 H followed by an extrapolation, so a run
+factors one matrix and makes one solve per step. Pinned nodes (Dirichlet
+rows of the operator, or caller-supplied boundary values) are held at
+prescribed values by making their rows identity rows of that matrix. It
+is factored by LAPACK's tridiagonal routines when it is tridiagonal and
+by a sparse LU otherwise. One stepper serves ``evolve``, the pricers and
+``kernel_row``; the pricers read only the target step ``cfg.dt`` of
+their config.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from typing import Callable, Iterator, Mapping, Union
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import splu
 
 from .model import Grid1D, MarketParams, StateVector
@@ -160,6 +165,26 @@ def _cell_volume(op: OperatorMatrix) -> float:
     return op.grid.x_axis.h * op.grid.y_axis.h
 
 
+def _factor(m: sparse.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
+    """Solver for m x = b, factored once.
+
+    A tridiagonal m (every stored nonzero within one place of the
+    diagonal) gets the LAPACK ?gttrf/?gttrs factor; any wider band, such
+    as a one-sided closure row or a 2D operator, gets a sparse LU.
+    """
+    coo = m.tocoo()
+    if np.all(np.abs(coo.row - coo.col)[coo.data != 0] <= 1):
+        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (m.data,))
+        dl, d, du, du2, ipiv, info = gttrf(m.diagonal(-1), m.diagonal(), m.diagonal(1))
+        if info != 0:
+            raise SingularSolveError(f"singular linear solve: zero pivot at row {info}")
+        return lambda b: gttrs(dl, d, du, du2, ipiv, b)[0]
+    try:
+        return splu(m.tocsc()).solve
+    except RuntimeError as exc:
+        raise SingularSolveError(f"singular linear solve: {exc}") from exc
+
+
 def _cn_run(
     matrix: sparse.csr_matrix,
     psi0: np.ndarray,
@@ -172,39 +197,36 @@ def _cn_run(
 ) -> Iterator[np.ndarray]:
     """Crank-Nicolson stepper: yields the state after each step.
 
-    (I + z dt/2 H) psi' = (I - z dt/2 H) psi with z = 1 (Euclidean) or
-    i (unitary). Pinned rows become identity on the left and zero on
-    the right. ``pinned_idx`` lists the nodes of ``pinned`` in
-    ascending order, and row s of ``pin_values`` holds their values
-    after step s + 1, so its length is the step count. Optional
-    Rannacher startup replaces the first ``rannacher`` steps by pairs of
-    implicit half-steps, whose matrix I + z dt/2 H is the left-hand side
-    already factored (used for rough initial data; incompatible with
-    pinning by construction).
+    Each step solves (I + z dt/2 H) psi' = (I - z dt/2 H) psi, with
+    z = 1 (Euclidean) or i (unitary), in implicit-midpoint form: one
+    implicit half-step y = (I + z dt/2 H)^{-1} psi, then the
+    extrapolation psi' = 2 y - psi. Pinned rows of the factored matrix
+    are identity rows; their right-hand side is the mean of the old
+    value and the target, so the extrapolation lands on the target.
+    The matrix is factored once (``_factor``). ``pinned_idx`` lists the
+    nodes of ``pinned`` in ascending order, and row s of ``pin_values``
+    holds their values after step s + 1, so its length is the step
+    count. Optional Rannacher startup replaces the first ``rannacher``
+    steps by pairs of implicit half-steps through the same factor (used
+    for rough initial data; incompatible with pinning by construction).
     """
     if rannacher and pinned.any():
         raise ValueError("Rannacher startup does not support pinned nodes")
     z = 1j if unitary else 1.0
     ident = sparse.identity(psi0.size, format="csr", dtype=complex if unitary else float)
-    step = (z * dt / 2.0) * matrix
-    m_plus = _pin_rows(ident + step, pinned) + sparse.diags(pinned.astype(float))
-    m_minus = _pin_rows(ident - step, pinned)
-    try:
-        lu = splu(m_plus.tocsc())
-    except RuntimeError as exc:
-        raise SingularSolveError(f"singular linear solve: {exc}") from exc
+    m_plus = _pin_rows(ident + (z * dt / 2.0) * matrix, pinned)
+    solve = _factor(m_plus + sparse.diags(pinned.astype(float)))
 
     psi = psi0
     n_startup = min(rannacher, len(pin_values))
     for _ in range(n_startup):
-        psi = lu.solve(lu.solve(psi))
+        psi = solve(solve(psi))
         yield psi
     for values in pin_values[n_startup:]:
-        rhs = m_minus @ psi
-        rhs[pinned_idx] = values
-        psi = lu.solve(rhs)
-        # pinned rows are identity rows, but the factored solve can
-        # smear roundoff into them; hold them at their targets exactly
+        half = psi.copy()
+        half[pinned_idx] = (values + psi[pinned_idx]) / 2.0
+        psi = 2.0 * solve(half) - psi
+        # the extrapolation reaches the targets only up to roundoff
         psi[pinned_idx] = values
         yield psi
 

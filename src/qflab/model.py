@@ -120,11 +120,18 @@ class SDEParams:
 
     ``expected_return`` is the real-world drift of the security; the
     risk-neutral case substitutes the spot rate here explicitly at the call
-    site. ``base`` carries the rest of the market description.
+    site. ``base`` carries the rest of the market description. The
+    drift must be finite.
     """
 
     expected_return: float
     base: Union[MarketParams, MGParams]
+
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.expected_return):
+            raise ValueError(
+                f"expected return must be finite, got expected_return={self.expected_return}"
+            )
 
 
 @dataclass(frozen=True)

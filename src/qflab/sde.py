@@ -50,12 +50,12 @@ def _block_normals(seed: int, block_start: int, shape) -> np.ndarray:
 
 
 def _check_sizes(s0: float, T: float, dt: float, n_paths: int) -> int:
-    if s0 <= 0.0:
-        raise ValueError(f"s0 must be positive, got {s0}")
-    if T <= 0.0:
-        raise ValueError(f"horizon must be positive, got {T}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (np.isfinite(s0) and s0 > 0.0):
+        raise ValueError(f"s0 must be positive and finite, got {s0}")
+    if not (np.isfinite(T) and T > 0.0):
+        raise ValueError(f"horizon must be positive and finite, got {T}")
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
     n_steps = max(1, int(round(T / dt)))
@@ -120,8 +120,10 @@ def simulate_mg(
     at zero. The two normal streams are correlated by the Cholesky
     construction z2 = rho z1 + sqrt(1 - rho^2) z_perp.
     """
-    if v0 <= 0.0:
-        raise ValueError(f"v0 must be positive, got {v0}")
+    if not np.isfinite(drift):
+        raise ValueError(f"drift must be finite, got {drift}")
+    if not (np.isfinite(v0) and v0 > 0.0):
+        raise ValueError(f"v0 must be positive and finite, got {v0}")
     n_steps = _check_sizes(s0, T, dt, n_paths)
     dt_eff = T / n_steps
     sq_dt = np.sqrt(dt_eff)

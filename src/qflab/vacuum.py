@@ -377,6 +377,12 @@ def _mg_verdicts(points: tuple[FieldPoint, ...]) -> tuple[bool, bool]:
     return price, vol
 
 
+def _checked_y(y: float) -> float:
+    if not np.isfinite(y):
+        raise ValueError(f"log-variance y must be finite, got {y}")
+    return float(y)
+
+
 def mg_case_solver(p: MGParams, y: float, n: int, m: int) -> VacuumSolution:
     """Closed-form solutions of the low-order two-field cases.
 
@@ -384,8 +390,9 @@ def mg_case_solver(p: MGParams, y: float, n: int, m: int) -> VacuumSolution:
     1 - e^y/2r with phi_y unconstrained. (1,1): the bilinear solution
     curve; under the full symmetric parameter conditions (e^y = 2r and
     C(y) = 0) it collapses to the product constraint
-    phi_x phi_y = rho zeta e^{y(alpha-1/2)} / r.
+    phi_x phi_y = rho zeta e^{y(alpha-1/2)} / r. ``y`` must be finite.
     """
+    y = _checked_y(y)
     ey = float(np.exp(y))
     cy = float(mg_y_drift(p, y))
     if (n, m) == (0, 1):
@@ -450,8 +457,10 @@ def mg_regime_solver(
     in-regime validation is attempted. ``phi_x`` sets the free price
     field scale where a branch needs one (the coupled weak-weak roots
     are linear in it). Division by zero in a branch raises
-    SingularRegimeError naming the offending condition.
+    SingularRegimeError naming the offending condition. ``y`` must be
+    finite.
     """
+    y = _checked_y(y)
     key = regime.replace("_", "-").lower()
     tag = _REGIME_ALIASES.get(key)
     if tag is None:
@@ -575,9 +584,9 @@ def classify_information_flow(p, y: float | None = None) -> RegimeReport:
     """Hermiticity flags and the information-flow verdict.
 
     One-factor parameters: the single flag sigma_sq = 2r. Two-factor
-    parameters (y required): the y-drift C(y) must vanish and e^y must
-    equal 2r. Preserved iff all applicable flags hold; the raw flag
-    expressions are echoed so a leaking verdict shows its source.
+    parameters (a finite y required): the y-drift C(y) must vanish and
+    e^y must equal 2r. Preserved iff all applicable flags hold; the raw
+    flag expressions are echoed so a leaking verdict shows its source.
     """
     if isinstance(p, MarketParams):
         diff = p.sigma_sq - 2.0 * p.r
@@ -589,6 +598,7 @@ def classify_information_flow(p, y: float | None = None) -> RegimeReport:
     if isinstance(p, MGParams):
         if y is None:
             raise ValueError("two-factor classification requires a log-variance y")
+        y = _checked_y(y)
         cy = float(mg_y_drift(p, y))
         ey_diff = float(np.exp(y) - 2.0 * p.r)
         flags = {

@@ -1,6 +1,7 @@
 """End-to-end command-line runs: outputs, manifests, exit codes."""
 
 import shlex
+import warnings
 
 import numpy as np
 import pytest
@@ -397,12 +398,36 @@ class TestExitCodes:
              "--zeta", "0.1", "--alpha", "1.0", "--rho", "0.0", "--y", "-3"],
             ["price", "--payoff", "bond", "--r", "0.05", "--sigma-sq", "0.04", "--t", "1",
              "--x-min", "-1", "--x-max", "1", "--n-points", "11", "--barrier-level", "nan"],
+            ["simulate", "--model", "gbm", "--r", "0.05", "--sigma-sq", "0.04", "--drift", "nan",
+             "--s0", "100", "--t", "0.1", "--dt", "0.01", "--n-paths", "2"],
+            ["simulate", "--model", "gbm", "--r", "0.05", "--sigma-sq", "0.04", "--drift", "0.05",
+             "--s0", "inf", "--t", "0.1", "--dt", "0.01", "--n-paths", "2"],
+            ["simulate", "--model", "mg", "--r", "0.05", "--lambda", "0.01", "--mu", "-0.5",
+             "--zeta", "0.1", "--alpha", "1.0", "--rho", "0.7", "--drift", "0.05", "--s0", "100",
+             "--v0", "nan", "--t", "0.1", "--dt", "0.01", "--n-paths", "2"],
+            ["classify", "--model", "mg", "--r", "0.05", "--lambda", "0.01", "--mu", "0.005",
+             "--zeta", "0.1", "--alpha", "1.0", "--rho", "0.0", "--y", "nan"],
+            ["mg-vacuum", "--r", "0.05", "--lambda", "0.01", "--mu", "0.005", "--zeta", "0.1",
+             "--alpha", "1.0", "--rho", "0.0", "--y", "nan", "--n", "1", "--m", "1"],
         ],
-        ids=["sigma_sq", "lambda", "barrier_level"],
+        ids=["sigma_sq", "lambda", "barrier_level", "drift", "s0", "v0", "classify_y", "vacuum_y"],
     )
     def test_non_finite_input_is_validation_error(self, tmp_path, argv):
         out = tmp_path / "x.out"
         assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--width", "0"), ("--width", "-0.2"),
+                                            ("--width", "nan"), ("--center", "inf")])
+    def test_bad_gaussian_state_is_validation_error(self, tmp_path, flag, value):
+        out = tmp_path / "x.out"
+        argv = ["evolve", "--r", "0.05", "--sigma-sq", "0.04", "--state", "gaussian",
+                "--center", "0.05", "--width", "0.2", "--x-min", "-1", "--x-max", "1",
+                "--n-points", "21", "--dt", "0.01", "--n-steps", "2", flag, value,
+                "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a zero width must not reach the division
+            assert main(argv) == 2
         assert not out.exists()
 
     def test_version_flag(self, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import qflab.evolution
 from qflab.evolution import (
     EvolutionConfig,
     Payoff,
@@ -13,15 +14,26 @@ from qflab.evolution import (
     price_barrier,
     price_option,
 )
-from qflab.model import Grid1D, MarketParams, StateVector, sample_martingale_state
+from qflab.model import (
+    Grid1D,
+    Grid2D,
+    MarketParams,
+    MGParams,
+    StateVector,
+    sample_martingale_state,
+)
 from qflab.operators import (
     BOUNDARY_DIRICHLET,
     OperatorMatrix,
     Potential,
     build_bs_hamiltonian,
+    build_effective_bs,
+    build_mg_hamiltonian,
 )
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
+STEP_REL_TOL = 1e-12
 PRICE_REL_TOL = 1e-3
 PARITY_REL_TOL = 2e-3
 KERNEL_REL_TOL = 5e-3
@@ -157,6 +169,154 @@ class TestEvolve:
         )
         with pytest.raises(SingularSolveError):
             evolve(op, StateVector(np.ones(5), g), EvolutionConfig(dt=dt, n_steps=2))
+
+
+def dense_cn(matrix, psi, dt, z, pinned, pin_rows):
+    """Reference Crank-Nicolson steps from dense solves: pinned rows of
+    I + z dt/2 H become identity rows, and their right-hand side the
+    step's pinned values."""
+    eye = np.eye(psi.size)
+    step = (z * dt / 2.0) * matrix.toarray()
+    left = eye + step
+    left[pinned] = eye[pinned]
+    for values in pin_rows:
+        rhs = (eye - step) @ psi
+        rhs[pinned] = values
+        psi = np.linalg.solve(left, rhs)
+    return psi
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Counts the sparse LU factorizations the stepper makes."""
+    calls = []
+
+    def counting_splu(a):
+        calls.append(a.shape)
+        return splu(a)
+
+    monkeypatch.setattr(qflab.evolution, "splu", counting_splu)
+    return calls
+
+
+class TestStepper:
+    """One stepper, two factorizations: a tridiagonal stepping matrix is
+    solved by LAPACK, any wider band by a sparse LU. Both must give the
+    Crank-Nicolson step."""
+
+    G = Grid1D(-1.0, 1.0, 41)
+    DT = 0.01
+    STEPS = 3
+
+    def assert_close(self, got, want):
+        err = np.max(np.abs(got - want))
+        assert err <= STEP_REL_TOL * np.max(np.abs(want)), f"relative error {err:.2e}"
+
+    def test_pricing_pins_tridiagonal(self, splu_calls):
+        g, k = self.G, 1.0
+        cfg = EvolutionConfig(dt=self.DT, n_steps=1)
+        got = price_option(P, Payoff.call(k), self.STEPS * self.DT, g, cfg).values
+        pinned = np.zeros(g.n_points, dtype=bool)
+        pinned[[0, -1]] = True
+        taus = self.DT * np.arange(1, self.STEPS + 1)
+        pins = [(0.0, np.exp(g.x_max) - k * np.exp(-P.r * tau)) for tau in taus]
+        op = build_bs_hamiltonian(P, g)
+        want = dense_cn(op.matrix, Payoff.call(k).values_on(g), self.DT, 1.0, pinned, pins)
+        self.assert_close(got, want)
+        assert splu_calls == []
+
+    def test_knocked_pins_tridiagonal(self, splu_calls):
+        g = self.G
+        barrier = Potential.down_and_out(-0.5)
+        cfg = EvolutionConfig(dt=self.DT, n_steps=1)
+        got = price_barrier(P, Payoff.bond(), barrier, self.STEPS * self.DT, g, cfg).values
+        op = build_effective_bs(P, barrier, g)
+        pinned = op.dirichlet_mask.copy()
+        pinned[-1] = True
+        taus = self.DT * np.arange(1, self.STEPS + 1)
+        # knocked nodes hold zero, the free top edge the discounted bond
+        pins = [np.append(np.zeros(pinned.sum() - 1), np.exp(-P.r * tau)) for tau in taus]
+        psi0 = np.where(op.dirichlet_mask, 0.0, 1.0)
+        want = dense_cn(op.matrix, psi0, self.DT, 1.0, pinned, pins)
+        self.assert_close(got, want)
+        assert splu_calls == []
+
+    def test_dirichlet_unitary_tridiagonal(self, splu_calls):
+        g = self.G
+        op = build_bs_hamiltonian(P, g, boundary=BOUNDARY_DIRICHLET)
+        psi0 = np.exp(-g.points**2 / 0.08)
+        cfg = EvolutionConfig(dt=self.DT, n_steps=self.STEPS, mode="unitary")
+        got, _ = evolve(op, StateVector(psi0, g), cfg)
+        pins = [np.zeros(2)] * self.STEPS
+        want = dense_cn(op.matrix, psi0.astype(complex), self.DT, 1j, op.dirichlet_mask, pins)
+        self.assert_close(got.values, want)
+        assert splu_calls == []
+
+    def test_one_sided_with_both_edges_given_tridiagonal(self, splu_calls):
+        g = self.G
+        op = build_bs_hamiltonian(P, g)
+        psi0 = np.exp(g.points)
+        cfg = EvolutionConfig(dt=self.DT, n_steps=self.STEPS)
+        got, _ = evolve(op, StateVector(psi0, g), cfg,
+                        boundary_values={0: lambda tau: 0.5 + tau, g.n_points - 1: 3.0})
+        pinned = np.zeros(g.n_points, dtype=bool)
+        pinned[[0, -1]] = True
+        pins = [(0.5 + self.DT * s, 3.0) for s in range(1, self.STEPS + 1)]
+        want = dense_cn(op.matrix, psi0, self.DT, 1.0, pinned, pins)
+        self.assert_close(got.values, want)
+        assert splu_calls == []
+
+    @pytest.mark.parametrize("mode,z", [("euclidean", 1.0), ("unitary", 1j)])
+    def test_unpinned_one_sided_sparse_lu(self, splu_calls, mode, z):
+        g = self.G
+        op = build_bs_hamiltonian(P, g)
+        psi0 = np.exp(g.points)
+        cfg = EvolutionConfig(dt=self.DT, n_steps=self.STEPS, mode=mode)
+        got, _ = evolve(op, StateVector(psi0, g), cfg)
+        no_pins = np.zeros(g.n_points, dtype=bool)
+        want = dense_cn(op.matrix, psi0.astype(type(z)), self.DT, z, no_pins,
+                        [np.zeros(0)] * self.STEPS)
+        self.assert_close(got.values, want)
+        assert splu_calls == [(g.n_points, g.n_points)]
+
+    def test_two_factor_sparse_lu(self, splu_calls):
+        p = MGParams(r=0.05, lam=0.02, mu=-0.5, zeta=0.3, alpha=1.0, rho=-0.4)
+        g2 = Grid2D(Grid1D(-1.0, 1.0, 9), Grid1D(-4.0, -2.0, 7))
+        op = build_mg_hamiltonian(p, g2)
+        psi0 = np.exp(np.repeat(g2.x_axis.points, 7))
+        cfg = EvolutionConfig(dt=self.DT, n_steps=self.STEPS)
+        got, _ = evolve(op, StateVector(psi0, g2), cfg)
+        no_pins = np.zeros(g2.size, dtype=bool)
+        want = dense_cn(op.matrix, psi0, self.DT, 1.0, no_pins, [np.zeros(0)] * self.STEPS)
+        self.assert_close(got.values, want)
+        assert splu_calls == [(g2.size, g2.size)]
+
+    def test_singular_wide_band_raises(self, splu_calls):
+        g = Grid1D(-1.0, 1.0, 7)
+        dt = 0.1
+        # I + dt/2 H keeps only the second superdiagonal: its first column is zero
+        m = sparse.csr_matrix(-2.0 / dt * np.eye(7) + np.eye(7, k=2))
+        op = OperatorMatrix(
+            matrix=m, grid=g, boundary="one-sided", dirichlet_mask=np.zeros(7, dtype=bool)
+        )
+        with pytest.raises(SingularSolveError):
+            evolve(op, StateVector(np.ones(7), g), EvolutionConfig(dt=dt, n_steps=2))
+        assert splu_calls == [(7, 7)]
+
+    def test_singular_tridiagonal_raises(self, splu_calls):
+        g = Grid1D(-1.0, 1.0, 7)
+        dt = 0.1
+        # a zero pivot in the middle row of a tridiagonal I + dt/2 H
+        h = np.diag(np.full(6, 1.0), 1) + np.diag(np.full(6, 1.0), -1)
+        h[3, 3] = -2.0 / dt
+        h[3, 2] = h[3, 4] = 0.0
+        op = OperatorMatrix(
+            matrix=sparse.csr_matrix(h), grid=g, boundary="one-sided",
+            dirichlet_mask=np.zeros(7, dtype=bool),
+        )
+        with pytest.raises(SingularSolveError):
+            evolve(op, StateVector(np.ones(7), g), EvolutionConfig(dt=dt, n_steps=2))
+        assert splu_calls == []
 
 
 class TestUnitaryMode:

@@ -106,6 +106,11 @@ class TestSDEParams:
         base = MGParams(r=0.05, lam=0.01, mu=-0.3, zeta=0.1, alpha=1.0, rho=0.0)
         assert SDEParams(expected_return=0.05, base=base).base is base
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_drift_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SDEParams(expected_return=bad, base=MarketParams(r=0.05, sigma_sq=0.04))
+
 
 class TestGrid1D:
     def test_spacing_and_endpoints(self):

@@ -39,6 +39,10 @@ class TestShapes:
             dict(s0=100.0, T=0.0, dt=0.1, n_paths=10),
             dict(s0=100.0, T=1.0, dt=0.0, n_paths=10),
             dict(s0=100.0, T=1.0, dt=0.1, n_paths=0),
+            dict(s0=float("nan"), T=1.0, dt=0.1, n_paths=10),
+            dict(s0=float("inf"), T=1.0, dt=0.1, n_paths=10),
+            dict(s0=100.0, T=float("inf"), dt=0.1, n_paths=10),
+            dict(s0=100.0, T=1.0, dt=float("nan"), n_paths=10),
         ],
     )
     def test_invalid_inputs(self, kwargs):
@@ -53,6 +57,13 @@ class TestShapes:
     def test_mg_requires_positive_v0(self):
         with pytest.raises(ValueError):
             simulate_mg(MG, 0.05, 100.0, 0.0, 1.0, 0.01, 10, seed=1)
+
+    @pytest.mark.parametrize(
+        "drift,v0", [(0.05, float("nan")), (0.05, float("inf")), (float("nan"), 0.04)]
+    )
+    def test_mg_rejects_non_finite_drift_and_v0(self, drift, v0):
+        with pytest.raises(ValueError):
+            simulate_mg(MG, drift, 100.0, v0, 1.0, 0.01, 10, seed=1)
 
 
 class TestDeterminism:

@@ -364,6 +364,16 @@ class TestClassify:
         rep = classify_information_flow(p, y=-2.0)
         assert not rep.preserved
 
+    @pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf])
+    def test_non_finite_y_rejected(self, y):
+        p = MGParams(r=0.05, lam=0.01, mu=-0.3, zeta=0.1, alpha=1.0, rho=-0.5)
+        with pytest.raises(ValueError, match="finite"):
+            classify_information_flow(p, y=y)
+        with pytest.raises(ValueError, match="finite"):
+            mg_case_solver(p, y, 1, 1)
+        with pytest.raises(ValueError, match="finite"):
+            mg_regime_solver(p, y, 2, 2, "strong-strong")
+
     def test_mg_requires_variance_level(self):
         p = MGParams(r=0.05, lam=0.01, mu=-0.3, zeta=0.1, alpha=1.0, rho=-0.5)
         with pytest.raises(ValueError):
