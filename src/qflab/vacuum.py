@@ -10,11 +10,14 @@ the information-flow / symmetry-breaking status of a parameter point.
 Power conventions: 0^0 = 1, and a term whose coefficient is exactly zero
 never evaluates its power (so order n = 1 skips its inverse-power term
 instead of failing). A nonzero coefficient multiplying a negative power
-of a zero field value is an error.
+of a zero field value is an error, and so is a term that overflows a
+float, whatever the field value's type.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,15 +35,12 @@ REGIME_WEAK_WEAK = "weak-weak"
 REGIME_STRONG_X_WEAK_Y = "strong-x-weak-y"
 REGIME_WEAK_X_STRONG_Y = "weak-x-strong-y"
 
-_REGIME_ALIASES = {
-    "strongstrong": REGIME_STRONG_STRONG,
-    "strong-strong": REGIME_STRONG_STRONG,
-    "weakweak": REGIME_WEAK_WEAK,
-    "weak-weak": REGIME_WEAK_WEAK,
-    "strongxweaky": REGIME_STRONG_X_WEAK_Y,
-    "strong-x-weak-y": REGIME_STRONG_X_WEAK_Y,
-    "weakxstrongy": REGIME_WEAK_X_STRONG_Y,
-    "weak-x-strong-y": REGIME_WEAK_X_STRONG_Y,
+# one entry per regime, keyed by its name without separators
+_REGIMES = {
+    tag.replace("-", ""): tag
+    for tag in (
+        REGIME_STRONG_STRONG, REGIME_WEAK_WEAK, REGIME_STRONG_X_WEAK_Y, REGIME_WEAK_X_STRONG_Y
+    )
 }
 
 
@@ -51,7 +51,8 @@ class SingularRegimeError(ArithmeticError):
 @dataclass(frozen=True)
 class FieldPoint:
     """One field configuration. A value of None marks a direction the
-    solution leaves unconstrained (any value solves the equation)."""
+    solution leaves unconstrained (any value solves the equation); a
+    given value must be finite."""
 
     phi_x: float | None
     phi_y: float | None = None
@@ -63,6 +64,8 @@ class FieldPoint:
             raise ValueError(f"order n must be >= 0, got {self.n}")
         if self.m is not None and self.m < 0:
             raise ValueError(f"order m must be >= 0, got {self.m}")
+        if any(v is not None and not np.isfinite(v) for v in (self.phi_x, self.phi_y)):
+            raise ValueError(f"field values must be finite, got {self.phi_x}, {self.phi_y}")
 
 
 @dataclass(frozen=True)
@@ -178,7 +181,16 @@ def _term(coeff: float, base: float | None, exponent: int, label: str) -> float:
                 "of a zero field value"
             )
         return 0.0
-    return coeff * base**exponent
+    try:
+        with np.errstate(over="raise"):
+            value = coeff * base**exponent
+    except (OverflowError, FloatingPointError):
+        value = math.inf
+    if math.isinf(value) and math.isfinite(coeff):
+        raise ValueError(
+            f"term {label}: field value {base} to the power {exponent} overflows a float"
+        )
+    return value
 
 
 def bs_potential_residual(p: MarketParams, n: int, phi: float) -> float:
@@ -369,18 +381,63 @@ def mg_polynomial_residual(p: MGParams, point: FieldPoint, y: float) -> float:
     return t1 + t2 + t3 + t4 + t5 + t6
 
 
-def _mg_verdicts(points: tuple[FieldPoint, ...]) -> tuple[bool, bool]:
-    """Translation-symmetry verdicts: a generator is broken when some
-    solution leaves its field nonzero or unconstrained."""
-    price = any(pt.phi_x is None or pt.phi_x != 0.0 for pt in points)
-    vol = any(pt.phi_y is None or pt.phi_y != 0.0 for pt in points)
-    return price, vol
+def _two_field_point(p: MGParams, y: float) -> tuple[float, float, float, dict]:
+    """The checked log-variance y with e^y, C(y) and the Hermiticity flags
+    of the two-field point: C(y) = 0 and e^y = 2r, each to FLAG_TOL.
 
-
-def _checked_y(y: float) -> float:
+    Refuses a y at which e^y or C(y) is not a finite float.
+    """
     if not np.isfinite(y):
         raise ValueError(f"log-variance y must be finite, got {y}")
-    return float(y)
+    y = float(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ey = float(np.exp(y))
+        cy = float(mg_y_drift(p, y))
+    if not (np.isfinite(ey) and np.isfinite(cy)):
+        raise ValueError(
+            f"log-variance y = {y!r} leaves e^y = {ey!r} or C(y) = {cy!r} non-finite"
+        )
+    flags = {
+        "y_drift_zero": abs(cy) <= FLAG_TOL,
+        "ey_equals_2r": abs(ey - 2.0 * p.r) <= FLAG_TOL,
+    }
+    return y, ey, cy, flags
+
+
+def _mg_solution(
+    regime: str,
+    n: int,
+    m: int,
+    roots: tuple[FieldPoint, ...] = (),
+    *,
+    x_is_scale: bool = False,
+    **fields,
+) -> VacuumSolution:
+    """Two-field solution whose verdicts and degeneracy follow from its roots.
+
+    A translation symmetry is broken when some root leaves its field
+    nonzero or unconstrained; a curve (a ``relation``) breaks both, and no
+    real solution leaves both verdicts None. Degeneracy counts the roots
+    with a nonzero solved field; ``x_is_scale`` marks phi_x as a scale the
+    caller set rather than a solved value.
+    """
+    if fields.get("relation") is not None:
+        price = vol = True
+    elif fields.get("no_real_solution"):
+        price = vol = None
+    else:
+        price = any(pt.phi_x is None or pt.phi_x != 0.0 for pt in roots)
+        vol = any(pt.phi_y is None or pt.phi_y != 0.0 for pt in roots)
+
+    def solved_nonzero(pt: FieldPoint) -> bool:
+        solved = (pt.phi_y,) if x_is_scale else (pt.phi_x, pt.phi_y)
+        return any(v is not None and v != 0.0 for v in solved)
+
+    return VacuumSolution(
+        roots=roots, regime=regime, n=n, m=m,
+        degeneracy=sum(1 for pt in roots if solved_nonzero(pt)),
+        price_translation_broken=price, volatility_translation_broken=vol, **fields,
+    )
 
 
 def mg_case_solver(p: MGParams, y: float, n: int, m: int) -> VacuumSolution:
@@ -390,59 +447,29 @@ def mg_case_solver(p: MGParams, y: float, n: int, m: int) -> VacuumSolution:
     1 - e^y/2r with phi_y unconstrained. (1,1): the bilinear solution
     curve; under the full symmetric parameter conditions (e^y = 2r and
     C(y) = 0) it collapses to the product constraint
-    phi_x phi_y = rho zeta e^{y(alpha-1/2)} / r. ``y`` must be finite.
+    phi_x phi_y = rho zeta e^{y(alpha-1/2)} / r. ``y`` must be finite and
+    keep e^y and C(y) finite.
     """
-    y = _checked_y(y)
-    ey = float(np.exp(y))
-    cy = float(mg_y_drift(p, y))
+    y, ey, cy, flags = _two_field_point(p, y)
     if (n, m) == (0, 1):
-        pt = FieldPoint(phi_x=None, phi_y=cy / p.r, n=0, m=1)
-        price, vol = _mg_verdicts((pt,))
-        return VacuumSolution(
-            roots=(pt,),
-            regime="case(0,1)",
-            n=0,
-            m=1,
-            degeneracy=1 if pt.phi_y != 0.0 else 0,
-            price_translation_broken=price,
-            volatility_translation_broken=vol,
-        )
+        return _mg_solution("case(0,1)", 0, 1, (FieldPoint(None, cy / p.r, 0, 1),))
     if (n, m) == (1, 0):
-        pt = FieldPoint(phi_x=1.0 - ey / (2.0 * p.r), phi_y=None, n=1, m=0)
-        price, vol = _mg_verdicts((pt,))
-        return VacuumSolution(
-            roots=(pt,),
-            regime="case(1,0)",
-            n=1,
-            m=0,
-            degeneracy=1 if pt.phi_x != 0.0 else 0,
-            price_translation_broken=price,
-            volatility_translation_broken=vol,
-        )
+        return _mg_solution("case(1,0)", 1, 0, (FieldPoint(1.0 - ey / (2.0 * p.r), None, 1, 0),))
     if (n, m) == (1, 1):
         cross = p.rho * p.zeta * float(np.exp(y * (p.alpha - 0.5)))
-        coeffs = {
-            "phi_x_phi_y": p.r,
-            "phi_y": -(p.r - 0.5 * ey),
-            "phi_x": -cy,
-            "const": -cross,
-        }
-        hermitian = abs(ey - 2.0 * p.r) <= FLAG_TOL and abs(cy) <= FLAG_TOL
-        product = cross / p.r if hermitian else None
-        return VacuumSolution(
-            roots=(),
-            regime="case(1,1)",
-            n=1,
-            m=1,
-            degeneracy=0,
-            price_translation_broken=True,
-            volatility_translation_broken=True,
+        return _mg_solution(
+            "case(1,1)", 1, 1,
             relation=(
                 "r*phi_x*phi_y - (r - e^y/2)*phi_y - C(y)*phi_x "
                 "- rho*zeta*e^{y(alpha-1/2)} = 0"
             ),
-            curve_coeffs=coeffs,
-            product_value=product,
+            curve_coeffs={
+                "phi_x_phi_y": p.r,
+                "phi_y": -(p.r - 0.5 * ey),
+                "phi_x": -cy,
+                "const": -cross,
+            },
+            product_value=cross / p.r if all(flags.values()) else None,
             notes=("solution set is a curve; degeneracy is continuous",),
         )
     raise ValueError(f"unsupported case (n, m) = ({n}, {m}); expected (0,1), (1,0), (1,1)")
@@ -454,49 +481,38 @@ def mg_regime_solver(
     """Truncated-regime solutions of the two-field polynomial.
 
     Regime formulas are evaluated as given, flagged approximate; no
-    in-regime validation is attempted. ``phi_x`` sets the free price
-    field scale where a branch needs one (the coupled weak-weak roots
-    are linear in it). Division by zero in a branch raises
-    SingularRegimeError naming the offending condition. ``y`` must be
+    in-regime validation is attempted. ``regime`` is matched without
+    case and without ``-`` or ``_`` separators. ``phi_x`` sets the free
+    price field scale where a branch needs one (the coupled weak-weak
+    roots are linear in it) and must be finite; the orders must be >= 0.
+    Division by zero in a branch raises SingularRegimeError naming the
+    offending condition. ``y`` must be finite and keep e^y and C(y)
     finite.
     """
-    y = _checked_y(y)
-    key = regime.replace("_", "-").lower()
-    tag = _REGIME_ALIASES.get(key)
+    y, ey, cy, flags = _two_field_point(p, y)
+    tag = _REGIMES.get(regime.replace("-", "").replace("_", "").lower())
     if tag is None:
         raise ValueError(f"unknown regime {regime!r}")
-    ey = float(np.exp(y))
-    cy = float(mg_y_drift(p, y))
+    if n < 0:
+        raise ValueError(f"order n must be >= 0, got {n}")
+    if m < 0:
+        raise ValueError(f"order m must be >= 0, got {m}")
+    if not np.isfinite(phi_x):
+        raise ValueError(f"price field scale phi_x must be finite, got {phi_x}")
+    solution = functools.partial(_mg_solution, tag, n, m, approximate=True)
 
     if tag == REGIME_STRONG_STRONG:
         a_y = (1.0 - ey / (2.0 * p.r)) * n
         a_x = (cy / p.r) * m
-        hermitian = abs(ey - 2.0 * p.r) <= FLAG_TOL and abs(cy) <= FLAG_TOL
-        return VacuumSolution(
-            roots=(),
-            regime=tag,
-            n=n,
-            m=m,
-            degeneracy=0,
-            price_translation_broken=True,
-            volatility_translation_broken=True,
-            approximate=True,
+        return solution(
             relation="phi_x*phi_y = a_y*phi_y + a_x*phi_x",
             curve_coeffs={"a_y": a_y, "a_x": a_x},
-            product_value=0.0 if hermitian else None,
+            product_value=0.0 if all(flags.values()) else None,
         )
 
     if tag == REGIME_WEAK_WEAK:
         if n == 1:
-            return VacuumSolution(
-                roots=(),
-                regime=tag,
-                n=n,
-                m=m,
-                degeneracy=0,
-                price_translation_broken=True,
-                volatility_translation_broken=True,
-                approximate=True,
+            return solution(
                 relation="phi_x*phi_y = 0",
                 product_value=0.0,
                 notes=("unit order collapses the coupled branch to the product form",),
@@ -512,69 +528,31 @@ def mg_regime_solver(
         pref = p.rho * p.zeta * float(np.exp(y * (p.alpha - 1.5))) * m * phi_x / (1.0 - n)
         disc = 1.0 - 2.0 * (m - 1) * (n - 1) / (p.rho**2 * n * m)
         if disc < 0.0:
-            return VacuumSolution(
-                roots=(),
-                regime=tag,
-                n=n,
-                m=m,
-                degeneracy=0,
-                approximate=True,
-                no_real_solution=True,
-            )
+            return solution(no_real_solution=True)
         sq = float(np.sqrt(disc))
         r1 = pref * (1.0 + sq)
         r2 = pref * (1.0 - sq)
-        pts = tuple(
+        roots = tuple(
             FieldPoint(phi_x=phi_x, phi_y=val, n=n, m=m)
             for val in ([r1] if r1 == r2 else [r1, r2])
         )
-        price, vol = _mg_verdicts(pts)
-        return VacuumSolution(
-            roots=pts,
-            regime=tag,
-            n=n,
-            m=m,
-            degeneracy=sum(1 for pt in pts if pt.phi_y != 0.0),
-            price_translation_broken=price,
-            volatility_translation_broken=vol,
-            approximate=True,
-        )
+        return solution(roots, x_is_scale=True)
 
     if tag == REGIME_STRONG_X_WEAK_Y:
-        if abs(cy) <= FLAG_TOL:
+        if flags["y_drift_zero"]:
             raise SingularRegimeError(
                 "strong-x/weak-y denominator C(y) vanishes at these parameters"
             )
         phi_y = p.zeta**2 * float(np.exp(2.0 * y * (p.alpha - 1.0))) * (1 - m) / cy
-        pt = FieldPoint(phi_x=0.0, phi_y=phi_y, n=n, m=m)
-        price, vol = _mg_verdicts((pt,))
-        return VacuumSolution(
-            roots=(pt,),
-            regime=tag,
-            n=n,
-            m=m,
-            degeneracy=1 if phi_y != 0.0 else 0,
-            price_translation_broken=price,
-            volatility_translation_broken=vol,
-            approximate=True,
-        )
+        return solution((FieldPoint(phi_x=0.0, phi_y=phi_y, n=n, m=m),))
 
     # weak-x / strong-y
     denom = p.r - 0.5 * ey
     if abs(denom) <= FLAG_TOL:
         raise SingularRegimeError("weak-x/strong-y denominator r - e^y/2 vanishes")
     val = (1 - n) * (0.5 * ey) / denom
-    pt = FieldPoint(phi_x=val, phi_y=0.0, n=n, m=m)
-    price, vol = _mg_verdicts((pt,))
-    return VacuumSolution(
-        roots=(pt,),
-        regime=tag,
-        n=n,
-        m=m,
-        degeneracy=1 if val != 0.0 else 0,
-        price_translation_broken=price,
-        volatility_translation_broken=vol,
-        approximate=True,
+    return solution(
+        (FieldPoint(phi_x=val, phi_y=0.0, n=n, m=m),),
         limit_value=float(n - 1),
         notes=("limit_value is the y -> infinity value, parameter-free",),
     )
@@ -583,30 +561,20 @@ def mg_regime_solver(
 def classify_information_flow(p, y: float | None = None) -> RegimeReport:
     """Hermiticity flags and the information-flow verdict.
 
-    One-factor parameters: the single flag sigma_sq = 2r. Two-factor
-    parameters (a finite y required): the y-drift C(y) must vanish and
-    e^y must equal 2r. Preserved iff all applicable flags hold; the raw
+    One-factor parameters: the single flag sigma_sq = 2r (``MarketParams.
+    hermitian``). Two-factor parameters (a y that keeps e^y and C(y)
+    finite is required): the y-drift C(y) must vanish and e^y must equal
+    2r. Preserved iff all applicable flags hold; the raw
     flag expressions are echoed so a leaking verdict shows its source.
     """
     if isinstance(p, MarketParams):
-        diff = p.sigma_sq - 2.0 * p.r
-        flags = {"sigma_sq_equals_2r": abs(diff) <= FLAG_TOL}
-        values = {"sigma_sq_minus_2r": float(diff)}
-        return RegimeReport(
-            flags=flags, values=values, preserved=all(flags.values()), y=None
-        )
+        flags = {"sigma_sq_equals_2r": p.hermitian()}
+        values = {"sigma_sq_minus_2r": float(p.sigma_sq - 2.0 * p.r)}
+        return RegimeReport(flags=flags, values=values, preserved=all(flags.values()), y=None)
     if isinstance(p, MGParams):
         if y is None:
             raise ValueError("two-factor classification requires a log-variance y")
-        y = _checked_y(y)
-        cy = float(mg_y_drift(p, y))
-        ey_diff = float(np.exp(y) - 2.0 * p.r)
-        flags = {
-            "y_drift_zero": abs(cy) <= FLAG_TOL,
-            "ey_equals_2r": abs(ey_diff) <= FLAG_TOL,
-        }
-        values = {"y_drift": cy, "ey_minus_2r": ey_diff}
-        return RegimeReport(
-            flags=flags, values=values, preserved=all(flags.values()), y=float(y)
-        )
+        y, ey, cy, flags = _two_field_point(p, y)
+        values = {"y_drift": cy, "ey_minus_2r": ey - 2.0 * p.r}
+        return RegimeReport(flags=flags, values=values, preserved=all(flags.values()), y=y)
     raise ValueError(f"unsupported parameter type {type(p).__name__}")

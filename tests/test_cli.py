@@ -106,6 +106,20 @@ class TestMGVacuum:
         root_line = [ln for ln in record.split("\n") if ln.startswith("root_0 = ")][0]
         assert float(root_line.split(" = ")[1].split(",")[0]) == pytest.approx(0.6, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--n", "-2", "--m", "-1", "--regime", "strong-strong"],
+            ["--n", "1", "--m", "-4", "--regime", "weak-weak"],
+            ["--n", "2", "--m", "2", "--regime", "weak-weak", "--phi-x", "nan"],
+        ],
+        ids=["negative_orders", "negative_m_unit_n", "nan_phi_x"],
+    )
+    def test_bad_orders_and_scale_are_validation_errors(self, tmp_path, extra):
+        out = tmp_path / "sol.txt"
+        assert main(["mg-vacuum", *self.ARGS, "--y", "-3", *extra, "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestMartingaleCheck:
     def test_bs_default_grid_passes(self, tmp_path, capsys):
@@ -409,8 +423,14 @@ class TestExitCodes:
              "--zeta", "0.1", "--alpha", "1.0", "--rho", "0.0", "--y", "nan"],
             ["mg-vacuum", "--r", "0.05", "--lambda", "0.01", "--mu", "0.005", "--zeta", "0.1",
              "--alpha", "1.0", "--rho", "0.0", "--y", "nan", "--n", "1", "--m", "1"],
+            # finite, but e^y overflows
+            ["classify", "--model", "mg", "--r", "0.05", "--lambda", "0.01", "--mu", "0.005",
+             "--zeta", "0.1", "--alpha", "1.0", "--rho", "0.0", "--y", "800"],
+            ["mg-vacuum", "--r", "0.05", "--lambda", "0.01", "--mu", "0.005", "--zeta", "0.1",
+             "--alpha", "1.0", "--rho", "0.0", "--y", "800", "--n", "1", "--m", "1"],
         ],
-        ids=["sigma_sq", "lambda", "barrier_level", "drift", "s0", "v0", "classify_y", "vacuum_y"],
+        ids=["sigma_sq", "lambda", "barrier_level", "drift", "s0", "v0", "classify_y", "vacuum_y",
+             "classify_overflowing_y", "vacuum_overflowing_y"],
     )
     def test_non_finite_input_is_validation_error(self, tmp_path, argv):
         out = tmp_path / "x.out"

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflab.model import MarketParams, MGParams
+from qflab.model import Grid1D, Grid2D, MarketParams, MGParams
+from qflab.operators import build_bs_hamiltonian, build_mg_hamiltonian
 from qflab.vacuum import (
     FieldPoint,
     SingularRegimeError,
@@ -387,3 +388,267 @@ class TestClassify:
         leaking = classify_information_flow(MarketParams(r=0.05, sigma_sq=0.04))
         assert leaking.verdict == "leaking"
         assert "information_flow = leaking" in leaking.to_record()
+
+
+GEN = MGParams(r=0.05, lam=0.01, mu=0.02, zeta=0.1, alpha=1.5, rho=1.0)
+HERM = MGParams(r=0.05, lam=0.0, mu=0.005, zeta=0.1, alpha=1.0, rho=0.8)
+Y_GEN = float(np.log(0.04))
+Y_HERM = float(np.log(0.1))  # e^y = 2r and C(y) = 0 for HERM
+CURVE_11 = (
+    "relation = r*phi_x*phi_y - (r - e^y/2)*phi_y - C(y)*phi_x "
+    "- rho*zeta*e^{y(alpha-1/2)} = 0\n"
+)
+CURVE_SS = "relation = phi_x*phi_y = a_y*phi_y + a_x*phi_x\n"
+BROKEN = "price_translation_broken = True\nvolatility_translation_broken = True\n"
+NO_ROWS = "index,phi_x,phi_y\n"
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("phi", [10.0, np.float64(10.0), 10], ids=["float", "float64", "int"])
+    def test_term_overflow_is_one_value_error(self, phi):
+        with pytest.raises(ValueError, match="term diffusion: .* overflows"):
+            bs_potential_residual(P, 400, phi)
+        with pytest.raises(ValueError, match="term xx/x: .* overflows"):
+            mg_polynomial_residual(GEN, FieldPoint(phi, 1.0, 400, 1), -3.0)
+
+    def test_large_powers_that_fit_still_evaluate(self):
+        assert np.isfinite(bs_potential_residual(P, 300, 10.0))
+
+    @pytest.mark.parametrize("y", [800.0, -800.0], ids=["ey", "y_drift"])
+    def test_overflowing_y_refused_by_every_two_field_solver(self, y):
+        # the suite turns warnings into errors, so no overflow warning escapes either
+        with pytest.raises(ValueError, match="non-finite"):
+            classify_information_flow(GEN, y=y)
+        with pytest.raises(ValueError, match="non-finite"):
+            mg_case_solver(GEN, y, 1, 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            mg_regime_solver(GEN, y, 2, 2, "strong-strong")
+
+
+class TestOrderAndScaleChecks:
+    @pytest.mark.parametrize(
+        "n,m,regime",
+        [(-2, -1, "strong-strong"), (1, -4, "weak-weak"), (-1, 2, "weak-x-strong-y")],
+    )
+    def test_negative_order_refused(self, n, m, regime):
+        with pytest.raises(ValueError, match="order . must be >= 0"):
+            mg_regime_solver(GEN, Y_GEN, n, m, regime)
+
+    def test_negative_order_beats_singular_correlation(self):
+        p = MGParams(r=0.05, lam=0.01, mu=0.02, zeta=0.1, alpha=1.5, rho=0.0)
+        with pytest.raises(ValueError, match="order m must be >= 0"):
+            mg_regime_solver(p, Y_GEN, 2, -1, "weak-weak")
+
+    @pytest.mark.parametrize("phi_x", [np.nan, np.inf])
+    def test_non_finite_phi_x_refused(self, phi_x):
+        with pytest.raises(ValueError, match="phi_x must be finite"):
+            mg_regime_solver(GEN, Y_GEN, 2, 2, "weak-weak", phi_x=phi_x)
+
+    @pytest.mark.parametrize("phi_x,phi_y", [(np.nan, 1.0), (1.0, np.inf), (None, -np.inf)])
+    def test_field_point_rejects_non_finite_values(self, phi_x, phi_y):
+        with pytest.raises(ValueError, match="must be finite"):
+            FieldPoint(phi_x, phi_y, 1, 1)
+
+    def test_regime_matched_without_separators_or_case(self):
+        sol = mg_regime_solver(GEN, Y_GEN, 0, 2, "StrongX-WeakY")
+        assert sol.regime == "strong-x-weak-y"
+
+
+class TestGridIdentity:
+    """The order-n potential polynomial is the generator applied to the
+    field monomial, so the grid operators reproduce it node by node."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6])
+    def test_one_factor_generator_on_monomial(self, n):
+        gaps = []
+        for size in (201, 401, 801):
+            g = Grid1D(-3.0, 3.0, size)
+            x = g.points
+            h_xn = build_bs_hamiltonian(P, g).matrix @ x**n
+            want = np.array([bs_potential_residual(P, n, float(v)) for v in x])
+            gaps.append(float(np.max(np.abs(h_xn - want)[1:-1])))
+        if n <= 2:
+            # central differences are exact on quadratics
+            assert max(gaps) <= 1e-10
+        else:
+            for coarse, fine in zip(gaps, gaps[1:]):
+                assert 3.5 <= coarse / fine <= 4.5
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 2)])
+    def test_two_factor_generator_on_monomial(self, n, m):
+        p = MGParams(r=0.05, lam=0.01, mu=0.02, zeta=0.1, alpha=1.2, rho=-0.4)
+        gaps = []
+        for size in (41, 81):
+            g = Grid2D(Grid1D(-1.0, 1.0, size), Grid1D(-4.0, -2.0, size))
+            xs, ys = g.x_axis.points, g.y_axis.points
+            monomial = (xs[:, None] ** n * ys[None, :] ** m).reshape(-1)
+            got = (build_mg_hamiltonian(p, g).matrix @ monomial).reshape(g.shape)
+            want = np.array(
+                [[mg_polynomial_residual(p, FieldPoint(float(a), float(b), n, m), float(b))
+                  for b in ys] for a in xs]
+            )
+            gaps.append(float(np.max(np.abs(got - want)[1:-1, 1:-1])))
+        if n <= 2 and m <= 2:
+            assert max(gaps) <= 1e-10
+        else:
+            assert 3.5 <= gaps[0] / gaps[1] <= 4.5
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_grid_zero_set_follows_exact_roots_not_truncations(self, n):
+        # the kinetic terms shift the vacuum: the exact roots keep them,
+        # the weak- and strong-field truncations drop them
+        g = Grid1D(-6.0, 6.0, 1201)
+        x = g.points
+        h_xn = build_bs_hamiltonian(P, g).matrix @ x**n
+
+        def sign_changes_around(phi):
+            i = int(np.searchsorted(x, phi)) - 1
+            left, right = (h_xn[k] / x[k] ** (n - 2) for k in (i, i + 1))
+            return np.sign(left) != np.sign(right)
+
+        for pt in bs_vacuum_exact(P, n).roots:
+            assert sign_changes_around(pt.phi_x), pt.phi_x
+        truncated = bs_vacuum_weak(P, n).roots + bs_vacuum_strong(P, n).roots
+        for pt in truncated:
+            if pt.phi_x != 0.0:
+                assert not sign_changes_around(pt.phi_x), pt.phi_x
+
+
+class TestPinnedRecords:
+    """Every two-field branch and both classify models, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "solve,record,csv",
+        [
+            pytest.param(
+                lambda: mg_case_solver(GEN, Y_GEN, 0, 1),
+                "regime = case(0,1)\nn = 0\nm = 1\ndegeneracy = 1\napproximate = False\n"
+                + BROKEN + "root_0 = free, 5.395999999999999\n",
+                NO_ROWS + "0,free,5.395999999999999\n",
+                id="case-0-1",
+            ),
+            pytest.param(
+                lambda: mg_case_solver(GEN, Y_GEN, 1, 0),
+                "regime = case(1,0)\nn = 1\nm = 0\ndegeneracy = 1\napproximate = False\n"
+                + BROKEN + "root_0 = 0.5999999999999999, free\n",
+                NO_ROWS + "0,0.5999999999999999,free\n",
+                id="case-1-0",
+            ),
+            pytest.param(
+                lambda: mg_case_solver(GEN, Y_GEN, 1, 1),
+                "regime = case(1,1)\nn = 1\nm = 1\ndegeneracy = 0\napproximate = False\n"
+                + CURVE_11 + BROKEN,
+                NO_ROWS,
+                id="case-1-1",
+            ),
+            pytest.param(
+                lambda: mg_case_solver(HERM, Y_HERM, 1, 1),
+                "regime = case(1,1)\nn = 1\nm = 1\ndegeneracy = 0\napproximate = False\n"
+                + CURVE_11 + "product_value = 0.5059644256269408\n" + BROKEN,
+                NO_ROWS,
+                id="case-1-1-hermitian",
+            ),
+            pytest.param(
+                lambda: mg_regime_solver(GEN, Y_GEN, 2, 3, "strong-strong"),
+                "regime = strong-strong\nn = 2\nm = 3\ndegeneracy = 0\napproximate = True\n"
+                + CURVE_SS + BROKEN,
+                NO_ROWS,
+                id="strong-strong",
+            ),
+            pytest.param(
+                lambda: mg_regime_solver(HERM, Y_HERM, 2, 3, "strong-strong"),
+                "regime = strong-strong\nn = 2\nm = 3\ndegeneracy = 0\napproximate = True\n"
+                + CURVE_SS + "product_value = 0.0\n" + BROKEN,
+                NO_ROWS,
+                id="strong-strong-hermitian",
+            ),
+            pytest.param(
+                lambda: mg_regime_solver(GEN, Y_GEN, 1, 2, "weak-weak"),
+                "regime = weak-weak\nn = 1\nm = 2\ndegeneracy = 0\napproximate = True\n"
+                "relation = phi_x*phi_y = 0\nproduct_value = 0.0\n" + BROKEN,
+                NO_ROWS,
+                id="weak-weak-unit-order",
+            ),
+            pytest.param(
+                lambda: mg_regime_solver(
+                    MGParams(r=0.05, lam=0.01, mu=0.02, zeta=0.1, alpha=1.5, rho=0.5),
+                    Y_GEN, 2, 2, "weak-weak",
+                ),
+                "regime = weak-weak\nn = 2\nm = 2\ndegeneracy = 0\napproximate = True\n"
+                "no_real_solution = True\n",
+                NO_ROWS,
+                id="weak-weak-no-real",
+            ),
+            pytest.param(
+                lambda: mg_regime_solver(GEN, Y_GEN, 2, 2, "weak-weak", phi_x=1.5),
+                "regime = weak-weak\nn = 2\nm = 2\ndegeneracy = 2\napproximate = True\n"
+                + BROKEN + "root_0 = 1.5, -0.5121320343559643\n"
+                "root_1 = 1.5, -0.08786796564403575\n",
+                NO_ROWS + "0,1.5,-0.5121320343559643\n1,1.5,-0.08786796564403575\n",
+                id="weak-weak-roots",
+            ),
+            pytest.param(
+                # the second root is zero, so it does not count toward degeneracy
+                lambda: mg_regime_solver(GEN, Y_GEN, 2, 1, "weak-weak"),
+                "regime = weak-weak\nn = 2\nm = 1\ndegeneracy = 1\napproximate = True\n"
+                + BROKEN + "root_0 = 1.0, -0.2\nroot_1 = 1.0, -0.0\n",
+                NO_ROWS + "0,1.0,-0.2\n1,1.0,-0.0\n",
+                id="weak-weak-zero-root",
+            ),
+            pytest.param(
+                lambda: mg_regime_solver(GEN, Y_GEN, 0, 2, "strong-x-weak-y"),
+                "regime = strong-x-weak-y\nn = 0\nm = 2\ndegeneracy = 1\napproximate = True\n"
+                "price_translation_broken = False\nvolatility_translation_broken = True\n"
+                "root_0 = 0.0, -0.0014825796886582662\n",
+                NO_ROWS + "0,0.0,-0.0014825796886582662\n",
+                id="strong-x-weak-y",
+            ),
+            pytest.param(
+                lambda: mg_regime_solver(GEN, Y_GEN, 2, 0, "weak-x-strong-y"),
+                "regime = weak-x-strong-y\nn = 2\nm = 0\ndegeneracy = 1\napproximate = True\n"
+                "limit_value = 1.0\n"
+                "price_translation_broken = True\nvolatility_translation_broken = False\n"
+                "root_0 = -0.6666666666666669, 0.0\n",
+                NO_ROWS + "0,-0.6666666666666669,0.0\n",
+                id="weak-x-strong-y",
+            ),
+        ],
+    )
+    def test_two_field_record_and_csv(self, solve, record, csv):
+        sol = solve()
+        assert sol.to_record() == record
+        assert sol.to_csv() == csv
+
+    @pytest.mark.parametrize(
+        "classify,record",
+        [
+            pytest.param(
+                lambda: classify_information_flow(MarketParams(r=0.05, sigma_sq=0.04)),
+                "flag_sigma_sq_equals_2r = False\n"
+                "value_sigma_sq_minus_2r = -0.060000000000000005\n"
+                "information_flow = leaking\n",
+                id="bs-leaking",
+            ),
+            pytest.param(
+                lambda: classify_information_flow(MarketParams(r=0.05, sigma_sq=0.1)),
+                "flag_sigma_sq_equals_2r = True\nvalue_sigma_sq_minus_2r = 0.0\n"
+                "information_flow = preserved\n",
+                id="bs-preserved",
+            ),
+            pytest.param(
+                lambda: classify_information_flow(GEN, y=Y_GEN),
+                "y = -3.2188758248682006\nflag_y_drift_zero = False\nflag_ey_equals_2r = False\n"
+                "value_y_drift = 0.2698\nvalue_ey_minus_2r = -0.06\ninformation_flow = leaking\n",
+                id="mg-leaking",
+            ),
+            pytest.param(
+                lambda: classify_information_flow(HERM, y=Y_HERM),
+                "y = -2.3025850929940455\nflag_y_drift_zero = True\nflag_ey_equals_2r = True\n"
+                "value_y_drift = -8.673617379884035e-19\n"
+                "value_ey_minus_2r = 1.3877787807814457e-17\ninformation_flow = preserved\n",
+                id="mg-preserved",
+            ),
+        ],
+    )
+    def test_classify_record(self, classify, record):
+        assert classify().to_record() == record
