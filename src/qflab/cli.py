@@ -30,9 +30,7 @@ from .evolution import (
 )
 from .martingale import (
     MartingaleReport,
-    extended_constraint_residual,
     martingale_residual,
-    mc_martingale_check,
     solve_extended_constraint,
 )
 from .model import (
@@ -42,6 +40,7 @@ from .model import (
     MGParams,
     SDEParams,
     StateVector,
+    _positive,
     load_config,
     sample_extended_martingale_state,
     sample_martingale_state,
@@ -133,7 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_mg_flags(s)
     s.add_argument("--sigma-sq", type=float, default=None)
     s.add_argument("--state", choices=["price", "extended"], default="price")
-    s.add_argument("--grid", default="default", help="'default' or 'explicit'")
     _add_grid_flags(s, two_d=True)
     s.add_argument("--tol", type=float, default=None)
     s.add_argument("--config", default=None)
@@ -323,11 +321,9 @@ def _run_price(args) -> None:
         "bond": Payoff.bond,
         "asset": Payoff.martingale_asset,
     }[args.payoff]()
-    # the default step is derived from --t, so a bad --t is named before the step is checked
-    if args.dt is None and not args.t > 0.0:
-        raise ValueError(f"maturity must be positive, got {args.t}")
-    # the pricers read only the target step; the count is derived from --t
-    dt = args.dt if args.dt is not None else args.t / 400.0
+    # the pricers read only the target step; the count is derived from --t, so a
+    # bad --t is named before the default step derived from it is checked
+    dt = args.dt if args.dt is not None else _positive(args.t, "maturity") / 400.0
     cfg_run = EvolutionConfig(dt=dt, n_steps=1)
     barrier = None
     if args.barrier_level is not None:

@@ -25,7 +25,7 @@ from scipy import sparse
 from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import splu
 
-from .model import Grid1D, MarketParams, StateVector
+from .model import Grid1D, MarketParams, StateVector, _positive, _step_count
 from .operators import (
     KIND_DOUBLE_KNOCKOUT,
     KIND_DOWN_AND_OUT,
@@ -63,8 +63,7 @@ class EvolutionConfig:
     mode: str = MODE_EUCLIDEAN
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        _positive(self.dt, "dt")
         if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, Integral):
             raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
@@ -316,10 +315,8 @@ def _price(
     mask) held at zero, each free edge at its far field. Only cfg.dt is
     read, as a target step; the count is derived so the steps land
     exactly on T."""
-    if T <= 0.0:
-        raise ValueError(f"maturity must be positive, got {T}")
     g = op.grid
-    n_steps = max(1, int(round(T / cfg.dt)))
+    n_steps = _step_count(T, cfg.dt, "maturity")
     dt = T / n_steps
     vals = payoff.values_on(g)
     pairs = _edge_pairs(payoff, vals)
@@ -385,8 +382,7 @@ def kernel_row(p: MarketParams, x: float, tau: float, g: Grid1D) -> StateVector:
     is nonnegative on fine grids once the kernel width clears a few
     cells.
     """
-    if tau <= 0.0:
-        raise ValueError(f"kernel time must be positive, got {tau}")
+    _positive(tau, "kernel time")
     if not g.x_min <= x <= g.x_max:
         raise ValueError(f"kernel source x={x} lies outside the grid [{g.x_min}, {g.x_max}]")
     idx = int(np.argmin(np.abs(g.points - x)))

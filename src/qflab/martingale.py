@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import Grid1D, Grid2D, MarketParams, MGParams, SDEParams, StateVector
+from .model import Grid1D, Grid2D, MGParams, SDEParams, StateVector, mg_cross_coef, mg_yy_coef
 from .operators import OperatorMatrix
-from .sde import PATH_BLOCK, _block_normals
+from .sde import simulate_gbm
 
 CONSTRAINT_TOL = 1e-12
 
@@ -109,13 +109,7 @@ def extended_constraint_residual(p: MGParams, y) -> float:
     The two-factor generator annihilates e^{x+y} exactly where this
     expression vanishes. Entire in y; accepts scalars or arrays.
     """
-    ey = np.exp(y)
-    inner = (
-        p.mu
-        + 0.5 * p.zeta**2 * np.exp(2.0 * y * (p.alpha - 1.0))
-        + p.rho * p.zeta * np.exp(y * (p.alpha - 0.5))
-    )
-    return p.lam + ey * inner
+    return p.lam + np.exp(y) * (p.mu + 0.5 * mg_yy_coef(p, y) + mg_cross_coef(p, y))
 
 
 def solve_extended_constraint(
@@ -173,34 +167,17 @@ def mc_martingale_check(
 ) -> tuple[float, float]:
     """Mean of e^{-rT} S_T minus s0, and its standard error.
 
-    The discounted-terminal draw uses the exact lognormal distribution
-    in a single step, with the discount folded into the log so that a
-    zero-volatility risk-neutral run returns a statistic of exactly 0.
-    The martingale property holds iff |statistic| <= 3 * SE. Substreams
-    are counter-based, keyed by (seed, path block), so the result is
-    identical under any worker decomposition.
+    The discounted price is itself a GBM with drift phi - r, drawn by
+    ``simulate_gbm`` in one step of length T: the exact lognormal
+    terminal, so a zero-volatility risk-neutral run returns a statistic
+    of exactly 0. The martingale property holds iff |statistic| <= 3 *
+    SE. The draw shares simulate_gbm's counter-based substreams, so the
+    result is identical under any worker decomposition.
     """
-    if s0 <= 0.0:
-        raise ValueError(f"s0 must be positive, got {s0}")
-    if T <= 0.0:
-        raise ValueError(f"horizon must be positive, got {T}")
     if n_paths < 1000:
         raise ValueError(f"need n_paths >= 1000, got {n_paths}")
-    base = sp.base
-    if not isinstance(base, MarketParams):
-        raise ValueError("mc_martingale_check needs a constant-volatility base")
-    sig = np.sqrt(base.sigma_sq)
-    log_drift = (sp.expected_return - base.r - 0.5 * base.sigma_sq) * T
-    scale = sig * np.sqrt(T)
-
-    discounted = np.empty(n_paths)
-    for start in range(0, n_paths, PATH_BLOCK):
-        stop = min(start + PATH_BLOCK, n_paths)
-        z = _block_normals(seed, start, stop - start)
-        discounted[start:stop] = s0 * np.exp(log_drift + scale * z)
+    discounted_sp = SDEParams(sp.expected_return - sp.base.r, sp.base)
+    discounted = simulate_gbm(discounted_sp, s0, T, T, n_paths, seed).terminal()
     statistic = float(discounted.mean() - s0)
-    if n_paths > 1:
-        se = float(discounted.std(ddof=1) / np.sqrt(n_paths))
-    else:
-        se = 0.0
+    se = float(discounted.std(ddof=1) / np.sqrt(n_paths))
     return statistic, se

@@ -234,6 +234,24 @@ def sample_extended_martingale_state(grid: Grid2D) -> StateVector:
     return StateVector(vals, grid)
 
 
+def _positive(value: float, name: str) -> float:
+    """``value`` as a float; refuses NaN, infinities and values <= 0."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return float(value)
+
+
+def _step_count(T: float, dt: float, horizon: str = "horizon") -> int:
+    """Steps of about ``dt`` that land exactly on ``T``: max(1, round(T / dt)).
+
+    Refuses a T or a dt that is not positive and finite; ``horizon``
+    names T in the message.
+    """
+    return max(1, int(round(_positive(T, horizon) / _positive(dt, "dt"))))
+
+
 # Scalar coefficient helpers shared by the operator assembly, the constraint
 # algebra, and the field polynomials. All accept scalars or ndarrays in y.
 

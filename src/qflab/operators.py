@@ -108,8 +108,6 @@ class Potential:
 class OperatorMatrix:
     """A discretized operator tied to its lattice.
 
-    ``boundary`` records the closure of the domain-edge rows: one-sided
-    second-order stencils (default) or Dirichlet-zero (pinned rows).
     ``dirichlet_mask`` marks every pinned node: domain edges under the
     Dirichlet closure and all knocked-out barrier nodes. Pinned rows are
     zero in the matrix; time steppers hold their values fixed.
@@ -117,7 +115,6 @@ class OperatorMatrix:
 
     matrix: sparse.csr_matrix
     grid: Union[Grid1D, Grid2D]
-    boundary: str = BOUNDARY_ONE_SIDED
     dirichlet_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -138,8 +135,6 @@ class OperatorMatrix:
             if mask.shape != (m.shape[0],):
                 raise ValueError("dirichlet mask length does not match operator size")
             object.__setattr__(self, "dirichlet_mask", mask)
-        if self.boundary not in (BOUNDARY_ONE_SIDED, BOUNDARY_DIRICHLET):
-            raise ValueError(f"unknown boundary tag {self.boundary!r}")
 
     def interior_mask(self) -> np.ndarray:
         """Nodes whose rows carry the interior stencil: not on a domain
@@ -275,9 +270,7 @@ def build_effective_bs(
     mask = knocked.copy()
     if boundary == BOUNDARY_DIRICHLET:
         mask[0] = mask[-1] = True
-    return OperatorMatrix(
-        matrix=_pin_rows(a, mask), grid=g, boundary=boundary, dirichlet_mask=mask
-    )
+    return OperatorMatrix(matrix=_pin_rows(a, mask), grid=g, dirichlet_mask=mask)
 
 
 def build_double_knockout(p: MarketParams, v: Potential, g: Grid1D) -> OperatorMatrix:
@@ -324,7 +317,7 @@ def build_mg_hamiltonian(p: MGParams, g: Grid2D) -> OperatorMatrix:
         - ydiag(mg_yy_coef(p, y)) @ sparse.kron(ix, dy2, format="csr")
         + p.r * sparse.identity(nx * ny, format="csr")
     )
-    return OperatorMatrix(matrix=a, grid=g, boundary=BOUNDARY_ONE_SIDED)
+    return OperatorMatrix(matrix=a, grid=g)
 
 
 def hermiticity_defect(op: OperatorMatrix) -> float:
@@ -351,7 +344,8 @@ def similarity_transform(
     """Hermitian counterpart of the effective generator, plus its gauge.
 
     The symmetric matrix is built by exact diagonal balancing of the
-    interior tridiagonal: the diagonal is kept (sigma_sq/h^2 + V_i) and
+    tridiagonal ``build_effective_bs`` assembles under the Dirichlet
+    closure: the diagonal is kept (sigma_sq/h^2 + V_i) and
     the bond between nodes i and i+1 becomes -sqrt of the product of the
     two opposing off-diagonal entries. Balancing is an exact similarity
     transform of the interior block (isospectral to roundoff) and is
@@ -368,13 +362,11 @@ def similarity_transform(
     if v.kind in (KIND_DOWN_AND_OUT, KIND_DOUBLE_KNOCKOUT):
         raise ValueError("similarity transform needs a smoothly evaluable potential")
 
-    n = g.n_points
     h = g.h
     x = g.points
     vals = v.values_on(g, inside_value=p.r)
-    d = 0.5 * p.sigma_sq - vals
 
-    peclet = h * float(np.abs(d).max())
+    peclet = h * float(np.abs(0.5 * p.sigma_sq - vals).max())
     if peclet >= p.sigma_sq:
         raise ValueError(
             "grid Peclet condition violated: need h * max|sigma_sq/2 - V| "
@@ -390,22 +382,12 @@ def similarity_transform(
         alpha_coef=(0.5 * p.sigma_sq - p.r) / p.sigma_sq,
     )
 
-    diff = 0.5 * p.sigma_sq / h**2
-    main = np.zeros(n)
-    main[1:-1] = p.sigma_sq / h**2 + vals[1:-1]
-    # bond i <-> i+1 (1 <= i <= n-3) pairs row i's superdiagonal with row
-    # i+1's subdiagonal; bonds touching an edge node stay zero
-    sup = -diff + d[1:-2] / (2.0 * h)
-    sub_next = -diff - d[2:-1] / (2.0 * h)
-    bond = np.zeros(n - 1)
-    bond[1:-1] = -np.sqrt(sup * sub_next)
-    m = sparse.diags([bond, main, bond], [-1, 0, 1], format="csr")
-    mask = np.zeros(n, dtype=bool)
-    mask[0] = mask[-1] = True
-    herm = OperatorMatrix(
-        matrix=m, grid=g, boundary=BOUNDARY_DIRICHLET, dirichlet_mask=mask
-    )
-    return transform, herm
+    op = build_effective_bs(p, v, g, BOUNDARY_DIRICHLET)
+    # bond i <-> i+1 pairs row i's superdiagonal with row i+1's
+    # subdiagonal; the pinned edge rows leave the bonds touching them zero
+    bond = -np.sqrt(op.matrix.diagonal(1) * op.matrix.diagonal(-1))
+    m = sparse.diags([bond, op.matrix.diagonal(), bond], [-1, 0, 1], format="csr")
+    return transform, OperatorMatrix(matrix=m, grid=g, dirichlet_mask=op.dirichlet_mask)
 
 
 def apply_momentum(state: StateVector, g: Grid1D) -> StateVector:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .model import MarketParams, MGParams, SDEParams
+from .model import MarketParams, MGParams, SDEParams, _positive, _step_count
 
 PATH_BLOCK = 8192
 CSV_ROW_GUARD = 2_000_000
@@ -42,24 +43,22 @@ class PathEnsemble:
         return self.paths[:, -1]
 
 
-def _block_normals(seed: int, block_start: int, shape) -> np.ndarray:
-    """Standard normals of one path block, from the Philox substream keyed
-    by (seed, first path index of the block)."""
-    gen = np.random.Generator(np.random.Philox(key=[int(seed), int(block_start)]))
-    return gen.standard_normal(shape)
+def _path_blocks(seed: int, n_paths: int, tail: tuple) -> Iterator[tuple[slice, np.ndarray]]:
+    """The rows of each block of PATH_BLOCK paths with its standard
+    normals, of shape (rows, *tail), from the Philox substream keyed by
+    (seed, first path index of the block)."""
+    for start in range(0, n_paths, PATH_BLOCK):
+        stop = min(start + PATH_BLOCK, n_paths)
+        gen = np.random.Generator(np.random.Philox(key=[int(seed), start]))
+        yield slice(start, stop), gen.standard_normal((stop - start, *tail))
 
 
 def _check_sizes(s0: float, T: float, dt: float, n_paths: int) -> int:
-    if not (np.isfinite(s0) and s0 > 0.0):
-        raise ValueError(f"s0 must be positive and finite, got {s0}")
-    if not (np.isfinite(T) and T > 0.0):
-        raise ValueError(f"horizon must be positive and finite, got {T}")
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    """The step count of an ensemble, refusing a bad start or size."""
+    _positive(s0, "s0")
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
-    n_steps = max(1, int(round(T / dt)))
-    return n_steps
+    return _step_count(T, dt)
 
 
 def _check_rows(rows: int, max_rows: int = CSV_ROW_GUARD, force: bool = False) -> None:
@@ -78,9 +77,10 @@ def simulate_gbm(
 
     dS = phi S dt + sigma S dW with phi = sp.expected_return; stepped in
     the log so every path stays positive, with increments
-    (phi - sigma_sq/2) dt + sigma sqrt(dt) z. The requested dt is
-    adjusted to divide the horizon evenly. Zero volatility gives the
-    deterministic exponential on every path.
+    (phi - sigma_sq/2) dt + sigma sqrt(dt) z. A path is s0 times the
+    exponential of their running sum, so it starts at s0 exactly. The
+    requested dt is adjusted to divide the horizon evenly. Zero
+    volatility gives the deterministic exponential on every path.
     """
     base = sp.base
     if not isinstance(base, MarketParams):
@@ -91,15 +91,14 @@ def simulate_gbm(
     drift = (sp.expected_return - 0.5 * base.sigma_sq) * dt_eff
     scale = sig * np.sqrt(dt_eff)
 
-    log_paths = np.empty((n_paths, n_steps + 1))
-    log_paths[:, 0] = np.log(s0)
-    for start in range(0, n_paths, PATH_BLOCK):
-        stop = min(start + PATH_BLOCK, n_paths)
-        z = _block_normals(seed, start, (stop - start, n_steps))
-        np.cumsum(drift + scale * z, axis=1, out=z)
-        log_paths[start:stop, 1:] = np.log(s0) + z
-    paths = np.exp(log_paths)
-    paths[:, 0] = s0  # exp(log(s0)) can be an ulp off the exact start
+    paths = np.empty((n_paths, n_steps + 1))
+    paths[:, 0] = 0.0
+    for rows, z in _path_blocks(seed, n_paths, (n_steps,)):
+        z *= scale  # the increments are built in place: no second block in memory
+        z += drift
+        np.cumsum(z, axis=1, out=paths[rows, 1:])
+    np.exp(paths, out=paths)
+    paths *= s0
     return PathEnsemble(paths=paths, dt=dt_eff, seed=int(seed))
 
 
@@ -122,8 +121,7 @@ def simulate_mg(
     """
     if not np.isfinite(drift):
         raise ValueError(f"drift must be finite, got {drift}")
-    if not (np.isfinite(v0) and v0 > 0.0):
-        raise ValueError(f"v0 must be positive and finite, got {v0}")
+    _positive(v0, "v0")
     n_steps = _check_sizes(s0, T, dt, n_paths)
     dt_eff = T / n_steps
     sq_dt = np.sqrt(dt_eff)
@@ -131,21 +129,18 @@ def simulate_mg(
 
     s_paths = np.empty((n_paths, n_steps + 1))
     v_paths = np.empty((n_paths, n_steps + 1))
-    for start in range(0, n_paths, PATH_BLOCK):
-        stop = min(start + PATH_BLOCK, n_paths)
-        m = stop - start
-        z = _block_normals(seed, start, (m, n_steps, 2))
+    s_paths[:, 0] = s0
+    v_paths[:, 0] = v0
+    for rows, z in _path_blocks(seed, n_paths, (n_steps, 2)):
         z1 = z[:, :, 0]
         z2 = p.rho * z1 + rho_perp * z[:, :, 1]
-        x = np.full(m, np.log(s0))
-        v = np.full(m, float(v0))
-        s_paths[start:stop, 0] = s0
-        v_paths[start:stop, 0] = v0
+        x = np.full(z.shape[0], np.log(s0))
+        v = np.full(z.shape[0], float(v0))
         for k in range(n_steps):
             x = x + (drift - 0.5 * v) * dt_eff + np.sqrt(v) * sq_dt * z1[:, k]
             v = np.abs(v + (p.lam + p.mu * v) * dt_eff + p.zeta * v**p.alpha * sq_dt * z2[:, k])
-            s_paths[start:stop, k + 1] = np.exp(x)
-            v_paths[start:stop, k + 1] = v
+            s_paths[rows, k + 1] = np.exp(x)
+            v_paths[rows, k + 1] = v
     return PathEnsemble(paths=s_paths, dt=dt_eff, seed=int(seed), v_paths=v_paths)
 
 

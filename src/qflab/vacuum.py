@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MarketParams, MGParams, mg_y_drift
+from .model import MarketParams, MGParams, mg_cross_coef, mg_y_drift, mg_yy_coef
 
 FLAG_TOL = 1e-12
 
@@ -356,13 +356,14 @@ def mg_polynomial_residual(p: MGParams, point: FieldPoint, y: float) -> float:
         - zeta^2 e^{2y(alpha-1)} m(m-1) phi_x^n phi_y^{m-2}
         + r phi_x^n phi_y^m
 
-    with C(y) = lam e^{-y} + mu - (zeta^2/2) e^{2y(alpha-1)}.
+    with C(y) = lam e^{-y} + mu - (zeta^2/2) e^{2y(alpha-1)}. ``y`` must
+    be finite and keep e^y and C(y) finite.
     """
     n = point.n
     m = point.m if point.m is not None else 0
     if n < 0 or m < 0:
         raise ValueError(f"orders must be >= 0, got n={n}, m={m}")
-    ey = np.exp(y)
+    y, ey, cy, _ = _two_field_point(p, y)
     phi_x, phi_y = point.phi_x, point.phi_y
 
     def pair(cx: float, ex: int, ey_: int, label: str) -> float:
@@ -374,9 +375,9 @@ def mg_polynomial_residual(p: MGParams, point: FieldPoint, y: float) -> float:
 
     t1 = pair(-0.5 * ey * n * (n - 1), n - 2, m, "xx")
     t2 = pair(-(p.r - 0.5 * ey) * n, n - 1, m, "x")
-    t3 = pair(-float(mg_y_drift(p, y)) * m, n, m - 1, "y")
-    t4 = pair(-p.rho * p.zeta * np.exp(y * (p.alpha - 0.5)) * n * m, n - 1, m - 1, "xy")
-    t5 = pair(-p.zeta**2 * np.exp(2.0 * y * (p.alpha - 1.0)) * m * (m - 1), n, m - 2, "yy")
+    t3 = pair(-cy * m, n, m - 1, "y")
+    t4 = pair(-float(mg_cross_coef(p, y)) * n * m, n - 1, m - 1, "xy")
+    t5 = pair(-float(mg_yy_coef(p, y)) * m * (m - 1), n, m - 2, "yy")
     t6 = pair(p.r, n, m, "rate")
     return t1 + t2 + t3 + t4 + t5 + t6
 
@@ -456,7 +457,7 @@ def mg_case_solver(p: MGParams, y: float, n: int, m: int) -> VacuumSolution:
     if (n, m) == (1, 0):
         return _mg_solution("case(1,0)", 1, 0, (FieldPoint(1.0 - ey / (2.0 * p.r), None, 1, 0),))
     if (n, m) == (1, 1):
-        cross = p.rho * p.zeta * float(np.exp(y * (p.alpha - 0.5)))
+        cross = float(mg_cross_coef(p, y))
         return _mg_solution(
             "case(1,1)", 1, 1,
             relation=(
@@ -543,7 +544,7 @@ def mg_regime_solver(
             raise SingularRegimeError(
                 "strong-x/weak-y denominator C(y) vanishes at these parameters"
             )
-        phi_y = p.zeta**2 * float(np.exp(2.0 * y * (p.alpha - 1.0))) * (1 - m) / cy
+        phi_y = float(mg_yy_coef(p, y)) * (1 - m) / cy
         return solution((FieldPoint(phi_x=0.0, phi_y=phi_y, n=n, m=m),))
 
     # weak-x / strong-y

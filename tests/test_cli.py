@@ -132,6 +132,15 @@ class TestMartingaleCheck:
         assert read_kv(out)["verdict"] == "pass"
         assert "verdict = pass" in capsys.readouterr().out
 
+    def test_grid_option_is_gone(self, tmp_path):
+        out = tmp_path / "report.txt"
+        code = main([
+            "martingale-check", "--model", "bs", "--r", "0.05",
+            "--sigma-sq", "0.04", "--grid", "default", "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+
     def test_mg_extended_state_near_root(self, tmp_path):
         out = tmp_path / "report.txt"
         code = main([
@@ -412,6 +421,12 @@ class TestExitCodes:
              "--zeta", "0.1", "--alpha", "1.0", "--rho", "0.0", "--y", "-3"],
             ["price", "--payoff", "bond", "--r", "0.05", "--sigma-sq", "0.04", "--t", "1",
              "--x-min", "-1", "--x-max", "1", "--n-points", "11", "--barrier-level", "nan"],
+            ["price", "--payoff", "bond", "--r", "0.05", "--sigma-sq", "0.04", "--t", "inf",
+             "--dt", "0.01", "--x-min", "-1", "--x-max", "1", "--n-points", "51"],
+            ["price", "--payoff", "bond", "--r", "0.05", "--sigma-sq", "0.04", "--t", "nan",
+             "--dt", "0.01", "--x-min", "-1", "--x-max", "1", "--n-points", "51"],
+            ["price", "--payoff", "bond", "--r", "0.05", "--sigma-sq", "0.04", "--t", "inf",
+             "--x-min", "-1", "--x-max", "1", "--n-points", "51"],
             ["simulate", "--model", "gbm", "--r", "0.05", "--sigma-sq", "0.04", "--drift", "nan",
              "--s0", "100", "--t", "0.1", "--dt", "0.01", "--n-paths", "2"],
             ["simulate", "--model", "gbm", "--r", "0.05", "--sigma-sq", "0.04", "--drift", "0.05",
@@ -429,7 +444,8 @@ class TestExitCodes:
             ["mg-vacuum", "--r", "0.05", "--lambda", "0.01", "--mu", "0.005", "--zeta", "0.1",
              "--alpha", "1.0", "--rho", "0.0", "--y", "800", "--n", "1", "--m", "1"],
         ],
-        ids=["sigma_sq", "lambda", "barrier_level", "drift", "s0", "v0", "classify_y", "vacuum_y",
+        ids=["sigma_sq", "lambda", "barrier_level", "maturity_inf", "maturity_nan",
+             "maturity_inf_default_step", "drift", "s0", "v0", "classify_y", "vacuum_y",
              "classify_overflowing_y", "vacuum_overflowing_y"],
     )
     def test_non_finite_input_is_validation_error(self, tmp_path, argv):

@@ -164,9 +164,7 @@ class TestEvolve:
         dt = 0.1
         # eigenvalue -2/dt makes (I + dt/2 H) exactly singular
         m = sparse.csr_matrix(-2.0 / dt * np.eye(5))
-        op = OperatorMatrix(
-            matrix=m, grid=g, boundary="one-sided", dirichlet_mask=np.zeros(5, dtype=bool)
-        )
+        op = OperatorMatrix(matrix=m, grid=g, dirichlet_mask=np.zeros(5, dtype=bool))
         with pytest.raises(SingularSolveError):
             evolve(op, StateVector(np.ones(5), g), EvolutionConfig(dt=dt, n_steps=2))
 
@@ -296,9 +294,7 @@ class TestStepper:
         dt = 0.1
         # I + dt/2 H keeps only the second superdiagonal: its first column is zero
         m = sparse.csr_matrix(-2.0 / dt * np.eye(7) + np.eye(7, k=2))
-        op = OperatorMatrix(
-            matrix=m, grid=g, boundary="one-sided", dirichlet_mask=np.zeros(7, dtype=bool)
-        )
+        op = OperatorMatrix(matrix=m, grid=g, dirichlet_mask=np.zeros(7, dtype=bool))
         with pytest.raises(SingularSolveError):
             evolve(op, StateVector(np.ones(7), g), EvolutionConfig(dt=dt, n_steps=2))
         assert splu_calls == [(7, 7)]
@@ -311,8 +307,7 @@ class TestStepper:
         h[3, 3] = -2.0 / dt
         h[3, 2] = h[3, 4] = 0.0
         op = OperatorMatrix(
-            matrix=sparse.csr_matrix(h), grid=g, boundary="one-sided",
-            dirichlet_mask=np.zeros(7, dtype=bool),
+            matrix=sparse.csr_matrix(h), grid=g, dirichlet_mask=np.zeros(7, dtype=bool)
         )
         with pytest.raises(SingularSolveError):
             evolve(op, StateVector(np.ones(7), g), EvolutionConfig(dt=dt, n_steps=2))
@@ -368,6 +363,13 @@ class TestPricing:
     def test_maturity_must_be_positive(self):
         with pytest.raises(ValueError):
             price_option(P, Payoff.call(self.K), 0.0, self.G, self.CFG)
+
+    @pytest.mark.parametrize("T", [float("nan"), float("inf")])
+    def test_non_finite_maturity_named(self, T):
+        with pytest.raises(ValueError, match="maturity must be finite"):
+            price_option(P, Payoff.bond(), T, self.G, self.CFG)
+        with pytest.raises(ValueError, match="maturity must be finite"):
+            price_barrier(P, Payoff.bond(), Potential.down_and_out(4.0), T, self.G, self.CFG)
 
     @pytest.mark.parametrize(
         "payoff", [Payoff.call(K), Payoff.put(K), Payoff.bond(), Payoff.martingale_asset(),
@@ -478,3 +480,8 @@ class TestKernel:
     def test_nonpositive_time_rejected(self):
         with pytest.raises(ValueError):
             kernel_row(P, 0.0, 0.0, Grid1D(-1.0, 1.0, 51))
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_non_finite_time_named(self, tau):
+        with pytest.raises(ValueError, match="kernel time must be finite"):
+            kernel_row(P, 0.0, tau, Grid1D(-1.0, 1.0, 51))

@@ -239,6 +239,26 @@ class TestMCCheck:
         want = 100.0 * (np.exp(0.02) - 1.0)
         assert abs(stat - want) <= MC_SE_FACTOR * se, f"{stat:.4f} not near {want:.4f}"
 
+    @pytest.mark.parametrize(
+        "s0,T", [(np.nan, 1.0), (np.inf, 1.0), (100.0, np.nan), (100.0, np.inf)]
+    )
+    def test_non_finite_start_or_horizon_refused(self, s0, T):
+        sp = SDEParams(expected_return=0.05, base=self.BASE)
+        with pytest.raises(ValueError, match="must be finite"):
+            mc_martingale_check(sp, s0, T, 1000, 1)
+
+    def test_pinned_statistics(self):
+        # the Philox stream and the lognormal draw are fixed: any drift in
+        # either shows here first (the second case spans two path blocks)
+        sp = SDEParams(expected_return=0.05, base=self.BASE)
+        assert mc_martingale_check(sp, 100.0, 1.0, 20_000, 3) == (
+            -0.05840558921690331, 0.14227437753409725
+        )
+        sp = SDEParams(expected_return=0.08, base=MarketParams(r=0.03, sigma_sq=0.1))
+        assert mc_martingale_check(sp, 50.0, 0.5, 8193, 12) == (
+            1.3583136955106454, 0.12864955576936188
+        )
+
     def test_same_seed_bitwise_identical(self):
         sp = SDEParams(expected_return=0.05, base=self.BASE)
         a = mc_martingale_check(sp, 100.0, 1.0, 30_000, 9)

@@ -23,6 +23,12 @@ class TestShapes:
         assert np.all(ens.paths[:, 0] == 100.0)
         assert ens.n_paths == 7 and ens.n_steps == 10
 
+    @pytest.mark.parametrize("s0", [0.1, 3.7, 100.0, 1e-300, 1e300])
+    def test_first_column_is_exact_start(self, s0):
+        ens = simulate_gbm(SDEParams(0.07, MarketParams(r=0.05, sigma_sq=0.25)), s0, 1.0, 0.1,
+                           9000, seed=4)
+        assert np.all(ens.paths[:, 0] == s0)
+
     def test_step_size_snaps_to_horizon(self):
         ens = simulate_gbm(SP, 100.0, 1.0, 0.3, 3, seed=1)
         assert ens.n_steps == 3

@@ -374,6 +374,8 @@ class TestClassify:
             mg_case_solver(p, y, 1, 1)
         with pytest.raises(ValueError, match="finite"):
             mg_regime_solver(p, y, 2, 2, "strong-strong")
+        with pytest.raises(ValueError, match="finite"):
+            mg_polynomial_residual(p, FieldPoint(1.0, 1.0, 1, 1), y)
 
     def test_mg_requires_variance_level(self):
         p = MGParams(r=0.05, lam=0.01, mu=-0.3, zeta=0.1, alpha=1.0, rho=-0.5)
@@ -423,6 +425,8 @@ class TestOverflow:
             mg_case_solver(GEN, y, 1, 1)
         with pytest.raises(ValueError, match="non-finite"):
             mg_regime_solver(GEN, y, 2, 2, "strong-strong")
+        with pytest.raises(ValueError, match="non-finite"):
+            mg_polynomial_residual(GEN, FieldPoint(1.0, 1.0, 1, 1), y)
 
 
 class TestOrderAndScaleChecks:
