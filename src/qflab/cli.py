@@ -40,6 +40,7 @@ from .model import (
     MGParams,
     SDEParams,
     StateVector,
+    _float_reprs,
     _positive,
     load_config,
     sample_extended_martingale_state,
@@ -249,10 +250,8 @@ def _write_manifest(out: str, verb: str, opts: dict, argv: list[str]) -> None:
 
 
 def _curve_csv(xs: np.ndarray, values: np.ndarray, header: str = "x,value") -> str:
-    lines = [header]
-    for x, v in zip(xs, values):
-        lines.append(f"{float(x)!r},{float(v)!r}")
-    return "\n".join(lines) + "\n"
+    rows = [f"{x},{v}\n" for x, v in zip(_float_reprs(xs), _float_reprs(values))]
+    return header + "\n" + "".join(rows)
 
 
 def _run_bs_vacuum(args) -> None:

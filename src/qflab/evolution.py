@@ -25,7 +25,7 @@ from scipy import sparse
 from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import splu
 
-from .model import Grid1D, MarketParams, StateVector, _positive, _step_count
+from .model import Grid1D, MarketParams, StateVector, _float_reprs, _positive, _step_count
 from .operators import (
     KIND_DOUBLE_KNOCKOUT,
     KIND_DOWN_AND_OUT,
@@ -149,10 +149,9 @@ class FlowReport:
     mode: str
 
     def to_csv(self) -> str:
-        lines = ["t,mass,norm"]
-        for k in range(self.mass_series.size):
-            lines.append(f"{k * self.dt!r},{float(self.mass_series[k])!r},{float(self.norm_series[k])!r}")
-        return "\n".join(lines) + "\n"
+        cells = zip(_float_reprs(self.mass_series), _float_reprs(self.norm_series))
+        rows = [f"{k * self.dt!r},{m},{n}\n" for k, (m, n) in enumerate(cells)]
+        return "t,mass,norm\n" + "".join(rows)
 
 
 BoundarySpec = Mapping[int, Union[float, Callable[[float], float]]]
@@ -182,6 +181,18 @@ def _factor(m: sparse.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
         return splu(m.tocsc()).solve
     except RuntimeError as exc:
         raise SingularSolveError(f"singular linear solve: {exc}") from exc
+
+
+def _pin_table(n_steps: int, n_pins: int, dtype=float) -> np.ndarray:
+    """Zeroed pinned-node values, one row per step; a step count whose
+    table cannot be allocated is refused as a ValueError that names it."""
+    try:
+        return np.zeros((n_steps, n_pins), dtype=dtype)
+    except MemoryError:
+        raise ValueError(
+            f"{n_steps} steps need a pin table of {n_steps} x {n_pins} values, "
+            "which cannot be allocated"
+        ) from None
 
 
 def _cn_run(
@@ -268,7 +279,7 @@ def evolve(
         pinned[idx] = True
         prescribed[idx] = value
     pinned_idx = np.flatnonzero(pinned)
-    pin_values = np.zeros((cfg.n_steps, pinned_idx.size), dtype=complex if unitary else float)
+    pin_values = _pin_table(cfg.n_steps, pinned_idx.size, complex if unitary else float)
     taus = (np.arange(1, cfg.n_steps + 1) * cfg.dt).tolist()
     for idx, value in prescribed.items():
         column = np.searchsorted(pinned_idx, idx)
@@ -325,7 +336,7 @@ def _price(
     pinned = knocked.copy()
     pinned[[0, -1]] = True
     pinned_idx = np.flatnonzero(pinned)
-    pin_values = np.zeros((n_steps, pinned_idx.size))
+    pin_values = _pin_table(n_steps, pinned_idx.size)
     discount = np.exp(-p.r * (np.arange(1, n_steps + 1) * dt))
     # node 0 and node -1 are also the first and the last pinned column
     for (a, b), end, x_edge in zip(pairs, (0, -1), (g.x_min, g.x_max)):
@@ -389,7 +400,12 @@ def kernel_row(p: MarketParams, x: float, tau: float, g: Grid1D) -> StateVector:
     op = build_bs_hamiltonian(p, g)
     delta = np.zeros(g.n_points)
     delta[idx] = 1.0 / g.h
-    n_steps = max(50, int(np.ceil(8.0 * tau / g.h)))
+    steps_needed = 8.0 * tau / g.h
+    if not np.isfinite(steps_needed):
+        raise ValueError(
+            f"kernel time {tau} over the step h/8 = {g.h / 8.0} gives no finite step count"
+        )
+    n_steps = max(50, int(np.ceil(steps_needed)))
     no_pins = np.zeros(g.n_points, dtype=bool)
     steps = _cn_run(
         op.matrix.T.tocsr(), delta, tau / n_steps, False, no_pins, np.flatnonzero(no_pins),

@@ -246,10 +246,19 @@ def _positive(value: float, name: str) -> float:
 def _step_count(T: float, dt: float, horizon: str = "horizon") -> int:
     """Steps of about ``dt`` that land exactly on ``T``: max(1, round(T / dt)).
 
-    Refuses a T or a dt that is not positive and finite; ``horizon``
-    names T in the message.
+    Refuses a T or a dt that is not positive and finite, and a ratio
+    that overflows; ``horizon`` names T in the message.
     """
-    return max(1, int(round(_positive(T, horizon) / _positive(dt, "dt"))))
+    ratio = _positive(T, horizon) / _positive(dt, "dt")
+    if not np.isfinite(ratio):
+        raise ValueError(f"{horizon} {T} over dt {dt} gives no finite step count")
+    return max(1, int(round(ratio)))
+
+
+def _float_reprs(a: np.ndarray) -> list[str]:
+    """``repr(float(v))`` of every value of a 1D array, through one list
+    repr: the CSV cells of the path, price and flow exports."""
+    return str(np.asarray(a, dtype=float).tolist())[1:-1].split(", ") if a.size else []
 
 
 # Scalar coefficient helpers shared by the operator assembly, the constraint

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import MarketParams, MGParams, SDEParams, _positive, _step_count
+from .model import MarketParams, MGParams, SDEParams, _float_reprs, _positive, _step_count
 
 PATH_BLOCK = 8192
 CSV_ROW_GUARD = 2_000_000
@@ -150,18 +150,22 @@ def export_csv(
     """Long-format CSV export (path_id, t, S[, V]); returns rows written.
 
     Refuses ensembles larger than ``max_rows`` rows unless forced, so a
-    sweep script cannot silently fill a disk.
+    sweep script cannot silently fill a disk. The file is streamed one
+    path per write, so memory stays at one path's text however many
+    rows are written.
     """
     rows = ens.n_paths * (ens.n_steps + 1)
     _check_rows(rows, max_rows, force)
     with_v = ens.v_paths is not None
-    lines = ["path_id,t,S,V" if with_v else "path_id,t,S"]
-    for i in range(ens.n_paths):
-        for k in range(ens.n_steps + 1):
-            t = k * ens.dt
+    # the ",t," cell of each step is the same on every path: format it once
+    times = [f",{k * ens.dt!r}," for k in range(ens.n_steps + 1)]
+    with Path(path).open("w") as f:
+        f.write("path_id,t,S,V\n" if with_v else "path_id,t,S\n")
+        for i in range(ens.n_paths):
+            s_cells = _float_reprs(ens.paths[i])
             if with_v:
-                lines.append(f"{i},{t!r},{float(ens.paths[i, k])!r},{float(ens.v_paths[i, k])!r}")
+                v_cells = _float_reprs(ens.v_paths[i])
+                f.write("".join([f"{i}{t}{s},{v}\n" for t, s, v in zip(times, s_cells, v_cells)]))
             else:
-                lines.append(f"{i},{t!r},{float(ens.paths[i, k])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+                f.write("".join([f"{i}{t}{s}\n" for t, s in zip(times, s_cells)]))
     return rows

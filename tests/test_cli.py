@@ -453,6 +453,33 @@ class TestExitCodes:
         assert main([*argv, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # T / dt overflows to inf
+            (["price", "--payoff", "bond", "--r", "0.05", "--sigma-sq", "0.04", "--t", "1e308",
+              "--dt", "1e-10", "--x-min", "-1", "--x-max", "1", "--n-points", "51"],
+             "maturity 1e+308 over dt 1e-10 gives no finite step count"),
+            (["simulate", "--model", "gbm", "--r", "0.05", "--sigma-sq", "0.04", "--drift", "0.05",
+              "--s0", "100", "--t", "1e308", "--dt", "1e-10", "--n-paths", "2"],
+             "horizon 1e+308 over dt 1e-10 gives no finite step count"),
+            # 1e15 steps: the pin table would need 16 PB
+            (["price", "--payoff", "bond", "--r", "0.05", "--sigma-sq", "0.04", "--t", "1e6",
+              "--dt", "1e-9", "--x-min", "-1", "--x-max", "1", "--n-points", "51"],
+             "1000000000000000 steps need a pin table"),
+            (["evolve", "--r", "0.05", "--sigma-sq", "0.04", "--state", "bond", "--boundary",
+              "dirichlet", "--x-min", "-1", "--x-max", "1", "--n-points", "21", "--dt", "0.01",
+              "--n-steps", "1000000000000000"],
+             "1000000000000000 steps need a pin table"),
+        ],
+        ids=["price_overflow", "simulate_overflow", "price_pin_table", "evolve_pin_table"],
+    )
+    def test_unaffordable_step_count_is_validation_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [("--width", "0"), ("--width", "-0.2"),
                                             ("--width", "nan"), ("--center", "inf")])
     def test_bad_gaussian_state_is_validation_error(self, tmp_path, flag, value):

@@ -485,3 +485,8 @@ class TestKernel:
     def test_non_finite_time_named(self, tau):
         with pytest.raises(ValueError, match="kernel time must be finite"):
             kernel_row(P, 0.0, tau, Grid1D(-1.0, 1.0, 51))
+
+    def test_overflowing_step_count_refused(self):
+        # 8 tau / h overflows to inf: refused, not an OverflowError from ceil
+        with pytest.raises(ValueError, match="kernel time 1e\\+308 .* no finite step count"):
+            kernel_row(P, 0.0, 1e308, Grid1D(-1.0, 1.0, 51))

@@ -1,11 +1,13 @@
 """Path ensembles: lognormal exactness, variance dynamics, reproducibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflab.model import MarketParams, MGParams, SDEParams
+from qflab.model import MarketParams, MGParams, SDEParams, _float_reprs
 from qflab.sde import PathEnsemble, export_csv, simulate_gbm, simulate_mg
 
 ODE_LIMIT_TOL = 5e-6
@@ -163,6 +165,61 @@ class TestVarianceProcess:
         term = ens.terminal()
         se = term.std(ddof=1) / np.sqrt(n)
         assert abs(term.mean() - 100.0 * np.exp(0.05)) < SE_FACTOR * se
+
+
+GBM_CSV = (
+    "path_id,t,S\n"
+    "0,0.0,100.0\n0,0.09999999999999999,109.84858712165611\n"
+    "0,0.19999999999999998,116.16168166919482\n0,0.3,125.55339734819877\n"
+    "1,0.0,100.0\n1,0.09999999999999999,113.010222871402\n"
+    "1,0.19999999999999998,138.29122594112147\n1,0.3,136.72029847588288\n"
+)
+MG_CSV = (
+    "path_id,t,S,V\n"
+    "0,0.0,100.0,0.04\n0,0.1,97.28561148414528,0.04192394275051273\n"
+    "0,0.2,99.17779370107408,0.04398464540110792\n"
+    "1,0.0,100.0,0.04\n1,0.1,93.30448122894181,0.04154775251686574\n"
+    "1,0.2,91.44734219281194,0.043997756100906886\n"
+)
+
+
+class TestStreamedExport:
+    """The export's full text is pinned, and its memory stays at one
+    path's text however many rows it writes."""
+
+    def test_gbm_text_is_pinned(self, tmp_path):
+        out = tmp_path / "paths.csv"
+        export_csv(simulate_gbm(SP, 100.0, 0.3, 0.1, 2, seed=5), out)
+        assert out.read_text() == GBM_CSV
+
+    def test_mg_text_is_pinned(self, tmp_path):
+        out = tmp_path / "paths.csv"
+        export_csv(simulate_mg(MG, 0.05, 100.0, 0.04, 0.2, 0.1, 2, seed=6), out)
+        assert out.read_text() == MG_CSV
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0, -0.0, 5e-324, 1e-5, 1e16, 1.0 / 3.0, np.nan, np.inf, -np.inf], [1e16], []],
+        ids=["specials", "one", "empty"],
+    )
+    def test_float_reprs_match_repr(self, values):
+        a = np.array(values, dtype=float)
+        assert _float_reprs(a) == [repr(v) for v in a.tolist()]
+
+    @pytest.mark.parametrize("model", ["gbm", "mg"])
+    def test_peak_memory_is_one_path(self, tmp_path, model):
+        if model == "gbm":
+            ens = simulate_gbm(SP, 100.0, 1.0, 0.02, 2000, seed=3)
+        else:
+            ens = simulate_mg(MG, 0.05, 100.0, 0.04, 1.0, 0.02, 2000, seed=3)
+        tracemalloc.start()
+        try:
+            rows = export_csv(ens, tmp_path / "paths.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == 2000 * 51 >= 100_000
+        assert peak < 1_000_000, f"export peak {peak / 1e6:.1f} MB"
 
 
 class TestExport:
