@@ -25,7 +25,15 @@ from scipy import sparse
 from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import splu
 
-from .model import Grid1D, MarketParams, StateVector, _float_reprs, _positive, _step_count
+from .model import (
+    Grid1D,
+    MarketParams,
+    StateVector,
+    _affordable,
+    _float_reprs,
+    _positive,
+    _step_count,
+)
 from .operators import (
     KIND_DOUBLE_KNOCKOUT,
     KIND_DOWN_AND_OUT,
@@ -186,13 +194,8 @@ def _factor(m: sparse.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
 def _pin_table(n_steps: int, n_pins: int, dtype=float) -> np.ndarray:
     """Zeroed pinned-node values, one row per step; a step count whose
     table cannot be allocated is refused as a ValueError that names it."""
-    try:
+    with _affordable(n_steps, f"a pin table of {n_steps} x {n_pins} values"):
         return np.zeros((n_steps, n_pins), dtype=dtype)
-    except MemoryError:
-        raise ValueError(
-            f"{n_steps} steps need a pin table of {n_steps} x {n_pins} values, "
-            "which cannot be allocated"
-        ) from None
 
 
 def _cn_run(
@@ -280,7 +283,8 @@ def evolve(
         prescribed[idx] = value
     pinned_idx = np.flatnonzero(pinned)
     pin_values = _pin_table(cfg.n_steps, pinned_idx.size, complex if unitary else float)
-    taus = (np.arange(1, cfg.n_steps + 1) * cfg.dt).tolist()
+    with _affordable(cfg.n_steps, f"{cfg.n_steps} step times"):
+        taus = (np.arange(1, cfg.n_steps + 1) * cfg.dt).tolist()
     for idx, value in prescribed.items():
         column = np.searchsorted(pinned_idx, idx)
         pin_values[:, column] = [value(tau) for tau in taus] if callable(value) else value

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import Grid1D, Grid2D, MGParams, SDEParams, StateVector, mg_cross_coef, mg_yy_coef
 from .operators import OperatorMatrix
@@ -134,6 +133,9 @@ def solve_extended_constraint(
             f"no sign change on bracket ({y_lo}, {y_hi}): "
             f"f(y_lo)={f_lo!r}, f(y_hi)={f_hi!r}"
         )
+    # imported here, so that importing qflab does not load scipy.optimize
+    from scipy.optimize import brentq
+
     y_star = brentq(
         lambda yy: extended_constraint_residual(p, yy), y_lo, y_hi, xtol=1e-15, rtol=1e-15
     )

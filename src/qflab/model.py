@@ -7,10 +7,11 @@ otherwise unitless (no currency handling).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from numbers import Integral
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -253,6 +254,17 @@ def _step_count(T: float, dt: float, horizon: str = "horizon") -> int:
     if not np.isfinite(ratio):
         raise ValueError(f"{horizon} {T} over dt {dt} gives no finite step count")
     return max(1, int(round(ratio)))
+
+
+@contextmanager
+def _affordable(n_steps: int, what: str) -> Iterator[None]:
+    """Refuse a step count whose arrays cannot be allocated: a MemoryError
+    raised inside becomes a ValueError that names the count and ``what``
+    it needs."""
+    try:
+        yield
+    except MemoryError:
+        raise ValueError(f"{n_steps} steps need {what}, which cannot be allocated") from None
 
 
 def _float_reprs(a: np.ndarray) -> list[str]:

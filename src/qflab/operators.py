@@ -178,33 +178,51 @@ class SimilarityTransform:
     alpha_coef: float
 
 
+# Stencil weights, in units of 1/(2h) for D1 and 1/h^2 for D2, over the
+# D2 pattern: the interior row on columns i-1, i, i+1 and the one-sided
+# first row on columns 0..3. With n = 3 the first row keeps its first
+# three columns, and D2 takes the interior weights there (no other
+# estimate fits). The last row mirrors the first, with the sign flipped
+# for D1.
+_INTERIOR_WEIGHTS = {1: (-1.0, 0.0, 1.0), 2: (1.0, -2.0, 1.0)}
+_FIRST_ROW_WEIGHTS = {1: (-3.0, 4.0, -1.0, 0.0), 2: (2.0, -5.0, 4.0, -1.0)}
+
+
+def _stencil_pattern(n: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
+    """Row pointers and sorted column indices of the D2 pattern; the
+    Dirichlet closure leaves both edge rows empty."""
+    k = min(n, 4) if boundary == BOUNDARY_ONE_SIDED else 0
+    counts = np.full(n, 3)
+    counts[0] = counts[-1] = k
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    interior = (np.arange(1, n - 1)[:, None] + np.arange(-1, 2)).ravel()
+    cols = np.concatenate((np.arange(k), interior, np.arange(n - k, n)))
+    return indptr, cols
+
+
+def _stencil_weights(n: int, h: float, order: int, boundary: str) -> np.ndarray:
+    """Weights of the order-1 or order-2 central difference over
+    ``_stencil_pattern(n, boundary)``, zeros included."""
+    inv = 1.0 / (2.0 * h) if order == 1 else 1.0 / h**2
+    interior = np.tile(np.array(_INTERIOR_WEIGHTS[order]) * inv, n - 2)
+    if boundary != BOUNDARY_ONE_SIDED:
+        return interior
+    if order == 2 and n < 4:
+        first = np.array(_INTERIOR_WEIGHTS[2]) * inv
+    else:
+        first = np.array(_FIRST_ROW_WEIGHTS[order][:n]) * inv
+    last = -first[::-1] if order == 1 else first[::-1]
+    return np.concatenate((first, interior, last))
+
+
 def _stencil(n: int, h: float, order: int, boundary: str) -> sparse.csr_matrix:
     """Central difference of the given order (1 or 2) as CSR with sorted
-    indices. The one-sided closure adds second-order one-sided edge rows
-    (the 3-point stencil when n < 4 leaves no other estimate for D2);
-    the Dirichlet closure leaves the edge rows empty. The last D1 edge
-    row mirrors the first with the sign flipped, the last D2 row without."""
-    if order == 1:
-        inv = 1.0 / (2.0 * h)
-        offsets = np.array([-1, 1])
-        weights = np.array([-inv, inv])
-        first = np.array([-3.0, 4.0, -1.0]) * inv
-        last = -first[::-1]
-    else:
-        inv = 1.0 / h**2
-        offsets = np.array([-1, 0, 1])
-        weights = np.array([inv, -2.0 * inv, inv])
-        first = np.array([2.0, -5.0, 4.0, -1.0] if n >= 4 else [1.0, -2.0, 1.0]) * inv
-        last = first[::-1]
-    rows = np.repeat(np.arange(1, n - 1), offsets.size)
-    cols = rows + np.tile(offsets, n - 2)
-    vals = np.tile(weights, n - 2)
-    if boundary == BOUNDARY_ONE_SIDED:
-        k = first.size
-        rows = np.concatenate((np.zeros(k, dtype=int), rows, np.full(k, n - 1)))
-        cols = np.concatenate((np.arange(k), cols, np.arange(n - k, n)))
-        vals = np.concatenate((first, vals, last))
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    indices and no stored zeros. The one-sided closure adds second-order
+    one-sided edge rows; the Dirichlet closure leaves the edge rows empty."""
+    indptr, cols = _stencil_pattern(n, boundary)
+    m = sparse.csr_matrix((_stencil_weights(n, h, order, boundary), cols, indptr), shape=(n, n))
+    m.eliminate_zeros()
+    return m
 
 
 def _pin_rows(a: sparse.spmatrix, mask: np.ndarray) -> sparse.csr_matrix:
@@ -241,14 +259,8 @@ def build_effective_bs(
     at or beyond a domain edge knocks nothing.
     """
     n = g.n_points
-    h = g.h
     x = g.points
     vals = v.values_on(g, inside_value=p.r)
-
-    d1 = _stencil(n, h, 1, boundary)
-    d2 = _stencil(n, h, 2, boundary)
-    drift = sparse.diags(0.5 * p.sigma_sq - vals)
-    a = (-0.5 * p.sigma_sq) * d2 + drift @ d1 + sparse.diags(vals)
 
     knocked = np.zeros(n, dtype=bool)
     if v.kind == KIND_DOWN_AND_OUT:
@@ -270,7 +282,21 @@ def build_effective_bs(
     mask = knocked.copy()
     if boundary == BOUNDARY_DIRICHLET:
         mask[0] = mask[-1] = True
-    return OperatorMatrix(matrix=_pin_rows(a, mask), grid=g, dirichlet_mask=mask)
+
+    # Each entry is (c2 D2 + drift D1) + V I, summed in the order of the
+    # sparse expression it replaces, so every bit matches it. Pinned rows
+    # and exact zeros are dropped, as sparse sums and products drop them.
+    indptr, cols = _stencil_pattern(n, BOUNDARY_ONE_SIDED)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    d1 = _stencil_weights(n, g.h, 1, BOUNDARY_ONE_SIDED)
+    d2 = _stencil_weights(n, g.h, 2, BOUNDARY_ONE_SIDED)
+    drift = 0.5 * p.sigma_sq - vals
+    data = (-0.5 * p.sigma_sq) * d2 + drift[rows] * d1
+    data[cols == rows] += vals
+    keep = (data != 0.0) & ~mask[rows]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=n))))
+    a = sparse.csr_matrix((data[keep], cols[keep], indptr), shape=(n, n))
+    return OperatorMatrix(matrix=a, grid=g, dirichlet_mask=mask)
 
 
 def build_double_knockout(p: MarketParams, v: Potential, g: Grid1D) -> OperatorMatrix:
@@ -302,20 +328,21 @@ def build_mg_hamiltonian(p: MGParams, g: Grid2D) -> OperatorMatrix:
     dx2 = _stencil(nx, hx, 2, BOUNDARY_ONE_SIDED)
     dy1 = _stencil(ny, hy, 1, BOUNDARY_ONE_SIDED)
     dy2 = _stencil(ny, hy, 2, BOUNDARY_ONE_SIDED)
-    ix = sparse.identity(nx, format="csr")
-    iy = sparse.identity(ny, format="csr")
+    diag = sparse.diags
 
-    def ydiag(vec_y: np.ndarray) -> sparse.dia_matrix:
-        return sparse.diags(np.tile(vec_y, nx))
-
+    # Each y coefficient is I_x (x) diag(c), and (I_x (x) diag(c))(A (x) B)
+    # is A (x) diag(c) B: grouped by their x factor, the terms make three
+    # Kronecker products, whose CSR forms and sum have sorted indices.
     ey = np.exp(y)
+    y_of_dx2 = diag(-0.5 * ey)
+    y_of_dx1 = diag(-(p.r - 0.5 * ey)) - diag(mg_cross_coef(p, y)) @ dy1
+    y_of_ix = (
+        -diag(mg_y_drift(p, y)) @ dy1 - diag(mg_yy_coef(p, y)) @ dy2 + p.r * sparse.identity(ny)
+    )
     a = (
-        -ydiag(0.5 * ey) @ sparse.kron(dx2, iy, format="csr")
-        - ydiag(p.r - 0.5 * ey) @ sparse.kron(dx1, iy, format="csr")
-        - ydiag(mg_y_drift(p, y)) @ sparse.kron(ix, dy1, format="csr")
-        - ydiag(mg_cross_coef(p, y)) @ sparse.kron(dx1, dy1, format="csr")
-        - ydiag(mg_yy_coef(p, y)) @ sparse.kron(ix, dy2, format="csr")
-        + p.r * sparse.identity(nx * ny, format="csr")
+        sparse.kron(dx2, y_of_dx2, format="csr")
+        + sparse.kron(dx1, y_of_dx1, format="csr")
+        + sparse.kron(sparse.identity(nx), y_of_ix, format="csr")
     )
     return OperatorMatrix(matrix=a, grid=g)
 

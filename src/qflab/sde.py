@@ -15,7 +15,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import MarketParams, MGParams, SDEParams, _float_reprs, _positive, _step_count
+from .model import (
+    MarketParams,
+    MGParams,
+    SDEParams,
+    _affordable,
+    _float_reprs,
+    _positive,
+    _step_count,
+)
 
 PATH_BLOCK = 8192
 CSV_ROW_GUARD = 2_000_000
@@ -91,7 +99,8 @@ def simulate_gbm(
     drift = (sp.expected_return - 0.5 * base.sigma_sq) * dt_eff
     scale = sig * np.sqrt(dt_eff)
 
-    paths = np.empty((n_paths, n_steps + 1))
+    with _affordable(n_steps, f"a path table of {n_paths} x {n_steps + 1} values"):
+        paths = np.empty((n_paths, n_steps + 1))
     paths[:, 0] = 0.0
     for rows, z in _path_blocks(seed, n_paths, (n_steps,)):
         z *= scale  # the increments are built in place: no second block in memory
@@ -127,8 +136,9 @@ def simulate_mg(
     sq_dt = np.sqrt(dt_eff)
     rho_perp = np.sqrt(1.0 - p.rho**2)
 
-    s_paths = np.empty((n_paths, n_steps + 1))
-    v_paths = np.empty((n_paths, n_steps + 1))
+    with _affordable(n_steps, f"two path tables of {n_paths} x {n_steps + 1} values"):
+        s_paths = np.empty((n_paths, n_steps + 1))
+        v_paths = np.empty((n_paths, n_steps + 1))
     s_paths[:, 0] = s0
     v_paths[:, 0] = v0
     for rows, z in _path_blocks(seed, n_paths, (n_steps, 2)):

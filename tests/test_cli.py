@@ -1,7 +1,10 @@
 """End-to-end command-line runs: outputs, manifests, exit codes."""
 
 import shlex
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +182,12 @@ class TestConstraintSolve:
         record = read_kv(out)
         assert record["error"] == "NoRootError"
         assert "sign" in record["message"]
+
+    def test_cli_import_leaves_root_finder_unloaded(self):
+        # only constraint-solve needs scipy.optimize; it costs every other verb to load it
+        code = "import sys, qflab.cli; sys.exit(int('scipy.optimize' in sys.modules))"
+        env = {"PYTHONPATH": str(Path(qflab.cli.__file__).parents[1])}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 class TestPrice:
@@ -471,8 +480,21 @@ class TestExitCodes:
               "dirichlet", "--x-min", "-1", "--x-max", "1", "--n-points", "21", "--dt", "0.01",
               "--n-steps", "1000000000000000"],
              "1000000000000000 steps need a pin table"),
+            # the one-sided boundary pins nothing: the step times fail first
+            (["evolve", "--r", "0.05", "--sigma-sq", "0.04", "--state", "bond", "--x-min", "-1",
+              "--x-max", "1", "--n-points", "21", "--dt", "0.01",
+              "--n-steps", "1000000000000000"],
+             "1000000000000000 steps need 1000000000000000 step times"),
+            (["simulate", "--model", "gbm", "--r", "0.05", "--sigma-sq", "0.04", "--drift", "0.05",
+              "--s0", "100", "--t", "1e6", "--dt", "1e-9", "--n-paths", "1", "--force-big"],
+             "1000000000000000 steps need a path table"),
+            (["simulate", "--model", "mg", "--r", "0.05", "--lambda", "0.01", "--mu", "-0.5",
+              "--zeta", "0.1", "--alpha", "1.0", "--rho", "0.7", "--drift", "0.05", "--s0", "100",
+              "--v0", "0.04", "--t", "1e6", "--dt", "1e-9", "--n-paths", "1", "--force-big"],
+             "1000000000000000 steps need two path tables"),
         ],
-        ids=["price_overflow", "simulate_overflow", "price_pin_table", "evolve_pin_table"],
+        ids=["price_overflow", "simulate_overflow", "price_pin_table", "evolve_pin_table",
+             "evolve_step_times", "simulate_gbm_paths", "simulate_mg_paths"],
     )
     def test_unaffordable_step_count_is_validation_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x.out"

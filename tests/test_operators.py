@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.linalg import eig, eigh
 
 from qflab.model import Grid1D, Grid2D, MarketParams, MGParams, StateVector
@@ -20,7 +21,7 @@ from qflab.operators import (
     hermiticity_defect,
     similarity_transform,
 )
-from qflab.operators import _stencil
+from qflab.operators import _pin_rows, _stencil
 
 DEFECT_ZERO_TOL = 1e-14
 SPECTRUM_TOL = 1e-8
@@ -207,10 +208,8 @@ def _rows(m):
     ]
 
 
-def _pinned_builds(n):
-    """(operator, its unpinned reference or None) for every 1D builder."""
-    p = MarketParams(r=0.05, sigma_sq=0.04)
-    g = Grid1D(np.log(50.0), np.log(200.0), n)
+def _potentials(g):
+    """Smooth potentials and barriers of every kind on the grid."""
     lo, hi = g.x_min, g.x_max
     smooth = [Potential.constant(0.03), Potential.tabulated(0.05 + 0.01 * np.sin(g.points))]
     barriers = [
@@ -218,6 +217,14 @@ def _pinned_builds(n):
         Potential.double_knockout(lo + 0.2 * (hi - lo), lo + 0.7 * (hi - lo)),
         Potential.double_knockout(lo, hi - 0.2 * (hi - lo)),
     ]
+    return smooth, barriers
+
+
+def _pinned_builds(n):
+    """(operator, its unpinned reference or None) for every builder."""
+    p = MarketParams(r=0.05, sigma_sq=0.04)
+    g = Grid1D(np.log(50.0), np.log(200.0), n)
+    smooth, barriers = _potentials(g)
     vanilla = build_bs_hamiltonian(p, g)
     out = [(vanilla, None), (build_bs_hamiltonian(p, g, BOUNDARY_DIRICHLET), vanilla)]
     for v in smooth:
@@ -227,6 +234,8 @@ def _pinned_builds(n):
         out += [(build_effective_bs(p, v, g, b), vanilla) for b in (BOUNDARY_ONE_SIDED, BOUNDARY_DIRICHLET)]
     out.append((build_double_knockout(p, barriers[1], g), vanilla))
     out.append((similarity_transform(p, smooth[0], g)[1], None))
+    g2 = Grid2D(g, Grid1D(-3.6, -3.2, n + 1))
+    out.append((build_mg_hamiltonian(TestMGOperator.P, g2), None))
     return out
 
 
@@ -243,6 +252,31 @@ def test_builders_sorted_and_pinned(n):
         for i in np.where(~op.dirichlet_mask)[0]:
             (cols, vals), (ref_cols, ref_vals) = rows[i], _rows(ref.matrix)[i]
             assert np.array_equal(cols, ref_cols) and np.array_equal(vals, ref_vals), f"row {i}"
+
+
+@pytest.mark.parametrize("sigma_sq", [0.04, 0.0])
+@pytest.mark.parametrize("n", [3, 4, 5, 21])
+def test_effective_bs_matches_sparse_expression(n, sigma_sq):
+    # the CSR arrays are the bytes of the sparse-algebra form of the generator
+    p = MarketParams(r=0.05, sigma_sq=sigma_sq)
+    g = Grid1D(np.log(50.0), np.log(200.0), n)
+    smooth, barriers = _potentials(g)
+    # a zero drift, and at sigma_sq = 0 a zero potential too, leaves entries that must drop
+    for v in [*smooth, Potential.constant(0.5 * sigma_sq), *barriers]:
+        for boundary in (BOUNDARY_ONE_SIDED, BOUNDARY_DIRICHLET):
+            op = build_effective_bs(p, v, g, boundary)
+            vals = v.values_on(g, inside_value=p.r)
+            ref = _pin_rows(
+                (-0.5 * sigma_sq) * _stencil(n, g.h, 2, boundary)
+                + sparse.diags(0.5 * sigma_sq - vals) @ _stencil(n, g.h, 1, boundary)
+                + sparse.diags(vals),
+                op.dirichlet_mask,
+            )
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(op.matrix, name), getattr(ref, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
+                    f"{v.kind} {boundary}: {name} differs"
+                )
 
 
 class TestCOOExport:
@@ -382,6 +416,39 @@ class TestMGOperator:
         tol = 10.0 * h**2 * np.max(np.abs(vals))
         assert err.max() <= tol, f"residual {err.max():.3e} above {tol:.3e}"
 
+    @pytest.mark.parametrize("nx,ny", [(3, 3), (4, 5), (21, 11)])
+    @pytest.mark.parametrize(
+        "p", [P, MGParams(r=0.03, lam=0.2, mu=0.1, zeta=0.4, alpha=1.5, rho=0.7)]
+    )
+    def test_matches_five_kron_form(self, nx, ny, p):
+        # the sum of the five tiled-diagonal products, grouped differently:
+        # the pattern matches and the entries agree to roundoff
+        g2 = Grid2D(Grid1D(-0.5, 0.5, nx), Grid1D(-3.6, -3.2, ny))
+        y = g2.y_axis.points
+        dx1, dx2 = (_stencil(nx, g2.x_axis.h, k, BOUNDARY_ONE_SIDED) for k in (1, 2))
+        dy1, dy2 = (_stencil(ny, g2.y_axis.h, k, BOUNDARY_ONE_SIDED) for k in (1, 2))
+        ix, iy = sparse.identity(nx), sparse.identity(ny)
+
+        def ydiag(vec_y):
+            return sparse.diags(np.tile(vec_y, nx))
+
+        ey = np.exp(y)
+        c_y = p.lam * np.exp(-y) + p.mu - 0.5 * p.zeta**2 * np.exp(2 * y * (p.alpha - 1))
+        ref = (
+            -ydiag(0.5 * ey) @ sparse.kron(dx2, iy)
+            - ydiag(p.r - 0.5 * ey) @ sparse.kron(dx1, iy)
+            - ydiag(c_y) @ sparse.kron(ix, dy1)
+            - ydiag(p.rho * p.zeta * np.exp(y * (p.alpha - 0.5))) @ sparse.kron(dx1, dy1)
+            - ydiag(p.zeta**2 * np.exp(2 * y * (p.alpha - 1))) @ sparse.kron(ix, dy2)
+            + p.r * sparse.identity(nx * ny)
+        ).tocsr()
+        ref.sort_indices()
+        got = build_mg_hamiltonian(p, g2).matrix
+        assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
+        row_max = np.maximum.reduceat(np.abs(ref.data), ref.indptr[:-1])
+        err = np.abs(got.data - ref.data) / np.repeat(row_max, np.diff(ref.indptr))
+        assert err.max() <= 1e-13, f"entries moved by {err.max():.2e} of their row's largest"
+
     def test_interior_mask_excludes_both_edges(self):
         g2 = Grid2D(Grid1D(0.0, 1.0, 5), Grid1D(0.0, 1.0, 4))
         op = build_mg_hamiltonian(self.P, g2)
@@ -389,3 +456,38 @@ class TestMGOperator:
         assert not keep[0].any() and not keep[-1].any()
         assert not keep[:, 0].any() and not keep[:, -1].any()
         assert keep[1:-1, 1:-1].all()
+
+
+class TestKineticAsPotential:
+    """A tabulated V enters the drift and the potential together: near the
+    vacuum e^x the kinetic term acts as a potential term."""
+
+    P = MarketParams(r=0.05, sigma_sq=0.04)
+    SIZES = (201, 401, 801, 1601)
+
+    @staticmethod
+    def potential(x):
+        return 0.05 + 0.01 * np.sin(2.0 * x)
+
+    def test_exponential_annihilated_at_second_order(self):
+        maxes = []
+        for n in self.SIZES:
+            g = Grid1D(-1.0, 1.0, n)
+            op = build_effective_bs(self.P, Potential.tabulated(self.potential(g.points)), g)
+            maxes.append(np.abs(op.matrix @ np.exp(g.points))[op.interior_mask()].max())
+        ratios = np.array(maxes[:-1]) / maxes[1:]
+        assert np.all((3.5 <= ratios) & (ratios <= 4.5)), f"halving h scaled H e^x by {ratios}"
+
+    def test_hermitian_potential_at_second_order(self):
+        # M 1 is the potential of the balanced operator, since D2 1 = 0:
+        # V'/2 + (V + sigma_sq/2)^2 / (2 sigma_sq)
+        s2 = self.P.sigma_sq
+        errs = []
+        for n in self.SIZES:
+            g = Grid1D(-1.0, 1.0, n)
+            v = self.potential(g.points)
+            _, herm = similarity_transform(self.P, Potential.tabulated(v), g)
+            want = 0.01 * np.cos(2.0 * g.points) + (v + 0.5 * s2) ** 2 / (2.0 * s2)
+            errs.append(np.abs(herm.matrix @ np.ones(n) - want)[2:-2].max())
+        ratios = np.array(errs[:-1]) / errs[1:]
+        assert np.all((3.5 <= ratios) & (ratios <= 4.5)), f"halving h scaled the error by {ratios}"
