@@ -283,21 +283,21 @@ def evolve(
         prescribed[idx] = value
     pinned_idx = np.flatnonzero(pinned)
     pin_values = _pin_table(cfg.n_steps, pinned_idx.size, complex if unitary else float)
-    with _affordable(cfg.n_steps, f"{cfg.n_steps} step times"):
-        taus = (np.arange(1, cfg.n_steps + 1) * cfg.dt).tolist()
+    # only prescribed pins read the step times, and their table column
+    # already holds one value per step
+    taus = (np.arange(1, cfg.n_steps + 1) * cfg.dt).tolist() if prescribed else []
     for idx, value in prescribed.items():
         column = np.searchsorted(pinned_idx, idx)
         pin_values[:, column] = [value(tau) for tau in taus] if callable(value) else value
+    with _affordable(cfg.n_steps, f"a flow series of 2 x {cfg.n_steps + 1} values"):
+        mass_arr, norm_arr = np.empty((2, cfg.n_steps + 1))
 
     cell = _cell_volume(op)
     psi0 = state.values.astype(complex) if unitary else state.values.astype(float)
     steps = _cn_run(op.matrix, psi0, cfg.dt, unitary, pinned, pinned_idx, pin_values)
-    mass, norm = [], []
-    for psi in chain([psi0], steps):
-        mass.append(float(np.real(psi.sum()) * cell))
-        norm.append(float(np.sqrt(np.sum(np.abs(psi) ** 2) * cell)))
-    mass_arr = np.array(mass)
-    norm_arr = np.array(norm)
+    for k, psi in enumerate(chain([psi0], steps)):
+        mass_arr[k] = np.real(psi.sum()) * cell
+        norm_arr[k] = np.sqrt(np.sum(np.abs(psi) ** 2) * cell)
     report = FlowReport(
         mass_series=mass_arr,
         norm_series=norm_arr,

@@ -480,11 +480,11 @@ class TestExitCodes:
               "dirichlet", "--x-min", "-1", "--x-max", "1", "--n-points", "21", "--dt", "0.01",
               "--n-steps", "1000000000000000"],
              "1000000000000000 steps need a pin table"),
-            # the one-sided boundary pins nothing: the step times fail first
+            # the one-sided boundary pins nothing: the flow series fails first
             (["evolve", "--r", "0.05", "--sigma-sq", "0.04", "--state", "bond", "--x-min", "-1",
               "--x-max", "1", "--n-points", "21", "--dt", "0.01",
               "--n-steps", "1000000000000000"],
-             "1000000000000000 steps need 1000000000000000 step times"),
+             "1000000000000000 steps need a flow series"),
             (["simulate", "--model", "gbm", "--r", "0.05", "--sigma-sq", "0.04", "--drift", "0.05",
               "--s0", "100", "--t", "1e6", "--dt", "1e-9", "--n-paths", "1", "--force-big"],
              "1000000000000000 steps need a path table"),
@@ -494,7 +494,7 @@ class TestExitCodes:
              "1000000000000000 steps need two path tables"),
         ],
         ids=["price_overflow", "simulate_overflow", "price_pin_table", "evolve_pin_table",
-             "evolve_step_times", "simulate_gbm_paths", "simulate_mg_paths"],
+             "evolve_flow_series", "simulate_gbm_paths", "simulate_mg_paths"],
     )
     def test_unaffordable_step_count_is_validation_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x.out"

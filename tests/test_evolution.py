@@ -1,5 +1,7 @@
 """Crank-Nicolson evolution, pricing curves, and the numeric kernel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -132,6 +134,19 @@ class TestEvolve:
         lines = flow.to_csv().strip().split("\n")
         assert lines[0] == "t,mass,norm"
         assert len(lines) == 9
+
+    def test_flow_series_holds_two_floats_per_step(self):
+        # one-sided edges pin nothing: no step times, and the series as arrays
+        g = Grid1D(-1.0, 1.0, 21)
+        op = build_bs_hamiltonian(P, g)
+        n_steps = 5000
+        tracemalloc.start()
+        try:
+            evolve(op, sample_martingale_state(g), EvolutionConfig(dt=0.01, n_steps=n_steps))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * n_steps, f"evolve peaked at {peak / n_steps:.0f} bytes per step"
 
     def test_injected_boundary_value_held(self):
         g = Grid1D(-1.0, 1.0, 51)
