@@ -188,10 +188,9 @@ _INTERIOR_WEIGHTS = {1: (-1.0, 0.0, 1.0), 2: (1.0, -2.0, 1.0)}
 _FIRST_ROW_WEIGHTS = {1: (-3.0, 4.0, -1.0, 0.0), 2: (2.0, -5.0, 4.0, -1.0)}
 
 
-def _stencil_pattern(n: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
-    """Row pointers and sorted column indices of the D2 pattern; the
-    Dirichlet closure leaves both edge rows empty."""
-    k = min(n, 4) if boundary == BOUNDARY_ONE_SIDED else 0
+def _stencil_pattern(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row pointers and sorted column indices of the D2 pattern."""
+    k = min(n, 4)
     counts = np.full(n, 3)
     counts[0] = counts[-1] = k
     indptr = np.concatenate(([0], np.cumsum(counts)))
@@ -200,13 +199,11 @@ def _stencil_pattern(n: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
     return indptr, cols
 
 
-def _stencil_weights(n: int, h: float, order: int, boundary: str) -> np.ndarray:
+def _stencil_weights(n: int, h: float, order: int) -> np.ndarray:
     """Weights of the order-1 or order-2 central difference over
-    ``_stencil_pattern(n, boundary)``, zeros included."""
+    ``_stencil_pattern(n)``, zeros included."""
     inv = 1.0 / (2.0 * h) if order == 1 else 1.0 / h**2
     interior = np.tile(np.array(_INTERIOR_WEIGHTS[order]) * inv, n - 2)
-    if boundary != BOUNDARY_ONE_SIDED:
-        return interior
     if order == 2 and n < 4:
         first = np.array(_INTERIOR_WEIGHTS[2]) * inv
     else:
@@ -215,12 +212,12 @@ def _stencil_weights(n: int, h: float, order: int, boundary: str) -> np.ndarray:
     return np.concatenate((first, interior, last))
 
 
-def _stencil(n: int, h: float, order: int, boundary: str) -> sparse.csr_matrix:
-    """Central difference of the given order (1 or 2) as CSR with sorted
-    indices and no stored zeros. The one-sided closure adds second-order
-    one-sided edge rows; the Dirichlet closure leaves the edge rows empty."""
-    indptr, cols = _stencil_pattern(n, boundary)
-    m = sparse.csr_matrix((_stencil_weights(n, h, order, boundary), cols, indptr), shape=(n, n))
+def _stencil(n: int, h: float, order: int) -> sparse.csr_matrix:
+    """Central difference of the given order (1 or 2), closed by
+    second-order one-sided edge rows, as CSR with sorted indices and no
+    stored zeros."""
+    indptr, cols = _stencil_pattern(n)
+    m = sparse.csr_matrix((_stencil_weights(n, h, order), cols, indptr), shape=(n, n))
     m.eliminate_zeros()
     return m
 
@@ -286,10 +283,10 @@ def build_effective_bs(
     # Each entry is (c2 D2 + drift D1) + V I, summed in the order of the
     # sparse expression it replaces, so every bit matches it. Pinned rows
     # and exact zeros are dropped, as sparse sums and products drop them.
-    indptr, cols = _stencil_pattern(n, BOUNDARY_ONE_SIDED)
+    indptr, cols = _stencil_pattern(n)
     rows = np.repeat(np.arange(n), np.diff(indptr))
-    d1 = _stencil_weights(n, g.h, 1, BOUNDARY_ONE_SIDED)
-    d2 = _stencil_weights(n, g.h, 2, BOUNDARY_ONE_SIDED)
+    d1 = _stencil_weights(n, g.h, 1)
+    d2 = _stencil_weights(n, g.h, 2)
     drift = 0.5 * p.sigma_sq - vals
     data = (-0.5 * p.sigma_sq) * d2 + drift[rows] * d1
     data[cols == rows] += vals
@@ -324,10 +321,10 @@ def build_mg_hamiltonian(p: MGParams, g: Grid2D) -> OperatorMatrix:
     hx, hy = g.x_axis.h, g.y_axis.h
     y = g.y_axis.points
 
-    dx1 = _stencil(nx, hx, 1, BOUNDARY_ONE_SIDED)
-    dx2 = _stencil(nx, hx, 2, BOUNDARY_ONE_SIDED)
-    dy1 = _stencil(ny, hy, 1, BOUNDARY_ONE_SIDED)
-    dy2 = _stencil(ny, hy, 2, BOUNDARY_ONE_SIDED)
+    dx1 = _stencil(nx, hx, 1)
+    dx2 = _stencil(nx, hx, 2)
+    dy1 = _stencil(ny, hy, 1)
+    dy2 = _stencil(ny, hy, 2)
     diag = sparse.diags
 
     # Each y coefficient is I_x (x) diag(c), and (I_x (x) diag(c))(A (x) B)
@@ -426,5 +423,5 @@ def apply_momentum(state: StateVector, g: Grid1D) -> StateVector:
     """
     if state.grid.size != g.size:
         raise ValueError("state and grid sizes differ")
-    d1 = _stencil(g.n_points, g.h, 1, BOUNDARY_ONE_SIDED)
+    d1 = _stencil(g.n_points, g.h, 1)
     return StateVector(d1 @ state.values, g)

@@ -194,11 +194,9 @@ class TestStencilBuilder:
     def test_rows_against_hand_written(self, n, order, want):
         scale = 1.0 / (2.0 * self.H) if order == 1 else 1.0 / self.H**2
         want = np.array(want, dtype=float) * scale
-        one_sided = _stencil(n, self.H, order, BOUNDARY_ONE_SIDED)
+        one_sided = _stencil(n, self.H, order)
         assert np.array_equal(one_sided.toarray(), want)
         assert one_sided.nnz == np.count_nonzero(want), "stored zeros"
-        want[0] = want[-1] = 0.0
-        assert np.array_equal(_stencil(n, self.H, order, BOUNDARY_DIRICHLET).toarray(), want)
 
 
 def _rows(m):
@@ -267,8 +265,8 @@ def test_effective_bs_matches_sparse_expression(n, sigma_sq):
             op = build_effective_bs(p, v, g, boundary)
             vals = v.values_on(g, inside_value=p.r)
             ref = _pin_rows(
-                (-0.5 * sigma_sq) * _stencil(n, g.h, 2, boundary)
-                + sparse.diags(0.5 * sigma_sq - vals) @ _stencil(n, g.h, 1, boundary)
+                (-0.5 * sigma_sq) * _stencil(n, g.h, 2)
+                + sparse.diags(0.5 * sigma_sq - vals) @ _stencil(n, g.h, 1)
                 + sparse.diags(vals),
                 op.dirichlet_mask,
             )
@@ -425,8 +423,8 @@ class TestMGOperator:
         # the pattern matches and the entries agree to roundoff
         g2 = Grid2D(Grid1D(-0.5, 0.5, nx), Grid1D(-3.6, -3.2, ny))
         y = g2.y_axis.points
-        dx1, dx2 = (_stencil(nx, g2.x_axis.h, k, BOUNDARY_ONE_SIDED) for k in (1, 2))
-        dy1, dy2 = (_stencil(ny, g2.y_axis.h, k, BOUNDARY_ONE_SIDED) for k in (1, 2))
+        dx1, dx2 = (_stencil(nx, g2.x_axis.h, k) for k in (1, 2))
+        dy1, dy2 = (_stencil(ny, g2.y_axis.h, k) for k in (1, 2))
         ix, iy = sparse.identity(nx), sparse.identity(ny)
 
         def ydiag(vec_y):
