@@ -359,7 +359,7 @@ def _run_evolve(args) -> None:
     header = "x,modulus" if args.mode == "unitary" else "x,value"
     Path(args.out).write_text(_curve_csv(g.points, vals, header=header))
     if args.flow_out:
-        Path(args.flow_out).write_text(flow.to_csv())
+        flow.to_csv(args.flow_out)
 
 
 def _run_simulate(args) -> None:

@@ -6,11 +6,11 @@ statement for the generator. Each Crank-Nicolson step is an implicit
 half-step through I + z dt/2 H followed by an extrapolation, so a run
 factors one matrix and makes one solve per step. Pinned nodes (Dirichlet
 rows of the operator, or caller-supplied boundary values) are held at
-prescribed values by making their rows identity rows of that matrix. It
-is factored by LAPACK's tridiagonal routines when it is tridiagonal and
-by a sparse LU otherwise. One stepper serves ``evolve``, the pricers and
-``kernel_row``; the pricers read only the target step ``cfg.dt`` of
-their config.
+prescribed values by making their rows identity rows of that matrix. A
+tridiagonal one is read straight from the generator's diagonals and
+factored by LAPACK; any other by a sparse LU. One stepper serves
+``evolve``, the pricers and ``kernel_row``; the pricers read only the
+target step ``cfg.dt`` of their config.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Integral
+from pathlib import Path
 from typing import Callable, Iterator, Mapping, Union
 
 import numpy as np
@@ -30,6 +31,7 @@ from .model import (
     MarketParams,
     StateVector,
     _affordable,
+    _finite_table,
     _float_reprs,
     _positive,
     _step_count,
@@ -39,7 +41,6 @@ from .operators import (
     KIND_DOWN_AND_OUT,
     OperatorMatrix,
     Potential,
-    _pin_rows,
     build_bs_hamiltonian,
     build_effective_bs,
 )
@@ -54,6 +55,7 @@ PAYOFF_ASSET = "martingale-asset"
 PAYOFF_TABULATED = "tabulated"
 
 _EPS = 1e-300
+_CSV_BLOCK = 8192  # flow CSV rows formatted per write
 
 
 class SingularSolveError(ArithmeticError):
@@ -113,7 +115,7 @@ class Payoff:
 
     @classmethod
     def tabulated(cls, values) -> "Payoff":
-        return cls(kind=PAYOFF_TABULATED, table=np.asarray(values, dtype=float))
+        return cls(kind=PAYOFF_TABULATED, table=_finite_table(values, "tabulated payoff"))
 
     def values_on(self, g: Grid1D) -> np.ndarray:
         s = np.exp(g.points)
@@ -156,10 +158,16 @@ class FlowReport:
     dt: float
     mode: str
 
-    def to_csv(self) -> str:
-        cells = zip(_float_reprs(self.mass_series), _float_reprs(self.norm_series))
-        rows = [f"{k * self.dt!r},{m},{n}\n" for k, (m, n) in enumerate(cells)]
-        return "t,mass,norm\n" + "".join(rows)
+    def to_csv(self, path) -> None:
+        """Stream the series to ``path`` as a t,mass,norm CSV, one block of rows per write."""
+        with Path(path).open("w") as f:
+            f.write("t,mass,norm\n")
+            for start in range(0, self.mass_series.size, _CSV_BLOCK):
+                block = slice(start, start + _CSV_BLOCK)
+                masses = _float_reprs(self.mass_series[block])
+                norms = _float_reprs(self.norm_series[block])
+                rows = enumerate(zip(masses, norms), start)
+                f.write("".join([f"{k * self.dt!r},{m},{n}\n" for k, (m, n) in rows]))
 
 
 BoundarySpec = Mapping[int, Union[float, Callable[[float], float]]]
@@ -171,20 +179,29 @@ def _cell_volume(op: OperatorMatrix) -> float:
     return op.grid.x_axis.h * op.grid.y_axis.h
 
 
-def _factor(m: sparse.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
-    """Solver for m x = b, factored once.
-
-    A tridiagonal m (every stored nonzero within one place of the
-    diagonal) gets the LAPACK ?gttrf/?gttrs factor; any wider band, such
-    as a one-sided closure row or a 2D operator, gets a sparse LU.
+def _factor(
+    h: sparse.csr_matrix, scale: complex, pinned: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Solver for (I + scale H) x = b with the rows flagged in ``pinned``
+    made identity rows, factored once. If every nonzero H stores in an
+    unpinned row lies within one place of the diagonal, LAPACK's
+    ?gttrf/?gttrs factor the three diagonals read from H; any wider band
+    (a free one-sided closure row, a 2D operator) gets a sparse LU.
     """
-    coo = m.tocoo()
-    if np.all(np.abs(coo.row - coo.col)[coo.data != 0] <= 1):
-        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (m.data,))
-        dl, d, du, du2, ipiv, info = gttrf(m.diagonal(-1), m.diagonal(), m.diagonal(1))
+    n = h.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(h.indptr))
+    if np.all(np.abs(h.indices - rows)[(h.data != 0) & ~pinned[rows]] <= 1):
+        d = 1 + scale * h.diagonal()
+        dl, du = scale * h.diagonal(-1), scale * h.diagonal(1)
+        d[pinned] = 1
+        dl[pinned[1:]] = 0
+        du[pinned[:-1]] = 0
+        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (d,))
+        dl, d, du, du2, ipiv, info = gttrf(dl, d, du)
         if info != 0:
             raise SingularSolveError(f"singular linear solve: zero pivot at row {info}")
         return lambda b: gttrs(dl, d, du, du2, ipiv, b)[0]
+    m = sparse.identity(n, format="csr") + sparse.diags((~pinned).astype(float)) @ (scale * h)
     try:
         return splu(m.tocsc()).solve
     except RuntimeError as exc:
@@ -203,7 +220,6 @@ def _cn_run(
     psi0: np.ndarray,
     dt: float,
     unitary: bool,
-    pinned: np.ndarray,
     pinned_idx: np.ndarray,
     pin_values: np.ndarray,
     rannacher: int = 0,
@@ -213,22 +229,22 @@ def _cn_run(
     Each step solves (I + z dt/2 H) psi' = (I - z dt/2 H) psi, with
     z = 1 (Euclidean) or i (unitary), in implicit-midpoint form: one
     implicit half-step y = (I + z dt/2 H)^{-1} psi, then the
-    extrapolation psi' = 2 y - psi. Pinned rows of the factored matrix
-    are identity rows; their right-hand side is the mean of the old
-    value and the target, so the extrapolation lands on the target.
-    The matrix is factored once (``_factor``). ``pinned_idx`` lists the
-    nodes of ``pinned`` in ascending order, and row s of ``pin_values``
-    holds their values after step s + 1, so its length is the step
-    count. Optional Rannacher startup replaces the first ``rannacher``
-    steps by pairs of implicit half-steps through the same factor (used
-    for rough initial data; incompatible with pinning by construction).
+    extrapolation psi' = 2 y - psi. The rows of the nodes in
+    ``pinned_idx`` (ascending) are identity rows of the matrix, which
+    ``_factor`` forms from H and factors once; their right-hand side is
+    the mean of the old value and the target, so the extrapolation lands
+    on the target. Row s of ``pin_values`` holds the pinned values after
+    step s + 1, so its length is the step count. Optional Rannacher
+    startup replaces the first ``rannacher`` steps by pairs of implicit
+    half-steps through the same factor (used for rough initial data;
+    incompatible with pinning by construction).
     """
-    if rannacher and pinned.any():
+    if rannacher and pinned_idx.size:
         raise ValueError("Rannacher startup does not support pinned nodes")
+    pinned = np.zeros(psi0.size, dtype=bool)
+    pinned[pinned_idx] = True
     z = 1j if unitary else 1.0
-    ident = sparse.identity(psi0.size, format="csr", dtype=complex if unitary else float)
-    m_plus = _pin_rows(ident + (z * dt / 2.0) * matrix, pinned)
-    solve = _factor(m_plus + sparse.diags(pinned.astype(float)))
+    solve = _factor(matrix, z * dt / 2.0, pinned)
 
     psi = psi0
     n_startup = min(rannacher, len(pin_values))
@@ -294,7 +310,7 @@ def evolve(
 
     cell = _cell_volume(op)
     psi0 = state.values.astype(complex) if unitary else state.values.astype(float)
-    steps = _cn_run(op.matrix, psi0, cfg.dt, unitary, pinned, pinned_idx, pin_values)
+    steps = _cn_run(op.matrix, psi0, cfg.dt, unitary, pinned_idx, pin_values)
     for k, psi in enumerate(chain([psi0], steps)):
         mass_arr[k] = np.real(psi.sum()) * cell
         norm_arr[k] = np.sqrt(np.sum(np.abs(psi) ** 2) * cell)
@@ -337,9 +353,7 @@ def _price(
     pairs = _edge_pairs(payoff, vals)
     knocked = op.dirichlet_mask
     vals[knocked] = 0.0
-    pinned = knocked.copy()
-    pinned[[0, -1]] = True
-    pinned_idx = np.flatnonzero(pinned)
+    pinned_idx = np.union1d(np.flatnonzero(knocked), [0, g.n_points - 1])
     pin_values = _pin_table(n_steps, pinned_idx.size)
     discount = np.exp(-p.r * (np.arange(1, n_steps + 1) * dt))
     # node 0 and node -1 are also the first and the last pinned column
@@ -349,7 +363,7 @@ def _price(
             if a:  # e^{x_edge} may overflow where a = 0 leaves the value finite
                 far = a * np.exp(x_edge) + far
             pin_values[:, end] = far
-    return StateVector(_final(_cn_run(op.matrix, vals, dt, False, pinned, pinned_idx, pin_values)), g)
+    return StateVector(_final(_cn_run(op.matrix, vals, dt, False, pinned_idx, pin_values)), g)
 
 
 def price_option(
@@ -410,9 +424,8 @@ def kernel_row(p: MarketParams, x: float, tau: float, g: Grid1D) -> StateVector:
             f"kernel time {tau} over the step h/8 = {g.h / 8.0} gives no finite step count"
         )
     n_steps = max(50, int(np.ceil(steps_needed)))
-    no_pins = np.zeros(g.n_points, dtype=bool)
     steps = _cn_run(
-        op.matrix.T.tocsr(), delta, tau / n_steps, False, no_pins, np.flatnonzero(no_pins),
+        op.matrix.T.tocsr(), delta, tau / n_steps, False, np.zeros(0, dtype=int),
         np.zeros((n_steps, 0)), rannacher=2,
     )
     return StateVector(np.real(_final(steps)), g)

@@ -244,6 +244,14 @@ def _positive(value: float, name: str) -> float:
     return float(value)
 
 
+def _finite_table(values, what: str) -> np.ndarray:
+    """``values`` as a 1-D float array; refuses any other shape and NaN or infinite entries."""
+    table = np.asarray(values, dtype=float)
+    if table.ndim != 1 or not np.all(np.isfinite(table)):
+        raise ValueError(f"{what} must be a 1-D table of finite values")
+    return table
+
+
 def _step_count(T: float, dt: float, horizon: str = "horizon") -> int:
     """Steps of about ``dt`` that land exactly on ``T``: max(1, round(T / dt)).
 

@@ -22,6 +22,7 @@ from .model import (
     MarketParams,
     MGParams,
     StateVector,
+    _finite_table,
     mg_cross_coef,
     mg_y_drift,
     mg_yy_coef,
@@ -59,8 +60,8 @@ class Potential:
 
     @classmethod
     def constant(cls, value: float) -> "Potential":
-        if np.isnan(value):
-            raise ValueError("constant potential is NaN")
+        if not np.isfinite(value):
+            raise ValueError(f"constant potential must not be NaN or infinite, got {value}")
         return cls(kind=KIND_CONSTANT, value=float(value))
 
     @classmethod
@@ -79,8 +80,7 @@ class Potential:
 
     @classmethod
     def tabulated(cls, values) -> "Potential":
-        table = np.asarray(values, dtype=float)
-        return cls(kind=KIND_TABULATED, table=table)
+        return cls(kind=KIND_TABULATED, table=_finite_table(values, "tabulated potential"))
 
     def values_on(self, g: Grid1D, inside_value: float) -> np.ndarray:
         """Potential values at the grid nodes of the admissible region.
@@ -96,8 +96,6 @@ class Potential:
                     f"tabulated potential has {self.table.shape[0]} entries "
                     f"for a grid of {g.n_points} points"
                 )
-            if not np.all(np.isfinite(self.table)):
-                raise ValueError("tabulated potential has non-finite interior values")
             return self.table.astype(float, copy=True)
         if self.kind in (KIND_DOWN_AND_OUT, KIND_DOUBLE_KNOCKOUT):
             return np.full(g.n_points, inside_value, dtype=float)
@@ -220,17 +218,6 @@ def _stencil(n: int, h: float, order: int) -> sparse.csr_matrix:
     m = sparse.csr_matrix((_stencil_weights(n, h, order), cols, indptr), shape=(n, n))
     m.eliminate_zeros()
     return m
-
-
-def _pin_rows(a: sparse.spmatrix, mask: np.ndarray) -> sparse.csr_matrix:
-    """Copy of ``a`` with every row flagged in ``mask`` emptied.
-
-    Indices come back sorted: products and factorizations sum each row
-    in stored order, so the order is part of the result.
-    """
-    pinned = sparse.diags((~mask).astype(float)) @ a
-    pinned.sort_indices()
-    return pinned
 
 
 def build_bs_hamiltonian(

@@ -127,13 +127,40 @@ class TestEvolve:
         rel = np.abs(out.values.real - state.values)[inner] / state.values[inner]
         assert rel.max() < 1e-4
 
-    def test_flow_csv_shape(self):
+    def test_flow_csv_shape(self, tmp_path):
         g = Grid1D(-1.0, 1.0, 51)
         op = build_bs_hamiltonian(P, g)
         _, flow = evolve(op, sample_martingale_state(g), EvolutionConfig(dt=0.01, n_steps=7))
-        lines = flow.to_csv().strip().split("\n")
+        flow.to_csv(tmp_path / "flow.csv")
+        lines = (tmp_path / "flow.csv").read_text().strip().split("\n")
         assert lines[0] == "t,mass,norm"
         assert len(lines) == 9
+
+    def test_flow_csv_blocks_join_seamlessly(self, tmp_path, monkeypatch):
+        # blocks of 3 rows over 8 rows: every row is written once, with its own time
+        monkeypatch.setattr(qflab.evolution, "_CSV_BLOCK", 3)
+        g = Grid1D(-1.0, 1.0, 51)
+        op = build_bs_hamiltonian(P, g)
+        _, flow = evolve(op, sample_martingale_state(g), EvolutionConfig(dt=0.01, n_steps=7))
+        flow.to_csv(tmp_path / "flow.csv")
+        rows = enumerate(zip(flow.mass_series.tolist(), flow.norm_series.tolist()))
+        want = "t,mass,norm\n" + "".join(f"{k * 0.01!r},{m!r},{n!r}\n" for k, (m, n) in rows)
+        assert (tmp_path / "flow.csv").read_text() == want
+
+    def test_flow_csv_is_streamed(self, tmp_path):
+        # formatting all rows at once peaks near 240 bytes per row, about 12 MB here
+        n_rows = 50_001
+        flow = qflab.evolution.FlowReport(
+            mass_series=np.linspace(1.0, 2.0, n_rows), norm_series=np.linspace(3.0, 4.0, n_rows),
+            mass_drift=0.0, norm_drift=0.0, dt=0.01, mode="euclidean",
+        )
+        tracemalloc.start()
+        try:
+            flow.to_csv(tmp_path / "flow.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000, f"to_csv peaked at {peak / 1e6:.1f} MB"
 
     def test_flow_series_holds_two_floats_per_step(self):
         # one-sided edges pin nothing: no step times, and the series as arrays
@@ -291,6 +318,52 @@ class TestStepper:
                         [np.zeros(0)] * self.STEPS)
         self.assert_close(got.values, want)
         assert splu_calls == [(g.n_points, g.n_points)]
+
+    def test_one_sided_with_low_edge_given_sparse_lu(self, splu_calls):
+        # the free high edge row is 4 wide, so the pinned low edge does not make a band
+        g = self.G
+        op = build_bs_hamiltonian(P, g)
+        psi0 = np.exp(g.points)
+        cfg = EvolutionConfig(dt=self.DT, n_steps=self.STEPS)
+        got, _ = evolve(op, StateVector(psi0, g), cfg, boundary_values={0: 0.25})
+        pinned = np.zeros(g.n_points, dtype=bool)
+        pinned[0] = True
+        want = dense_cn(op.matrix, psi0, self.DT, 1.0, pinned, [(0.25,)] * self.STEPS)
+        self.assert_close(got.values, want)
+        assert splu_calls == [(g.n_points, g.n_points)]
+
+    def test_cancelled_diagonal_tridiagonal(self, splu_calls):
+        # V_i = -sigma_sq/h^2 cancels the D2 diagonal exactly: H stores no entry at (i, i)
+        g, i = self.G, 20
+        v = np.full(g.n_points, P.r)
+        v[i] = -((-0.5 * P.sigma_sq) * (-2.0 * (1.0 / g.h**2)))
+        op = build_effective_bs(P, Potential.tabulated(v), g, BOUNDARY_DIRICHLET)
+        row = op.matrix.indices[op.matrix.indptr[i]:op.matrix.indptr[i + 1]]
+        assert i not in row
+        psi0 = np.exp(-g.points**2 / 0.08)
+        got, _ = evolve(op, StateVector(psi0, g), EvolutionConfig(dt=self.DT, n_steps=self.STEPS))
+        want = dense_cn(op.matrix, psi0, self.DT, 1.0, op.dirichlet_mask,
+                        [np.zeros(2)] * self.STEPS)
+        self.assert_close(got.values, want)
+        assert splu_calls == []
+
+    def test_stored_zero_outside_band_tridiagonal(self, splu_calls):
+        g = self.G
+        op = build_bs_hamiltonian(P, g, boundary=BOUNDARY_DIRICHLET)
+        coo = op.matrix.tocoo()
+        # an explicit zero at (5, 9) of an unpinned row
+        m = sparse.csr_matrix(
+            (np.append(coo.data, 0.0), (np.append(coo.row, 5), np.append(coo.col, 9))),
+            shape=coo.shape,
+        )
+        op0 = OperatorMatrix(matrix=m, grid=g, dirichlet_mask=op.dirichlet_mask)
+        assert op0.matrix.nnz == op.matrix.nnz + 1
+        psi0 = np.exp(-g.points**2 / 0.08)
+        got, _ = evolve(op0, StateVector(psi0, g), EvolutionConfig(dt=self.DT, n_steps=self.STEPS))
+        want = dense_cn(op.matrix, psi0, self.DT, 1.0, op.dirichlet_mask,
+                        [np.zeros(2)] * self.STEPS)
+        self.assert_close(got.values, want)
+        assert splu_calls == []
 
     def test_two_factor_sparse_lu(self, splu_calls):
         p = MGParams(r=0.05, lam=0.02, mu=-0.5, zeta=0.3, alpha=1.0, rho=-0.4)

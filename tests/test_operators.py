@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import eig, eigh
 
+from qflab.evolution import Payoff
 from qflab.model import Grid1D, Grid2D, MarketParams, MGParams, StateVector
 from qflab.model import sample_extended_martingale_state, sample_martingale_state
 from qflab.operators import (
@@ -21,7 +22,7 @@ from qflab.operators import (
     hermiticity_defect,
     similarity_transform,
 )
-from qflab.operators import _pin_rows, _stencil
+from qflab.operators import _stencil
 
 DEFECT_ZERO_TOL = 1e-14
 SPECTRUM_TOL = 1e-8
@@ -182,6 +183,28 @@ class TestBarriers:
             Potential.tabulated(np.ones(7)).values_on(g, 0.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=6))
+def test_constructors_refuse_non_finite_and_non_1d_tables(values):
+    # a constant or a table is accepted exactly when finite, and a table only as 1-D
+    for v in values:
+        if np.isfinite(v):
+            assert Potential.constant(v).value == v
+        else:
+            with pytest.raises(ValueError):
+                Potential.constant(v)
+    table = np.array(values)
+    for make in (Potential.tabulated, Payoff.tabulated):
+        if np.all(np.isfinite(table)):
+            assert np.array_equal(make(values).table, table)
+        else:
+            with pytest.raises(ValueError):
+                make(values)
+        for bad_shape in (table[:1].reshape(()), table.reshape(1, -1)):
+            with pytest.raises(ValueError):
+                make(bad_shape)
+
+
 class TestStencilBuilder:
     H = 0.5  # a power of two keeps every weight exact
 
@@ -264,12 +287,12 @@ def test_effective_bs_matches_sparse_expression(n, sigma_sq):
         for boundary in (BOUNDARY_ONE_SIDED, BOUNDARY_DIRICHLET):
             op = build_effective_bs(p, v, g, boundary)
             vals = v.values_on(g, inside_value=p.r)
-            ref = _pin_rows(
+            ref = sparse.diags((~op.dirichlet_mask).astype(float)) @ (
                 (-0.5 * sigma_sq) * _stencil(n, g.h, 2)
                 + sparse.diags(0.5 * sigma_sq - vals) @ _stencil(n, g.h, 1)
-                + sparse.diags(vals),
-                op.dirichlet_mask,
+                + sparse.diags(vals)
             )
+            ref.sort_indices()
             for name in ("indptr", "indices", "data"):
                 got, want = getattr(op.matrix, name), getattr(ref, name)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
