@@ -42,6 +42,7 @@ from .model import (
     StateVector,
     _float_reprs,
     _positive,
+    _record,
     load_config,
     sample_extended_martingale_state,
     sample_martingale_state,
@@ -109,8 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_market_flags(s)
     s.add_argument("--n", type=int, required=True, help="expansion order")
     s.add_argument("--family", choices=sorted(_BS_FAMILIES), default="exact")
-    s.add_argument("--config", default=None)
-    s.add_argument("--out", required=True)
 
     s = subs.add_parser("mg-vacuum", help="two-factor equilibrium solutions")
     _add_mg_flags(s)
@@ -125,8 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--phi-x", type=float, default=1.0)
     s.add_argument("--csv-out", default=None, help="also write roots as CSV")
-    s.add_argument("--config", default=None)
-    s.add_argument("--out", required=True)
 
     s = subs.add_parser("martingale-check", help="operator annihilation residual")
     s.add_argument("--model", choices=["bs", "mg"], required=True)
@@ -135,14 +132,10 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--state", choices=["price", "extended"], default="price")
     _add_grid_flags(s, two_d=True)
     s.add_argument("--tol", type=float, default=None)
-    s.add_argument("--config", default=None)
-    s.add_argument("--out", required=True)
 
     s = subs.add_parser("constraint-solve", help="root of the extended constraint")
     _add_mg_flags(s)
     s.add_argument("--bracket", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    s.add_argument("--config", default=None)
-    s.add_argument("--out", required=True)
 
     s = subs.add_parser("price", help="vanilla or knock-out price curve")
     _add_market_flags(s)
@@ -156,8 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--corridor", type=float, nargs=2, default=None, metavar=("LO", "HI"),
         help="double-knockout corridor (log-price)",
     )
-    s.add_argument("--config", default=None)
-    s.add_argument("--out", required=True)
 
     s = subs.add_parser("evolve", help="time evolution diagnostics")
     _add_market_flags(s)
@@ -170,8 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dt", type=float, required=True)
     s.add_argument("--n-steps", type=int, required=True)
     s.add_argument("--flow-out", default=None, help="write mass/norm series CSV")
-    s.add_argument("--config", default=None)
-    s.add_argument("--out", required=True)
 
     s = subs.add_parser("simulate", help="Monte Carlo path ensembles")
     s.add_argument("--model", choices=["gbm", "mg"], required=True)
@@ -185,17 +174,16 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-paths", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--force-big", action="store_true", help="lift the CSV size guard")
-    s.add_argument("--config", default=None)
-    s.add_argument("--out", required=True)
 
     s = subs.add_parser("classify", help="information-flow / symmetry report")
     s.add_argument("--model", choices=["bs", "mg"], required=True)
     _add_mg_flags(s)
     s.add_argument("--sigma-sq", type=float, default=None)
     s.add_argument("--y", type=float, default=None)
-    s.add_argument("--config", default=None)
-    s.add_argument("--out", required=True)
 
+    for s in subs.choices.values():
+        s.add_argument("--config", default=None)
+        s.add_argument("--out", required=True)
     return parser
 
 
@@ -234,19 +222,17 @@ def _grid_2d(args, default: Grid2D | None = None) -> Grid2D:
 
 
 def _write_manifest(out: str, verb: str, opts: dict, argv: list[str]) -> None:
-    lines = [f"verb = {verb}", f"version = {__version__}"]
-    skip = {"verb", "config"}
-    for name, val in sorted(opts.items()):
-        if name in skip or val is None:
-            continue
-        if isinstance(val, float):
-            lines.append(f"opt_{name} = {val!r}")
-        elif isinstance(val, (list, tuple)):
-            lines.append(f"opt_{name} = {' '.join(repr(v) for v in val)}")
-        else:
-            lines.append(f"opt_{name} = {val}")
-    lines.append(f"argv = {shlex.join(str(a) for a in argv)}")
-    Path(str(out) + ".manifest").write_text("\n".join(lines) + "\n")
+    echo = [
+        (f"opt_{name}", " ".join(map(repr, val)) if isinstance(val, (list, tuple)) else val)
+        for name, val in sorted(opts.items())
+        if name not in ("verb", "config")
+    ]
+    Path(str(out) + ".manifest").write_text(_record([
+        ("verb", verb),
+        ("version", __version__),
+        *echo,
+        ("argv", shlex.join(str(a) for a in argv)),
+    ]))
 
 
 def _curve_csv(xs: np.ndarray, values: np.ndarray, header: str = "x,value") -> str:
@@ -298,13 +284,12 @@ def _run_martingale_check(args) -> MartingaleReport:
 def _run_constraint_solve(args) -> None:
     p = _mg_params(args)
     root = solve_extended_constraint(p, (args.bracket[0], args.bracket[1]))
-    lines = [
-        f"y_star = {float(root.y_star)!r}",
-        f"residual = {float(root.residual)!r}",
-        f"bracket_lo = {float(root.bracket[0])!r}",
-        f"bracket_hi = {float(root.bracket[1])!r}",
-    ]
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    Path(args.out).write_text(_record([
+        ("y_star", root.y_star),
+        ("residual", root.residual),
+        ("bracket_lo", root.bracket[0]),
+        ("bracket_hi", root.bracket[1]),
+    ]))
 
 
 def _run_price(args) -> None:
@@ -417,23 +402,24 @@ def main(argv: list[str] | None = None) -> int:
                 if hasattr(args, dest) and getattr(args, dest) is None:
                     setattr(args, dest, val)
         result = _RUNNERS[args.verb](args)
-    except ArithmeticError as exc:
-        record = (
-            f"error = {type(exc).__name__}\n"
-            f"verb = {args.verb}\n"
-            f"message = {exc}\n"
-        )
+    except (ArithmeticError, ValueError, OSError) as exc:
+        numerical = isinstance(exc, ArithmeticError)
+        record = _record([
+            ("error", type(exc).__name__ if numerical else "validation"),
+            ("verb", args.verb),
+            ("message", exc),
+        ])
+        if not numerical:
+            sys.stderr.write(record)
+            return 2
         sys.stdout.write(record)
         if getattr(args, "out", None):
             Path(args.out).write_text(record)
         return 1
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error = validation\nverb = {args.verb}\nmessage = {exc}\n")
-        return 2
 
     _write_manifest(args.out, args.verb, cli_opts, argv)
     if isinstance(result, MartingaleReport):
-        sys.stdout.write(f"verdict = {result.verdict}\n")
+        sys.stdout.write(_record([("verdict", result.verdict)]))
     return 0
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Integral
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Union
 
@@ -33,6 +32,7 @@ from .model import (
     _affordable,
     _finite_table,
     _float_reprs,
+    _integer,
     _positive,
     _step_count,
 )
@@ -74,9 +74,7 @@ class EvolutionConfig:
 
     def __post_init__(self) -> None:
         _positive(self.dt, "dt")
-        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, Integral):
-            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
-        if self.n_steps < 1:
+        if _integer(self.n_steps, "n_steps") < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.mode not in (MODE_EUCLIDEAN, MODE_UNITARY):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -396,6 +394,8 @@ def price_barrier(
         )
     op = build_effective_bs(p, barrier, g)
     if op.dirichlet_mask.all():
+        if barrier.kind == KIND_DOWN_AND_OUT:
+            raise ValueError(f"down-and-out level {barrier.level} knocks out every node")
         raise ValueError("corridor is empty: every node is knocked out")
     return _price(p, payoff, T, cfg, op)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Grid1D, Grid2D, MGParams, SDEParams, StateVector, mg_cross_coef, mg_yy_coef
+from .model import Grid1D, MGParams, SDEParams, StateVector, _record, mg_cross_coef, mg_yy_coef
 from .operators import OperatorMatrix
 from .sde import simulate_gbm
 
@@ -40,14 +40,13 @@ class MartingaleReport:
 
     def to_record(self) -> str:
         """Flat key-value serialization, one field per line."""
-        lines = [
-            f"residual_max = {float(self.residual_max)!r}",
-            f"residual_l2 = {float(self.residual_l2)!r}",
-            f"h = {float(self.h)!r}",
-            f"tolerance = {float(self.tolerance)!r}",
-            f"verdict = {self.verdict}",
-        ]
-        return "\n".join(lines) + "\n"
+        return _record([
+            ("residual_max", self.residual_max),
+            ("residual_l2", self.residual_l2),
+            ("h", self.h),
+            ("tolerance", self.tolerance),
+            ("verdict", self.verdict),
+        ])
 
 
 @dataclass(frozen=True)

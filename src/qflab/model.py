@@ -133,6 +133,8 @@ class SDEParams:
             raise ValueError(
                 f"expected return must be finite, got expected_return={self.expected_return}"
             )
+        if not isinstance(self.base, (MarketParams, MGParams)):
+            raise ValueError(f"base must be MarketParams or MGParams, got {self.base!r}")
 
 
 @dataclass(frozen=True)
@@ -156,9 +158,7 @@ class Grid1D:
             raise ValueError(
                 f"invalid grid: bounds must be finite, got [{self.x_min}, {self.x_max}]"
             )
-        if isinstance(self.n_points, bool) or not isinstance(self.n_points, Integral):
-            raise ValueError(f"invalid grid: n_points must be an integer, got {self.n_points!r}")
-        if self.n_points < 3:
+        if _integer(self.n_points, "invalid grid: n_points") < 3:
             raise ValueError(f"invalid grid: need n_points >= 3, got {self.n_points}")
 
     @property
@@ -185,6 +185,10 @@ class Grid2D:
 
     x_axis: Grid1D
     y_axis: Grid1D
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.x_axis, Grid1D) and isinstance(self.y_axis, Grid1D)):
+            raise ValueError(f"both axes must be Grid1D, got {self.x_axis!r}, {self.y_axis!r}")
 
     @property
     def size(self) -> int:
@@ -235,6 +239,13 @@ def sample_extended_martingale_state(grid: Grid2D) -> StateVector:
     return StateVector(vals, grid)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` if it is an integer, numpy's included; refuses bools and all else."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _positive(value: float, name: str) -> float:
     """``value`` as a float; refuses NaN, infinities and values <= 0."""
     if not np.isfinite(value):
@@ -279,6 +290,18 @@ def _float_reprs(a: np.ndarray) -> list[str]:
     """``repr(float(v))`` of every value of a 1D array, through one list
     repr: the CSV cells of the path, price and flow exports."""
     return str(np.asarray(a, dtype=float).tolist())[1:-1].split(", ") if a.size else []
+
+
+def _record(pairs) -> str:
+    """The ``key = value`` record of every report, manifest and error:
+    one line per ``(key, value)`` pair whose value is not None, in order.
+    A float, numpy floats included, is written as ``repr(float(v))``,
+    which round-trips; any other value as ``str(v)``."""
+    return "".join(
+        f"{key} = {repr(float(val)) if isinstance(val, (float, np.floating)) else val}\n"
+        for key, val in pairs
+        if val is not None
+    )
 
 
 # Scalar coefficient helpers shared by the operator assembly, the constraint

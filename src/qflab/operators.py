@@ -48,7 +48,8 @@ class Potential:
     Four kinds: a constant value, a down-and-out barrier (infinite below
     ``level``, the spot rate inside), a double knockout (infinite outside
     [lo, hi]), and a table of values aligned to a grid. Barrier kinds are
-    realized as Dirichlet-zero rows, never as literal infinities.
+    realized as Dirichlet-zero rows, never as literal infinities; every
+    value, level and bound given must be finite.
     """
 
     kind: str
@@ -66,14 +67,14 @@ class Potential:
 
     @classmethod
     def down_and_out(cls, level: float) -> "Potential":
-        if np.isnan(level):
-            raise ValueError("down-and-out level is NaN")
+        if not np.isfinite(level):
+            raise ValueError(f"down-and-out level must not be NaN or infinite, got {level}")
         return cls(kind=KIND_DOWN_AND_OUT, level=float(level))
 
     @classmethod
     def double_knockout(cls, lo: float, hi: float) -> "Potential":
-        if np.isnan(lo) or np.isnan(hi):
-            raise ValueError(f"double knockout bounds must not be NaN, got lo={lo}, hi={hi}")
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"double knockout bounds must not be NaN or infinite: {lo}, {hi}")
         if lo >= hi:
             raise ValueError(f"double knockout needs lo < hi, got lo={lo}, hi={hi}")
         return cls(kind=KIND_DOUBLE_KNOCKOUT, lo=float(lo), hi=float(hi))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MarketParams, MGParams, mg_cross_coef, mg_y_drift, mg_yy_coef
+from .model import MarketParams, MGParams, _integer, _record, mg_cross_coef, mg_y_drift, mg_yy_coef
 
 FLAG_TOL = 1e-12
 
@@ -52,7 +52,8 @@ class SingularRegimeError(ArithmeticError):
 class FieldPoint:
     """One field configuration. A value of None marks a direction the
     solution leaves unconstrained (any value solves the equation); a
-    given value must be finite."""
+    given value must be finite. The orders are integers >= 0, and ``m``
+    may be None for a one-field point."""
 
     phi_x: float | None
     phi_y: float | None = None
@@ -60,10 +61,9 @@ class FieldPoint:
     m: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"order n must be >= 0, got {self.n}")
-        if self.m is not None and self.m < 0:
-            raise ValueError(f"order m must be >= 0, got {self.m}")
+        for name, order in (("n", self.n), ("m", 0 if self.m is None else self.m)):
+            if _integer(order, f"order {name}") < 0:
+                raise ValueError(f"order {name} must be >= 0, got {order}")
         if any(v is not None and not np.isfinite(v) for v in (self.phi_x, self.phi_y)):
             raise ValueError(f"field values must be finite, got {self.phi_x}, {self.phi_y}")
 
@@ -98,46 +98,39 @@ class VacuumSolution:
     notes: tuple[str, ...] = ()
 
     def to_record(self) -> str:
-        """Flat key-value serialization."""
-        lines = [f"regime = {self.regime}"]
-        if self.n is not None:
-            lines.append(f"n = {self.n}")
-        if self.m is not None:
-            lines.append(f"m = {self.m}")
-        lines.append(f"degeneracy = {self.degeneracy}")
-        lines.append(f"approximate = {self.approximate}")
-        if self.no_real_solution:
-            lines.append("no_real_solution = True")
-        if self.divided_out_trivial is not None:
-            lines.append(f"divided_out_trivial = {float(self.divided_out_trivial)!r}")
-        if self.relation is not None:
-            lines.append(f"relation = {self.relation}")
-        if self.product_value is not None:
-            lines.append(f"product_value = {float(self.product_value)!r}")
-        if self.limit_value is not None:
-            lines.append(f"limit_value = {float(self.limit_value)!r}")
-        if self.price_translation_broken is not None:
-            lines.append(f"price_translation_broken = {self.price_translation_broken}")
-        if self.volatility_translation_broken is not None:
-            lines.append(
-                f"volatility_translation_broken = {self.volatility_translation_broken}"
-            )
-        for k, pt in enumerate(self.roots):
-            px = "free" if pt.phi_x is None else repr(float(pt.phi_x))
-            py = "free" if pt.phi_y is None else repr(float(pt.phi_y))
-            lines.append(f"root_{k} = {px}, {py}")
-        return "\n".join(lines) + "\n"
+        """Flat key-value serialization; unset fields are omitted, and
+        ``no_real_solution`` is written only when it holds."""
+        return _record([
+            ("regime", self.regime),
+            ("n", self.n),
+            ("m", self.m),
+            ("degeneracy", self.degeneracy),
+            ("approximate", self.approximate),
+            ("no_real_solution", True if self.no_real_solution else None),
+            ("divided_out_trivial", self.divided_out_trivial),
+            ("relation", self.relation),
+            ("product_value", self.product_value),
+            ("limit_value", self.limit_value),
+            ("price_translation_broken", self.price_translation_broken),
+            ("volatility_translation_broken", self.volatility_translation_broken),
+            *(
+                (f"root_{k}", f"{_cell(pt.phi_x)}, {_cell(pt.phi_y)}")
+                for k, pt in enumerate(self.roots)
+            ),
+        ])
 
     def to_csv(self) -> str:
         """One root per row for sweep plotting."""
         lines = ["index,phi_x,phi_y"]
         for k, pt in enumerate(self.roots):
-            px = "free" if pt.phi_x is None else repr(float(pt.phi_x))
-            py = "" if pt.phi_y is None and self.m is None else (
-                "free" if pt.phi_y is None else repr(float(pt.phi_y))
-            )
-            lines.append(f"{k},{px},{py}")
+            py = "" if pt.phi_y is None and self.m is None else _cell(pt.phi_y)
+            lines.append(f"{k},{_cell(pt.phi_x)},{py}")
         return "\n".join(lines) + "\n"
+
+
+def _cell(v: float | None) -> str:
+    """A root's field value as written: "free" when unconstrained."""
+    return "free" if v is None else repr(float(v))
 
 
 @dataclass(frozen=True)
@@ -155,15 +148,12 @@ class RegimeReport:
         return "preserved" if self.preserved else "leaking"
 
     def to_record(self) -> str:
-        lines = []
-        if self.y is not None:
-            lines.append(f"y = {float(self.y)!r}")
-        for name, ok in self.flags.items():
-            lines.append(f"flag_{name} = {ok}")
-        for name, val in self.values.items():
-            lines.append(f"value_{name} = {float(val)!r}")
-        lines.append(f"information_flow = {self.verdict}")
-        return "\n".join(lines) + "\n"
+        return _record([
+            ("y", self.y),
+            *((f"flag_{name}", ok) for name, ok in self.flags.items()),
+            *((f"value_{name}", val) for name, val in self.values.items()),
+            ("information_flow", self.verdict),
+        ])
 
 
 def _term(coeff: float, base: float | None, exponent: int, label: str) -> float:
@@ -273,9 +263,8 @@ def bs_vacuum_exact(p: MarketParams, n: int) -> VacuumSolution:
         raise ValueError(f"order n must be >= 1, got {n}")
     if n == 1:
         nontrivial = 1.0 - p.sigma_sq / (2.0 * p.r)
-        roots = [0.0] if nontrivial == 0.0 else [0.0, float(nontrivial)]
         return _bs_solution(
-            roots,
+            [0.0, float(nontrivial)],
             REGIME_EXACT,
             n,
             approximate=False,
@@ -317,8 +306,7 @@ def bs_vacuum_strong(p: MarketParams, n: int) -> VacuumSolution:
     if n < 0:
         raise ValueError(f"order n must be >= 0, got {n}")
     nontrivial = (1.0 - p.sigma_sq / (2.0 * p.r)) * n
-    roots = [0.0] if nontrivial == 0.0 else [0.0, float(nontrivial)]
-    return _bs_solution(roots, REGIME_STRONG, n, approximate=True)
+    return _bs_solution([0.0, float(nontrivial)], REGIME_STRONG, n, approximate=True)
 
 
 def bs_extremum_roots(p: MarketParams, n: int) -> VacuumSolution:
@@ -361,8 +349,6 @@ def mg_polynomial_residual(p: MGParams, point: FieldPoint, y: float) -> float:
     """
     n = point.n
     m = point.m if point.m is not None else 0
-    if n < 0 or m < 0:
-        raise ValueError(f"orders must be >= 0, got n={n}, m={m}")
     y, ey, cy, _ = _two_field_point(p, y)
     phi_x, phi_y = point.phi_x, point.phi_y
 

@@ -11,6 +11,8 @@ import pytest
 
 import qflab.cli
 from qflab.cli import main
+from qflab.martingale import solve_extended_constraint
+from qflab.model import MGParams
 
 
 def read_kv(path):
@@ -230,6 +232,17 @@ class TestPrice:
         ])
         assert code == 2
         assert f"maturity must be positive, got {float(t)}" in capsys.readouterr().err
+
+    def test_barrier_knocking_every_node_names_its_kind(self, tmp_path, capsys):
+        code = main([
+            "price", "--r", "0.05", "--sigma-sq", "0.04", "--payoff", "bond", "--t", "1",
+            "--x-min", "-1", "--x-max", "1", "--n-points", "51", "--barrier-level", "2",
+            "--out", str(tmp_path / "k.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "message = down-and-out level 2.0 knocks out every node" in err
+        assert "corridor" not in err
 
     def test_strike_required_for_call(self, tmp_path):
         code = main([
@@ -518,3 +531,95 @@ class TestExitCodes:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "qflab" in capsys.readouterr().out
+
+
+class TestRecordFormat:
+    """Every record the CLI writes, byte for byte: ``key = value`` lines,
+    floats in shortest round-trip repr, unset keys left out."""
+
+    def test_bs_vacuum_manifest_text(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["bs-vacuum", "--r", "0.05", "--sigma-sq", "0.04", "--n", "2", "--out", "roots.csv"]
+        assert main(argv) == 0
+        assert Path("roots.csv.manifest").read_text() == (
+            "verb = bs-vacuum\n"
+            f"version = {qflab.__version__}\n"
+            "opt_family = exact\n"
+            "opt_n = 2\n"
+            "opt_out = roots.csv\n"
+            "opt_r = 0.05\n"
+            "opt_sigma_sq = 0.04\n"
+            "argv = bs-vacuum --r 0.05 --sigma-sq 0.04 --n 2 --out roots.csv\n"
+        )
+
+    def test_price_corridor_manifest_text(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["price", "--payoff", "put", "--strike", "1", "--r", "0.05", "--sigma-sq", "0.04",
+                "--t", "0.1", "--dt", "0.05", "--x-min", "-1", "--x-max", "1", "--n-points", "21",
+                "--corridor", "-0.5", "0.5", "--out", "curve.csv"]
+        assert main(argv) == 0
+        assert Path("curve.csv.manifest").read_text() == (
+            "verb = price\n"
+            f"version = {qflab.__version__}\n"
+            "opt_corridor = -0.5 0.5\n"
+            "opt_dt = 0.05\n"
+            "opt_n_points = 21\n"
+            "opt_out = curve.csv\n"
+            "opt_payoff = put\n"
+            "opt_r = 0.05\n"
+            "opt_sigma_sq = 0.04\n"
+            "opt_strike = 1.0\n"
+            "opt_t = 0.1\n"
+            "opt_x_max = 1.0\n"
+            "opt_x_min = -1.0\n"
+            f"argv = {shlex.join(argv)}\n"
+        )
+
+    def test_constraint_solve_record(self, tmp_path):
+        out = tmp_path / "root.txt"
+        p = MGParams(r=0.05, lam=0.01, mu=-0.3, zeta=0.0, alpha=1.0, rho=0.0)
+        code = main([
+            "constraint-solve", "--r", "0.05", "--lambda", "0.01", "--mu", "-0.3",
+            "--zeta", "0.0", "--alpha", "1.0", "--rho", "0.0",
+            "--bracket", "-7", "-0.8", "--out", str(out),
+        ])
+        assert code == 0
+        root = solve_extended_constraint(p, (-7.0, -0.8))
+        assert out.read_text() == (
+            f"y_star = {root.y_star!r}\n"
+            f"residual = {root.residual!r}\n"
+            "bracket_lo = -7.0\n"
+            "bracket_hi = -0.8\n"
+        )
+
+    def test_numerical_error_record_on_stdout_and_in_out(self, tmp_path, capsys):
+        out = tmp_path / "weak.csv"
+        code = main([
+            "bs-vacuum", "--r", "0.05", "--sigma-sq", "0.1", "--n", "3",
+            "--family", "weak", "--out", str(out),
+        ])
+        assert code == 1
+        record = (
+            "error = SingularRegimeError\n"
+            "verb = bs-vacuum\n"
+            "message = weak-field formula is singular at sigma_sq = 2 r\n"
+        )
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (record, "")
+        assert out.read_text() == record
+        assert not (tmp_path / "weak.csv.manifest").exists()
+
+    def test_validation_record_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main([
+            "bs-vacuum", "--r", "-0.05", "--sigma-sq", "0.04", "--n", "1", "--out", str(out),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error = validation\n"
+            "verb = bs-vacuum\n"
+            "message = spot rate must be positive, got r=-0.05\n"
+        )
+        assert not out.exists()

@@ -535,6 +535,22 @@ class TestBarrierPricing:
         with pytest.raises(ValueError):
             price_barrier(P, Payoff.call(1.0), Potential.double_knockout(-5.0, 5.0), self.T, g, cfg)
 
+    @pytest.mark.parametrize(
+        "barrier,message",
+        [
+            # the level sits on the top node, so every node lies at or below it
+            (Potential.down_and_out(1.0), "down-and-out level 1.0 knocks out every node"),
+            # inside the grid, but between the nodes 0.4 and 0.5
+            (Potential.double_knockout(0.41, 0.49), "corridor is empty"),
+        ],
+        ids=["down_and_out", "double_knockout"],
+    )
+    def test_barrier_knocking_every_node_is_named(self, barrier, message):
+        g = Grid1D(0.0, 1.0, 11)
+        cfg = EvolutionConfig(dt=0.01, n_steps=10)
+        with pytest.raises(ValueError, match=message):
+            price_barrier(P, Payoff.bond(), barrier, self.T, g, cfg)
+
     def test_vanilla_potential_rejected(self):
         g = Grid1D(0.0, 1.0, 11)
         cfg = EvolutionConfig(dt=0.01, n_steps=10)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflab.martingale import (
+    MartingaleReport,
     NoRootError,
     cross_parameter_identity,
     default_tolerance,
@@ -60,6 +61,22 @@ class TestReport:
         assert float(fields["residual_max"]) == rep.residual_max
         assert float(fields["tolerance"]) == rep.tolerance
         assert fields["verdict"] == "pass"
+
+    def test_record_text(self):
+        rep = MartingaleReport(
+            residual_max=np.float64(1.5e-07),
+            residual_l2=np.float64(-0.0),
+            h=0.01,
+            tolerance=0.1 + 0.2,
+            passed=False,
+        )
+        assert rep.to_record() == (
+            "residual_max = 1.5e-07\n"
+            "residual_l2 = -0.0\n"
+            "h = 0.01\n"
+            "tolerance = 0.30000000000000004\n"
+            "verdict = fail\n"
+        )
 
     def test_verdict_tracks_passed(self):
         p = MarketParams(r=0.05, sigma_sq=0.04)

@@ -1,4 +1,6 @@
-"""Parameter containers, grids, states, and config parsing."""
+"""Parameter containers, grids, states, config parsing, and the record writer."""
+
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from qflab.model import (
     MGParams,
     SDEParams,
     StateVector,
+    _record,
     load_config,
     mg_cross_coef,
     mg_y_drift,
@@ -19,6 +22,7 @@ from qflab.model import (
     sample_extended_martingale_state,
     sample_martingale_state,
 )
+from qflab.vacuum import FieldPoint
 
 HERMITIAN_TOL = 1e-12
 GRID_UNIFORMITY_TOL = 1e-12
@@ -261,3 +265,54 @@ m_points = 61
         path = tmp_path / "sparse.cfg"
         path.write_text("\n# note\n\nr = 0.03\n")
         assert load_config(path) == {"r": 0.03}
+
+
+# anything that is not an integer (bools and integral floats included)
+NOT_INTEGERS = st.one_of(st.booleans(), st.floats(), st.text(max_size=3))
+SCALARS = st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=3))
+
+
+@given(order=NOT_INTEGERS, junk=SCALARS)
+@settings(max_examples=100, deadline=None)
+def test_constructors_refuse_ill_typed_input(order, junk):
+    axis = Grid1D(0.0, 1.0, 5)
+    market = MarketParams(r=0.05, sigma_sq=0.04)
+    for make in (
+        lambda: FieldPoint(1.0, n=order),
+        lambda: FieldPoint(1.0, 1.0, n=1, m=order),
+        lambda: Grid2D(junk, axis),
+        lambda: Grid2D(axis, junk),
+        lambda: Grid2D(axis, market),
+        lambda: SDEParams(0.1, base=junk),
+        lambda: SDEParams(0.1, base=axis),
+    ):
+        with pytest.raises(ValueError):
+            make()
+
+
+RECORD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(alphabet="abc XYZ-=.,_", max_size=8),
+    st.floats(allow_nan=False),
+    st.floats(allow_nan=False).map(np.float64),
+)
+
+
+@given(pairs=st.lists(st.tuples(st.from_regex(r"[a-z_]{1,8}", fullmatch=True), RECORD_VALUES)))
+@settings(max_examples=200, deadline=None)
+def test_record_lines(pairs):
+    kept = [(key, val) for key, val in pairs if val is not None]
+    lines = _record(pairs).split("\n")
+    assert lines.pop() == ""
+    assert len(lines) == len(kept)
+    for line, (key, val) in zip(lines, kept):
+        name, sep, cell = line.partition(" = ")
+        assert (name, sep) == (key, " = ")
+        if isinstance(val, float):
+            # shortest round-trip repr, bit for bit, the sign of -0.0 included
+            assert "np.float64(" not in cell
+            assert struct.pack("<d", float(cell)) == struct.pack("<d", val)
+        else:
+            assert cell == str(val)

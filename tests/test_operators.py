@@ -156,8 +156,14 @@ class TestBarriers:
             lambda: Potential.down_and_out(np.nan),
             lambda: Potential.double_knockout(np.nan, 0.75),
             lambda: Potential.double_knockout(0.25, np.nan),
+            lambda: Potential.down_and_out(np.inf),
+            lambda: Potential.down_and_out(-np.inf),
+            lambda: Potential.double_knockout(-np.inf, 0.75),
+            lambda: Potential.double_knockout(0.25, np.inf),
         ],
-        ids=["constant", "down_and_out", "double_knockout_lo", "double_knockout_hi"],
+        ids=["constant", "down_and_out", "double_knockout_lo", "double_knockout_hi",
+             "down_and_out_inf", "down_and_out_minus_inf", "double_knockout_minus_inf_lo",
+             "double_knockout_inf_hi"],
     )
     def test_nan_rejected(self, make):
         with pytest.raises(ValueError, match="NaN"):
