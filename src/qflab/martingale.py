@@ -70,9 +70,12 @@ def martingale_residual(
 
     The residual is measured on interior rows only (domain-edge rows use
     a different closure stencil and pinned rows are identically zero).
-    ``tol`` defaults to 10 h^2 max|state| with h the coarser spacing;
-    residual_l2 is the cell-weighted discrete L2 norm.
+    ``tol`` defaults to 10 h^2 max|state| with h the coarser spacing and
+    must otherwise be finite and non-negative; residual_l2 is the
+    cell-weighted discrete L2 norm.
     """
+    if tol is not None and not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if op.grid.size != state.grid.size:
         raise ValueError(
             f"operator size {op.grid.size} does not match state size {state.grid.size}"
@@ -130,7 +133,7 @@ def solve_extended_constraint(
     if np.sign(f_lo) == np.sign(f_hi):
         raise NoRootError(
             f"no sign change on bracket ({y_lo}, {y_hi}): "
-            f"f(y_lo)={f_lo!r}, f(y_hi)={f_hi!r}"
+            f"f(y_lo)={float(f_lo)!r}, f(y_hi)={float(f_hi)!r}"
         )
     # imported here, so that importing qflab does not load scipy.optimize
     from scipy.optimize import brentq

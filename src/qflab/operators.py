@@ -306,29 +306,59 @@ def build_mg_hamiltonian(p: MGParams, g: Grid2D) -> OperatorMatrix:
     full zeta^2 weight on the dyy term. Flattening is row-major, x outer.
     """
     nx, ny = g.shape
-    hx, hy = g.x_axis.h, g.y_axis.h
     y = g.y_axis.points
 
-    dx1 = _stencil(nx, hx, 1)
-    dx2 = _stencil(nx, hx, 2)
-    dy1 = _stencil(ny, hy, 1)
-    dy2 = _stencil(ny, hy, 2)
-    diag = sparse.diags
-
     # Each y coefficient is I_x (x) diag(c), and (I_x (x) diag(c))(A (x) B)
-    # is A (x) diag(c) B: grouped by their x factor, the terms make three
-    # Kronecker products, whose CSR forms and sum have sorted indices.
-    ey = np.exp(y)
-    y_of_dx2 = diag(-0.5 * ey)
-    y_of_dx1 = diag(-(p.r - 0.5 * ey)) - diag(mg_cross_coef(p, y)) @ dy1
-    y_of_ix = (
-        -diag(mg_y_drift(p, y)) @ dy1 - diag(mg_yy_coef(p, y)) @ dy2 + p.r * sparse.identity(ny)
-    )
-    a = (
-        sparse.kron(dx2, y_of_dx2, format="csr")
-        + sparse.kron(dx1, y_of_dx1, format="csr")
-        + sparse.kron(sparse.identity(nx), y_of_ix, format="csr")
-    )
+    # is A (x) diag(c) B, so the generator is dx2 (x) B2 + dx1 (x) B1 +
+    # I_x (x) B0 with y factors on the D2 pattern of y. Each entry is
+    # (T2 + T1) + T0, every term an x weight times a y entry, summed in the
+    # order of those three Kronecker products, so every bit matches them.
+    # An absent term is +-0.0 here, which leaves a nonzero sum unchanged,
+    # and exact zeros are dropped, as sparse sums and products drop them.
+    yptr, ycols = _stencil_pattern(ny)
+    yrows = np.repeat(np.arange(ny), np.diff(yptr))
+    on_diag = ycols == yrows
+    w1y = _stencil_weights(ny, g.y_axis.h, 1)
+    w2y = _stencil_weights(ny, g.y_axis.h, 2)
+    ey = np.exp(y)[yrows]
+    b2 = np.where(on_diag, -0.5 * ey, 0.0)
+    b1 = np.where(on_diag, -(p.r - 0.5 * ey), 0.0) - mg_cross_coef(p, y)[yrows] * w1y
+    b0 = (-mg_y_drift(p, y))[yrows] * w1y - mg_yy_coef(p, y)[yrows] * w2y
+    b0[on_diag] += p.r
+
+    xptr, xcols = _stencil_pattern(nx)
+    w1x = _stencil_weights(nx, g.x_axis.h, 1)
+    w2x = _stencil_weights(nx, g.x_axis.h, 2)
+
+    def block(i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Entries, columns and per-y-row counts of x row i's ny rows."""
+        s = slice(xptr[i], xptr[i + 1])
+        cx = xcols[s, None]
+        vals = (w2x[s, None] * b2 + w1x[s, None] * b1) + (cx == i) * b0
+        cols = cx * ny + ycols
+        rows = np.broadcast_to(yrows, vals.shape)
+        # ordered by (y row, x column, y column): sorted CSR rows
+        order = np.argsort((rows * cx.size + np.arange(cx.size)[:, None]).ravel(), kind="stable")
+        vals, cols, rows = (v.ravel()[order] for v in (vals, cols, rows))
+        keep = vals != 0.0
+        return vals[keep], cols[keep], np.bincount(rows[keep], minlength=ny)
+
+    # Every x row but the two edges holds x row 1's block, its columns
+    # shifted by ny per row: three blocks make the whole matrix.
+    (d0, c0, n0), (d1, c1, n1), (dl, cl, nl) = block(0), block(1), block(nx - 1)
+    reps = nx - 2
+    lo, hi = d0.size, d0.size + reps * d1.size
+    nnz = hi + dl.size
+    idx = np.int32 if max(nx * ny, nnz) <= np.iinfo(np.int32).max else np.int64
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=idx)
+    data[:lo], indices[:lo] = d0, c0
+    data[lo:hi].reshape(reps, d1.size)[:] = d1
+    np.add(c1, (ny * np.arange(reps))[:, None], out=indices[lo:hi].reshape(reps, d1.size))
+    data[hi:], indices[hi:] = dl, cl
+    indptr = np.zeros(nx * ny + 1, dtype=idx)
+    np.cumsum(np.concatenate((n0, np.tile(n1, reps), nl)), out=indptr[1:])
+    a = sparse.csr_matrix((data, indices, indptr), shape=(nx * ny, nx * ny))
     return OperatorMatrix(matrix=a, grid=g)
 
 

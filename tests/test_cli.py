@@ -159,6 +159,19 @@ class TestMartingaleCheck:
         assert code == 0
         assert read_kv(out)["verdict"] == "pass"
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_meaningless_tolerance_is_validation_error(self, tmp_path, capsys, tol):
+        out = tmp_path / "report.txt"
+        code = main([
+            "martingale-check", "--model", "bs", "--r", "0.05",
+            "--sigma-sq", "0.04", "--tol", tol, "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "error = validation" in err
+        assert f"tol must be finite and non-negative, got {float(tol)}" in err
+
 
 class TestConstraintSolve:
     def test_root_record(self, tmp_path):
@@ -184,6 +197,19 @@ class TestConstraintSolve:
         record = read_kv(out)
         assert record["error"] == "NoRootError"
         assert "sign" in record["message"]
+
+    def test_no_root_record_writes_plain_floats(self, tmp_path):
+        out = tmp_path / "root.txt"
+        code = main([
+            "constraint-solve", "--r", "0.05", "--lambda", "0.01", "--mu", "0.02",
+            "--zeta", "0.3", "--alpha", "1.5", "--rho", "-0.5",
+            "--bracket", "0", "1", "--out", str(out),
+        ])
+        assert code == 1
+        assert read_kv(out)["message"] == (
+            "no sign change on bracket (0.0, 1.0): "
+            "f(y_lo)=-0.075, f(y_hi)=-0.7114852538185372"
+        )
 
     def test_cli_import_leaves_root_finder_unloaded(self):
         # only constraint-solve needs scipy.optimize; it costs every other verb to load it

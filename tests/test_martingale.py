@@ -120,6 +120,20 @@ class TestResidual1D:
         )
         assert rep.tolerance == 0.5
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-300])
+    def test_meaningless_tolerance_refused(self, tol):
+        # NaN fails every residual and +inf passes any: neither is a check
+        g = Grid1D(-4.0, 4.0, 41)
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            martingale_residual(build_bs_hamiltonian(self.P, g), sample_martingale_state(g), tol=tol)
+
+    def test_zero_tolerance_allowed(self):
+        g = Grid1D(-4.0, 4.0, 41)
+        rep = martingale_residual(
+            build_bs_hamiltonian(self.P, g), sample_martingale_state(g), tol=0.0
+        )
+        assert rep.tolerance == 0.0 and rep.passed == (rep.residual_max == 0.0)
+
 
 class TestResidual2D:
     P = MGParams(r=0.05, lam=0.01, mu=-0.3, zeta=0.1, alpha=1.0, rho=-0.5)

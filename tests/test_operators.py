@@ -9,6 +9,7 @@ from scipy.linalg import eig, eigh
 
 from qflab.evolution import Payoff
 from qflab.model import Grid1D, Grid2D, MarketParams, MGParams, StateVector
+from qflab.model import mg_cross_coef, mg_y_drift, mg_yy_coef
 from qflab.model import sample_extended_martingale_state, sample_martingale_state
 from qflab.operators import (
     BOUNDARY_DIRICHLET,
@@ -475,6 +476,43 @@ class TestMGOperator:
         row_max = np.maximum.reduceat(np.abs(ref.data), ref.indptr[:-1])
         err = np.abs(got.data - ref.data) / np.repeat(row_max, np.diff(ref.indptr))
         assert err.max() <= 1e-13, f"entries moved by {err.max():.2e} of their row's largest"
+
+    @pytest.mark.parametrize("nx,ny", [(3, 3), (3, 7), (7, 3), (4, 5), (21, 11)])
+    @pytest.mark.parametrize("case", ["P", "alpha_1.5", "rho_0", "zeta_0_dx_coef_0_at_node"])
+    def test_matches_three_kron_form_exactly(self, nx, ny, case):
+        # the three Kronecker products, one per x factor, summed as sparse
+        # matrices: every index and every bit of every entry matches
+        g2 = Grid2D(Grid1D(-0.5, 0.5, nx), Grid1D(-3.6, -3.2, ny))
+        y = g2.y_axis.points
+        ey = np.exp(y)
+        p = {
+            "P": self.P,
+            "alpha_1.5": MGParams(r=0.03, lam=0.2, mu=0.1, zeta=0.4, alpha=1.5, rho=0.7),
+            # the cross term vanishes and its entries are dropped
+            "rho_0": MGParams(r=0.03, lam=0.2, mu=0.1, zeta=0.4, alpha=1.5, rho=0.0),
+            # the dx coefficient -(r - e^y/2) is an exact zero at one y node
+            "zeta_0_dx_coef_0_at_node": MGParams(
+                r=0.5 * float(ey[ny // 2]), lam=0.2, mu=0.1, zeta=0.0, alpha=1.0, rho=0.3
+            ),
+        }[case]
+        dx1, dx2 = (_stencil(nx, g2.x_axis.h, k) for k in (1, 2))
+        dy1, dy2 = (_stencil(ny, g2.y_axis.h, k) for k in (1, 2))
+        diag = sparse.diags
+        y_of_dx2 = diag(-0.5 * ey)
+        y_of_dx1 = diag(-(p.r - 0.5 * ey)) - diag(mg_cross_coef(p, y)) @ dy1
+        y_of_ix = (
+            -diag(mg_y_drift(p, y)) @ dy1 - diag(mg_yy_coef(p, y)) @ dy2 + p.r * sparse.identity(ny)
+        )
+        ref = (
+            sparse.kron(dx2, y_of_dx2, format="csr")
+            + sparse.kron(dx1, y_of_dx1, format="csr")
+            + sparse.kron(sparse.identity(nx), y_of_ix, format="csr")
+        )
+        got = build_mg_hamiltonian(p, g2).matrix
+        assert got.has_canonical_format
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64))
 
     def test_interior_mask_excludes_both_edges(self):
         g2 = Grid2D(Grid1D(0.0, 1.0, 5), Grid1D(0.0, 1.0, 4))
