@@ -349,7 +349,7 @@ def _run_evolve(args) -> None:
 
 def _run_simulate(args) -> None:
     # refuse an oversized CSV before simulating the ensemble
-    n_steps = _check_sizes(args.s0, args.t, args.dt, args.n_paths)
+    n_steps = _check_sizes(args.s0, args.t, args.dt, args.n_paths, args.seed)
     _check_rows(args.n_paths * (n_steps + 1), force=args.force_big)
     if args.model == "gbm":
         sp = SDEParams(expected_return=args.drift, base=_market_params(args))

@@ -22,8 +22,6 @@ from typing import Callable, Iterator, Mapping, Union
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import get_lapack_funcs
-from scipy.sparse.linalg import splu
 
 from .model import (
     Grid1D,
@@ -186,6 +184,10 @@ def _factor(
     ?gttrf/?gttrs factor the three diagonals read from H; any wider band
     (a free one-sided closure row, a 2D operator) gets a sparse LU.
     """
+    # imported here, so that a run that never steps loads neither solver
+    from scipy.linalg import get_lapack_funcs
+    from scipy.sparse.linalg import splu
+
     n = h.shape[0]
     rows = np.repeat(np.arange(n), np.diff(h.indptr))
     if np.all(np.abs(h.indices - rows)[(h.data != 0) & ~pinned[rows]] <= 1):

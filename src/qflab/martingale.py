@@ -13,7 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Grid1D, MGParams, SDEParams, StateVector, _record, mg_cross_coef, mg_yy_coef
+from .model import (
+    Grid1D,
+    MGParams,
+    SDEParams,
+    StateVector,
+    _integer,
+    _record,
+    mg_cross_coef,
+    mg_yy_coef,
+)
 from .operators import OperatorMatrix
 from .sde import simulate_gbm
 
@@ -178,7 +187,7 @@ def mc_martingale_check(
     SE. The draw shares simulate_gbm's counter-based substreams, so the
     result is identical under any worker decomposition.
     """
-    if n_paths < 1000:
+    if _integer(n_paths, "n_paths") < 1000:
         raise ValueError(f"need n_paths >= 1000, got {n_paths}")
     discounted_sp = SDEParams(sp.expected_return - sp.base.r, sp.base)
     discounted = simulate_gbm(discounted_sp, s0, T, T, n_paths, seed).terminal()

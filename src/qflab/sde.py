@@ -9,6 +9,7 @@ bit-identical no matter how the work is distributed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -21,11 +22,13 @@ from .model import (
     SDEParams,
     _affordable,
     _float_reprs,
+    _integer,
     _positive,
     _step_count,
 )
 
 PATH_BLOCK = 8192
+_CHUNK_VALUES = 2**17  # normals drawn per call: 1 MiB of float64
 CSV_ROW_GUARD = 2_000_000
 
 
@@ -52,20 +55,32 @@ class PathEnsemble:
 
 
 def _path_blocks(seed: int, n_paths: int, tail: tuple) -> Iterator[tuple[slice, np.ndarray]]:
-    """The rows of each block of PATH_BLOCK paths with its standard
-    normals, of shape (rows, *tail), from the Philox substream keyed by
-    (seed, first path index of the block)."""
+    """Consecutive row chunks of the standard normals of every block of
+    PATH_BLOCK paths, as (rows, z) with z of shape (rows, *tail).
+
+    A block draws from the Philox substream keyed by (seed, first path
+    index of the block); its chunks come from that one generator in row
+    order, so they hold exactly the values one draw of the whole block
+    would. A chunk holds at most _CHUNK_VALUES normals (but at least one
+    row) and is drawn into one buffer that the next chunk overwrites.
+    """
+    chunk = min(max(1, _CHUNK_VALUES // math.prod(tail)), PATH_BLOCK, n_paths)
+    buf = np.empty((chunk, *tail))
     for start in range(0, n_paths, PATH_BLOCK):
         stop = min(start + PATH_BLOCK, n_paths)
         gen = np.random.Generator(np.random.Philox(key=[int(seed), start]))
-        yield slice(start, stop), gen.standard_normal((stop - start, *tail))
+        for lo in range(start, stop, chunk):
+            hi = min(lo + chunk, stop)
+            yield slice(lo, hi), gen.standard_normal(out=buf[: hi - lo])
 
 
-def _check_sizes(s0: float, T: float, dt: float, n_paths: int) -> int:
-    """The step count of an ensemble, refusing a bad start or size."""
+def _check_sizes(s0: float, T: float, dt: float, n_paths: int, seed: int) -> int:
+    """The step count of an ensemble, refusing a bad start, size or seed."""
     _positive(s0, "s0")
-    if n_paths < 1:
+    if _integer(n_paths, "n_paths") < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
+    if not 0 <= _integer(seed, "seed") < 2**63:
+        raise ValueError(f"seed must lie in [0, 2**63), got {seed}")
     return _step_count(T, dt)
 
 
@@ -93,7 +108,7 @@ def simulate_gbm(
     base = sp.base
     if not isinstance(base, MarketParams):
         raise ValueError("simulate_gbm needs a constant-volatility base")
-    n_steps = _check_sizes(s0, T, dt, n_paths)
+    n_steps = _check_sizes(s0, T, dt, n_paths, seed)
     dt_eff = T / n_steps
     sig = np.sqrt(base.sigma_sq)
     drift = (sp.expected_return - 0.5 * base.sigma_sq) * dt_eff
@@ -131,7 +146,7 @@ def simulate_mg(
     if not np.isfinite(drift):
         raise ValueError(f"drift must be finite, got {drift}")
     _positive(v0, "v0")
-    n_steps = _check_sizes(s0, T, dt, n_paths)
+    n_steps = _check_sizes(s0, T, dt, n_paths, seed)
     dt_eff = T / n_steps
     sq_dt = np.sqrt(dt_eff)
     rho_perp = np.sqrt(1.0 - p.rho**2)

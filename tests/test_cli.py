@@ -217,6 +217,42 @@ class TestConstraintSolve:
         env = {"PYTHONPATH": str(Path(qflab.cli.__file__).parents[1])}
         assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
+    def test_runs_that_never_step_leave_solvers_unloaded(self, tmp_path):
+        # LAPACK's tridiagonal solver and SuperLU load on the first
+        # factorization: martingale-check and simulate never make one
+        code = f"""
+import sys
+from qflab.cli import main
+def loaded():
+    return sorted(m for m in ("scipy.linalg", "scipy.sparse.linalg") if m in sys.modules)
+print(loaded())
+mg = ["--r", "0.05", "--lambda", "0.01", "--mu", "-0.3", "--zeta", "0.1", "--alpha", "1.0",
+      "--rho", "-0.5"]
+for argv in (
+    ["martingale-check", "--model", "bs", "--r", "0.05", "--sigma-sq", "0.04"],
+    ["martingale-check", "--model", "mg", *mg, "--x-min", "-1", "--x-max", "1",
+     "--n-points", "21", "--y-min", "-4", "--y-max", "-3", "--m-points", "11"],
+    ["simulate", "--model", "gbm", "--r", "0.05", "--sigma-sq", "0.04", "--drift", "0.05",
+     "--s0", "100", "--t", "1", "--dt", "0.25", "--n-paths", "10"],
+    ["simulate", "--model", "mg", *mg, "--drift", "0.05", "--s0", "100", "--v0", "0.04",
+     "--t", "1", "--dt", "0.25", "--n-paths", "10"],
+):
+    assert main([*argv, "--out", {str(tmp_path / "out.txt")!r}]) == 0, argv
+print(loaded())
+assert main(["price", "--payoff", "call", "--strike", "100", "--r", "0.05", "--sigma-sq",
+             "0.04", "--t", "1", "--x-min", "3.6", "--x-max", "5.6", "--n-points", "41",
+             "--out", {str(tmp_path / "curve.csv")!r}]) == 0
+print(loaded())
+"""
+        env = {"PYTHONPATH": str(Path(qflab.cli.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        # martingale-check also prints its verdict line: keep the module lists
+        assert [ln for ln in run.stdout.splitlines() if ln.startswith("[")] == [
+            "[]", "[]", "['scipy.linalg', 'scipy.sparse.linalg']"
+        ]
+
 
 class TestPrice:
     def test_call_curve(self, tmp_path):
@@ -539,6 +575,22 @@ class TestExitCodes:
         out = tmp_path / "x.out"
         assert main([*argv, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "9223372036854775808", "99999999999999999999999"])
+    @pytest.mark.parametrize("model", ["gbm", "mg"])
+    def test_seed_outside_philox_keys_is_validation_error(self, tmp_path, capsys, model, seed):
+        out = tmp_path / "x.out"
+        argv = ["simulate", "--model", model, "--r", "0.05", "--drift", "0.05", "--s0", "100",
+                "--t", "0.1", "--dt", "0.05", "--n-paths", "2", "--seed", seed,
+                "--out", str(out)]
+        if model == "gbm":
+            argv += ["--sigma-sq", "0.04"]
+        else:
+            argv += ["--lambda", "0.01", "--mu", "-0.5", "--zeta", "0.1", "--alpha", "1.0",
+                     "--rho", "0.7", "--v0", "0.04"]
+        assert main(argv) == 2
+        assert "seed must lie in [0, 2**63)" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--width", "0"), ("--width", "-0.2"),

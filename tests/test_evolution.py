@@ -32,6 +32,7 @@ from qflab.operators import (
     build_effective_bs,
     build_mg_hamiltonian,
 )
+import scipy.sparse.linalg
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
@@ -235,7 +236,7 @@ def splu_calls(monkeypatch):
         calls.append(a.shape)
         return splu(a)
 
-    monkeypatch.setattr(qflab.evolution, "splu", counting_splu)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     return calls
 
 

@@ -253,6 +253,13 @@ class TestMCCheck:
         with pytest.raises(ValueError):
             mc_martingale_check(sp, 100.0, 1.0, 999, 1)
 
+    @pytest.mark.parametrize("n_paths,seed", [(2000.5, 1), (True, 1), (2000, 1.5), (2000, -1),
+                                              (2000, 2**63), (2000, 10**23), (2000, False)])
+    def test_non_integer_count_or_seed_refused(self, n_paths, seed):
+        sp = SDEParams(expected_return=0.05, base=self.BASE)
+        with pytest.raises(ValueError, match="n_paths|seed"):
+            mc_martingale_check(sp, 100.0, 1.0, n_paths, seed)
+
     def test_zero_volatility_statistic_is_exact_zero(self):
         sp = SDEParams(expected_return=0.05, base=MarketParams(r=0.05, sigma_sq=0.0))
         stat, se = mc_martingale_check(sp, 100.0, 1.0, 2000, 1)

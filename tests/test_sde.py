@@ -4,11 +4,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import qflab.sde
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflab.model import MarketParams, MGParams, SDEParams, _float_reprs
-from qflab.sde import PathEnsemble, export_csv, simulate_gbm, simulate_mg
+from qflab.sde import (
+    _CHUNK_VALUES,
+    PATH_BLOCK,
+    PathEnsemble,
+    export_csv,
+    simulate_gbm,
+    simulate_mg,
+)
 
 ODE_LIMIT_TOL = 5e-6
 SE_FACTOR = 3.5
@@ -73,6 +81,28 @@ class TestShapes:
         with pytest.raises(ValueError):
             simulate_mg(MG, drift, 100.0, v0, 1.0, 0.01, 10, seed=1)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**63, 10**23, True, "1", None])
+    @pytest.mark.parametrize("model", ["gbm", "mg"])
+    def test_seed_outside_philox_keys_refused(self, model, seed):
+        with pytest.raises(ValueError, match="seed"):
+            if model == "gbm":
+                simulate_gbm(SP, 100.0, 1.0, 0.1, 10, seed=seed)
+            else:
+                simulate_mg(MG, 0.05, 100.0, 0.04, 1.0, 0.1, 10, seed=seed)
+
+    @pytest.mark.parametrize("n_paths", [2.5, True, 10.0, "10"])
+    @pytest.mark.parametrize("model", ["gbm", "mg"])
+    def test_non_integer_path_count_refused(self, model, n_paths):
+        with pytest.raises(ValueError, match="n_paths"):
+            if model == "gbm":
+                simulate_gbm(SP, 100.0, 1.0, 0.1, n_paths, seed=1)
+            else:
+                simulate_mg(MG, 0.05, 100.0, 0.04, 1.0, 0.1, n_paths, seed=1)
+
+    def test_widest_seed_and_numpy_integers_accepted(self):
+        ens = simulate_gbm(SP, 100.0, 1.0, 0.5, np.int64(3), seed=np.uint64(2**63 - 1))
+        assert ens.paths.shape == (3, 3) and ens.seed == 2**63 - 1
+
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
@@ -102,6 +132,82 @@ class TestDeterminism:
         b = simulate_mg(MG, 0.05, 100.0, 0.04, 0.5, 0.01, 500, seed=5)
         assert np.array_equal(a.paths, b.paths)
         assert np.array_equal(a.v_paths, b.v_paths)
+
+
+def _whole_block_draws(seed, n_paths, tail):
+    """The reference stream: each block of PATH_BLOCK paths drawn by one
+    ``standard_normal`` call from its (seed, first path) Philox key."""
+    for start in range(0, n_paths, PATH_BLOCK):
+        stop = min(start + PATH_BLOCK, n_paths)
+        gen = np.random.Generator(np.random.Philox(key=[int(seed), start]))
+        yield slice(start, stop), gen.standard_normal((stop - start, *tail))
+
+
+def _simulate(model, n_steps, n_paths, seed):
+    if model == "gbm":
+        ens = simulate_gbm(SP, 100.0, 1.0, 1.0 / n_steps, n_paths, seed)
+        return (ens.paths,)
+    ens = simulate_mg(MG, 0.05, 100.0, 0.04, 1.0, 1.0 / n_steps, n_paths, seed)
+    return ens.paths, ens.v_paths
+
+
+class TestChunkedDraws:
+    """Normals are drawn in chunks of at most _CHUNK_VALUES values, and
+    the paths are bit for bit those of one draw per 8192-path block."""
+
+    @pytest.mark.parametrize(
+        "model,n_paths,n_steps,budget",
+        [
+            ("gbm", PATH_BLOCK + 1000, 100, None),  # 1310-row chunks: ragged in both blocks
+            ("mg", PATH_BLOCK + 1000, 50, None),
+            ("gbm", 3, _CHUNK_VALUES + 3, None),  # one path exceeds the budget: 1-row chunks
+            ("mg", 3, 40, 64),  # 80 normals a path against a budget of 64
+            ("gbm", 1, 1, None),
+        ],
+    )
+    def test_paths_match_whole_block_draws(self, monkeypatch, model, n_paths, n_steps, budget):
+        if budget is not None:
+            monkeypatch.setattr(qflab.sde, "_CHUNK_VALUES", budget)
+        chunked = _simulate(model, n_steps, n_paths, seed=11)
+        monkeypatch.setattr(qflab.sde, "_path_blocks", _whole_block_draws)
+        whole = _simulate(model, n_steps, n_paths, seed=11)
+        for a, b in zip(chunked, whole):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "n_paths,tail", [(PATH_BLOCK + 1000, (100,)), (PATH_BLOCK + 5, (50, 2)), (3, (2**18,))]
+    )
+    def test_chunks_are_bounded_and_tile_the_rows(self, n_paths, tail):
+        rows, draws = [], []
+        for r, z in qflab.sde._path_blocks(4, n_paths, tail):
+            assert z.shape == (r.stop - r.start, *tail)
+            assert z.shape[0] == 1 or z.size <= _CHUNK_VALUES
+            rows.append(r)
+            draws.append(z.copy())  # the next chunk overwrites this one
+        assert [r.start for r in rows] == [0] + [r.stop for r in rows[:-1]]
+        assert rows[-1].stop == n_paths
+        whole = np.concatenate([z for _, z in _whole_block_draws(4, n_paths, tail)])
+        assert np.concatenate(draws).tobytes() == whole.tobytes()
+
+
+class TestSimulationMemory:
+    """The traced peak of a simulation is its output tables plus a
+    bounded chunk of normals and the step temporaries."""
+
+    SLACK = 4_000_000
+
+    @pytest.mark.parametrize("model,n_steps", [("gbm", 100), ("mg", 50)])
+    def test_peak_is_tables_plus_bounded_draws(self, model, n_steps):
+        tracemalloc.start()
+        try:
+            tables = _simulate(model, n_steps, 10_000, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table_bytes = sum(t.nbytes for t in tables)
+        assert peak - table_bytes <= self.SLACK, (
+            f"peak {peak / 1e6:.1f} MB for {table_bytes / 1e6:.1f} MB of tables"
+        )
 
 
 class TestGBMDistribution:
