@@ -156,16 +156,22 @@ def simulate_mg(
         v_paths = np.empty((n_paths, n_steps + 1))
     s_paths[:, 0] = s0
     v_paths[:, 0] = v0
+    # each step's normals wait in the cells its results overwrite (z1 in
+    # the price table, z2 in the variance table), so a whole block steps
+    # in lockstep however small the chunks it was drawn in
     for rows, z in _path_blocks(seed, n_paths, (n_steps, 2)):
-        z1 = z[:, :, 0]
-        z2 = p.rho * z1 + rho_perp * z[:, :, 1]
-        x = np.full(z.shape[0], np.log(s0))
-        v = np.full(z.shape[0], float(v0))
-        for k in range(n_steps):
-            x = x + (drift - 0.5 * v) * dt_eff + np.sqrt(v) * sq_dt * z1[:, k]
-            v = np.abs(v + (p.lam + p.mu * v) * dt_eff + p.zeta * v**p.alpha * sq_dt * z2[:, k])
-            s_paths[rows, k + 1] = np.exp(x)
-            v_paths[rows, k + 1] = v
+        s_paths[rows, 1:] = z[:, :, 0]
+        v_paths[rows, 1:] = p.rho * z[:, :, 0] + rho_perp * z[:, :, 1]
+    for start in range(0, n_paths, PATH_BLOCK):
+        rows = slice(start, min(start + PATH_BLOCK, n_paths))
+        s_block, v_block = s_paths[rows], v_paths[rows]
+        x = np.full(s_block.shape[0], np.log(s0))
+        v = np.full(s_block.shape[0], float(v0))
+        for k in range(1, n_steps + 1):
+            x = x + (drift - 0.5 * v) * dt_eff + np.sqrt(v) * sq_dt * s_block[:, k]
+            v = np.abs(v + (p.lam + p.mu * v) * dt_eff + p.zeta * v**p.alpha * sq_dt * v_block[:, k])
+            s_block[:, k] = np.exp(x)
+            v_block[:, k] = v
     return PathEnsemble(paths=s_paths, dt=dt_eff, seed=int(seed), v_paths=v_paths)
 
 

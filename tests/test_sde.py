@@ -81,23 +81,18 @@ class TestShapes:
         with pytest.raises(ValueError):
             simulate_mg(MG, drift, 100.0, v0, 1.0, 0.01, 10, seed=1)
 
-    @pytest.mark.parametrize("seed", [1.5, -1, 2**63, 10**23, True, "1", None])
+    @pytest.mark.parametrize(
+        "n_paths,seed",
+        [(2.5, 1), (True, 1), (10.0, 1), ("10", 1), (10, 1.5), (10, -1), (10, 2**63),
+         (10, 10**23), (10, True), (10, "1"), (10, None)],
+    )
     @pytest.mark.parametrize("model", ["gbm", "mg"])
-    def test_seed_outside_philox_keys_refused(self, model, seed):
-        with pytest.raises(ValueError, match="seed"):
+    def test_non_integer_count_or_seed_outside_philox_keys_refused(self, model, n_paths, seed):
+        with pytest.raises(ValueError, match="n_paths|seed"):
             if model == "gbm":
-                simulate_gbm(SP, 100.0, 1.0, 0.1, 10, seed=seed)
+                simulate_gbm(SP, 100.0, 1.0, 0.1, n_paths, seed)
             else:
-                simulate_mg(MG, 0.05, 100.0, 0.04, 1.0, 0.1, 10, seed=seed)
-
-    @pytest.mark.parametrize("n_paths", [2.5, True, 10.0, "10"])
-    @pytest.mark.parametrize("model", ["gbm", "mg"])
-    def test_non_integer_path_count_refused(self, model, n_paths):
-        with pytest.raises(ValueError, match="n_paths"):
-            if model == "gbm":
-                simulate_gbm(SP, 100.0, 1.0, 0.1, n_paths, seed=1)
-            else:
-                simulate_mg(MG, 0.05, 100.0, 0.04, 1.0, 0.1, n_paths, seed=1)
+                simulate_mg(MG, 0.05, 100.0, 0.04, 1.0, 0.1, n_paths, seed)
 
     def test_widest_seed_and_numpy_integers_accepted(self):
         ens = simulate_gbm(SP, 100.0, 1.0, 0.5, np.int64(3), seed=np.uint64(2**63 - 1))
