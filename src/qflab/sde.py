@@ -158,7 +158,8 @@ def simulate_mg(
     v_paths[:, 0] = v0
     # each step's normals wait in the cells its results overwrite (z1 in
     # the price table, z2 in the variance table), so a whole block steps
-    # in lockstep however small the chunks it was drawn in
+    # in lockstep however small the chunks it was drawn in; stepping a
+    # block, not the ensemble, keeps the step temporaries at PATH_BLOCK
     for rows, z in _path_blocks(seed, n_paths, (n_steps, 2)):
         s_paths[rows, 1:] = z[:, :, 0]
         v_paths[rows, 1:] = p.rho * z[:, :, 0] + rho_perp * z[:, :, 1]
@@ -168,8 +169,9 @@ def simulate_mg(
         x = np.full(s_block.shape[0], np.log(s0))
         v = np.full(s_block.shape[0], float(v0))
         for k in range(1, n_steps + 1):
-            x = x + (drift - 0.5 * v) * dt_eff + np.sqrt(v) * sq_dt * s_block[:, k]
-            v = np.abs(v + (p.lam + p.mu * v) * dt_eff + p.zeta * v**p.alpha * sq_dt * v_block[:, k])
+            z1, z2 = s_block[:, k], v_block[:, k]
+            x = x + (drift - 0.5 * v) * dt_eff + np.sqrt(v) * sq_dt * z1
+            v = np.abs(v + (p.lam + p.mu * v) * dt_eff + p.zeta * v**p.alpha * sq_dt * z2)
             s_block[:, k] = np.exp(x)
             v_block[:, k] = v
     return PathEnsemble(paths=s_paths, dt=dt_eff, seed=int(seed), v_paths=v_paths)
