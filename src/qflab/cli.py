@@ -242,11 +242,7 @@ def _curve_csv(xs: np.ndarray, values: np.ndarray, header: str = "x,value") -> s
 
 def _run_bs_vacuum(args) -> None:
     p = _market_params(args)
-    sol = _BS_FAMILIES[args.family](p, args.n)
-    lines = ["index,phi"]
-    for k, pt in enumerate(sol.roots):
-        lines.append(f"{k},{float(pt.phi_x)!r}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    Path(args.out).write_text(_BS_FAMILIES[args.family](p, args.n).to_csv())
 
 
 def _run_mg_vacuum(args) -> None:

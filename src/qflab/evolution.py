@@ -32,6 +32,7 @@ from .model import (
     _float_reprs,
     _integer,
     _positive,
+    _real,
     _step_count,
 )
 from .operators import (
@@ -79,7 +80,7 @@ class EvolutionConfig:
 
 
 def _checked_strike(strike: float) -> float:
-    if not (np.isfinite(strike) and strike >= 0.0):
+    if not (np.isfinite(_real(strike, "strike")) and strike >= 0.0):
         raise ValueError(f"strike must be finite and nonnegative, got {strike}")
     return float(strike)
 
@@ -167,12 +168,6 @@ class FlowReport:
 
 
 BoundarySpec = Mapping[int, Union[float, Callable[[float], float]]]
-
-
-def _cell_volume(op: OperatorMatrix) -> float:
-    if isinstance(op.grid, Grid1D):
-        return op.grid.h
-    return op.grid.x_axis.h * op.grid.y_axis.h
 
 
 def _factor(
@@ -308,7 +303,7 @@ def evolve(
     with _affordable(cfg.n_steps, f"a flow series of 2 x {cfg.n_steps + 1} values"):
         mass_arr, norm_arr = np.empty((2, cfg.n_steps + 1))
 
-    cell = _cell_volume(op)
+    cell = op.grid.cell
     psi0 = state.values.astype(complex) if unitary else state.values.astype(float)
     steps = _cn_run(op.matrix, psi0, cfg.dt, unitary, pinned_idx, pin_values)
     for k, psi in enumerate(chain([psi0], steps)):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    Grid1D,
     MGParams,
     SDEParams,
     StateVector,
@@ -89,13 +88,7 @@ def martingale_residual(
         raise ValueError(
             f"operator size {op.grid.size} does not match state size {state.grid.size}"
         )
-    if isinstance(op.grid, Grid1D):
-        h = op.grid.h
-        cell = h
-    else:
-        hx, hy = op.grid.x_axis.h, op.grid.y_axis.h
-        h = max(hx, hy)
-        cell = hx * hy
+    h, cell = op.grid.h, op.grid.cell
     if tol is None:
         tol = default_tolerance(h, state)
 

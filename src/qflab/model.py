@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterator, Union
 
@@ -53,9 +53,9 @@ class MarketParams:
     sigma_sq: float
 
     def __post_init__(self) -> None:
-        if not self.r > 0.0:
+        if not _real(self.r, "r") > 0.0:
             raise ValueError(f"spot rate must be positive, got r={self.r}")
-        if self.sigma_sq < 0.0:
+        if _real(self.sigma_sq, "sigma_sq") < 0.0:
             raise ValueError(
                 f"squared volatility must be nonnegative, got sigma_sq={self.sigma_sq}"
             )
@@ -104,13 +104,15 @@ class MGParams:
     rho: float
 
     def __post_init__(self) -> None:
-        if not self.r > 0.0:
+        if not _real(self.r, "r") > 0.0:
             raise ValueError(f"spot rate must be positive, got r={self.r}")
-        if self.zeta < 0.0:
+        if _real(self.zeta, "zeta") < 0.0:
             raise ValueError(f"zeta must be nonnegative, got zeta={self.zeta}")
-        if not -1.0 <= self.rho <= 1.0:
+        if not -1.0 <= _real(self.rho, "rho") <= 1.0:
             raise ValueError(f"rho must lie in [-1, 1], got rho={self.rho}")
-        bad = [f.name for f in fields(self) if not np.isfinite(getattr(self, f.name))]
+        bad = [
+            f.name for f in fields(self) if not np.isfinite(_real(getattr(self, f.name), f.name))
+        ]
         if bad:
             raise ValueError(f"volatility parameters must be finite, got non-finite {bad}")
 
@@ -129,7 +131,7 @@ class SDEParams:
     base: Union[MarketParams, MGParams]
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.expected_return):
+        if not np.isfinite(_real(self.expected_return, "expected_return")):
             raise ValueError(
                 f"expected return must be finite, got expected_return={self.expected_return}"
             )
@@ -150,7 +152,7 @@ class Grid1D:
     n_points: int
 
     def __post_init__(self) -> None:
-        if not self.x_min < self.x_max:
+        if not _real(self.x_min, "x_min") < _real(self.x_max, "x_max"):
             raise ValueError(
                 f"invalid grid: need x_min < x_max, got [{self.x_min}, {self.x_max}]"
             )
@@ -165,6 +167,11 @@ class Grid1D:
     def h(self) -> float:
         """Lattice spacing (x_max - x_min) / (n_points - 1)."""
         return (self.x_max - self.x_min) / (self.n_points - 1)
+
+    @property
+    def cell(self) -> float:
+        """Length of one lattice cell, the spacing h."""
+        return self.h
 
     @property
     def points(self) -> np.ndarray:
@@ -198,8 +205,15 @@ class Grid2D:
     def shape(self) -> tuple[int, int]:
         return (self.x_axis.n_points, self.y_axis.n_points)
 
-    def flat_index(self, i: int, j: int) -> int:
-        return i * self.y_axis.n_points + j
+    @property
+    def h(self) -> float:
+        """The coarser of the two axis spacings."""
+        return max(self.x_axis.h, self.y_axis.h)
+
+    @property
+    def cell(self) -> float:
+        """Area of one lattice cell, hx * hy."""
+        return self.x_axis.h * self.y_axis.h
 
 
 @dataclass(frozen=True)
@@ -246,9 +260,16 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _real(value, name: str) -> float:
+    """``value`` if it is a real number, numpy's included; refuses bools and all else."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _positive(value: float, name: str) -> float:
-    """``value`` as a float; refuses NaN, infinities and values <= 0."""
-    if not np.isfinite(value):
+    """``value`` as a float; refuses NaN, infinities, values <= 0 and non-numbers."""
+    if not np.isfinite(_real(value, name)):
         raise ValueError(f"{name} must be finite, got {value}")
     if not value > 0.0:
         raise ValueError(f"{name} must be positive, got {value}")
@@ -257,9 +278,13 @@ def _positive(value: float, name: str) -> float:
 
 def _finite_table(values, what: str) -> np.ndarray:
     """``values`` as a 1-D float array; refuses any other shape and NaN or infinite entries."""
-    table = np.asarray(values, dtype=float)
+    refused = ValueError(f"{what} must be a 1-D table of finite values")
+    try:
+        table = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise refused from None
     if table.ndim != 1 or not np.all(np.isfinite(table)):
-        raise ValueError(f"{what} must be a 1-D table of finite values")
+        raise refused
     return table
 
 

@@ -23,6 +23,7 @@ from .model import (
     MGParams,
     StateVector,
     _finite_table,
+    _real,
     mg_cross_coef,
     mg_y_drift,
     mg_yy_coef,
@@ -61,19 +62,19 @@ class Potential:
 
     @classmethod
     def constant(cls, value: float) -> "Potential":
-        if not np.isfinite(value):
+        if not np.isfinite(_real(value, "constant potential")):
             raise ValueError(f"constant potential must not be NaN or infinite, got {value}")
         return cls(kind=KIND_CONSTANT, value=float(value))
 
     @classmethod
     def down_and_out(cls, level: float) -> "Potential":
-        if not np.isfinite(level):
+        if not np.isfinite(_real(level, "down-and-out level")):
             raise ValueError(f"down-and-out level must not be NaN or infinite, got {level}")
         return cls(kind=KIND_DOWN_AND_OUT, level=float(level))
 
     @classmethod
     def double_knockout(cls, lo: float, hi: float) -> "Potential":
-        if not (np.isfinite(lo) and np.isfinite(hi)):
+        if not (np.isfinite(_real(lo, "lo")) and np.isfinite(_real(hi, "hi"))):
             raise ValueError(f"double knockout bounds must not be NaN or infinite: {lo}, {hi}")
         if lo >= hi:
             raise ValueError(f"double knockout needs lo < hi, got lo={lo}, hi={hi}")
@@ -147,18 +148,6 @@ class OperatorMatrix:
             keep2[1:-1, 1:-1] = True
             keep = keep2.reshape(-1)
         return keep & ~self.dirichlet_mask
-
-    def to_coo_text(self) -> str:
-        """Coordinate-list export: one 'row col value' line per entry,
-        row-major order, round-trip float formatting."""
-        coo = self.matrix.tocoo()
-        coo.sum_duplicates()
-        order = np.lexsort((coo.col, coo.row))
-        lines = [
-            f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}"
-            for k in order
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .model import MarketParams, MGParams, _integer, _record, mg_cross_coef, mg_y_drift, mg_yy_coef
+from .model import (
+    MarketParams, MGParams, _integer, _real, _record, mg_cross_coef, mg_y_drift, mg_yy_coef
+)
 
 FLAG_TOL = 1e-12
 
@@ -61,10 +64,9 @@ class FieldPoint:
     m: int | None = None
 
     def __post_init__(self) -> None:
-        for name, order in (("n", self.n), ("m", 0 if self.m is None else self.m)):
-            if _integer(order, f"order {name}") < 0:
-                raise ValueError(f"order {name} must be >= 0, got {order}")
-        if any(v is not None and not np.isfinite(v) for v in (self.phi_x, self.phi_y)):
+        _orders(self.n, self.m)
+        values = (self.phi_x, self.phi_y)
+        if any(v is not None and not np.isfinite(_real(v, "field value")) for v in values):
             raise ValueError(f"field values must be finite, got {self.phi_x}, {self.phi_y}")
 
 
@@ -120,17 +122,27 @@ class VacuumSolution:
         ])
 
     def to_csv(self) -> str:
-        """One root per row for sweep plotting."""
-        lines = ["index,phi_x,phi_y"]
+        """One root per row for sweep plotting: ``index,phi`` for a
+        one-field solution (``m`` None), ``index,phi_x,phi_y`` otherwise."""
+        one_field = self.m is None
+        lines = ["index,phi" if one_field else "index,phi_x,phi_y"]
         for k, pt in enumerate(self.roots):
-            py = "" if pt.phi_y is None and self.m is None else _cell(pt.phi_y)
-            lines.append(f"{k},{_cell(pt.phi_x)},{py}")
+            cells = (pt.phi_x,) if one_field else (pt.phi_x, pt.phi_y)
+            lines.append(",".join([str(k), *map(_cell, cells)]))
         return "\n".join(lines) + "\n"
 
 
 def _cell(v: float | None) -> str:
     """A root's field value as written: "free" when unconstrained."""
     return "free" if v is None else repr(float(v))
+
+
+def _orders(n: int, m: int | None) -> None:
+    """Refuse expansion orders that are not integers >= 0 (bools
+    included); ``m`` may be None for a one-field point."""
+    for name, order in (("n", n), ("m", m)):
+        if order is not None and _integer(order, f"order {name}") < 0:
+            raise ValueError(f"order {name} must be >= 0, got {order}")
 
 
 @dataclass(frozen=True)
@@ -188,8 +200,7 @@ def bs_potential_residual(p: MarketParams, n: int, phi: float) -> float:
 
     -(sigma_sq/2) n(n-1) phi^{n-2} + (sigma_sq/2 - r) n phi^{n-1} + r phi^n
     """
-    if n < 0:
-        raise ValueError(f"order n must be >= 0, got {n}")
+    _orders(n, None)
     half = 0.5 * p.sigma_sq
     t1 = _term(-half * n * (n - 1), phi, n - 2, "diffusion")
     t2 = _term((half - p.r) * n, phi, n - 1, "drift")
@@ -216,32 +227,46 @@ def _quadratic_real_roots(a: float, b: float, c: float) -> tuple[list[float], bo
     return ([float(r1), float(r2)], False)
 
 
-def _bs_solution(
-    roots: list[float],
+def _solution(
     regime: str,
     n: int,
-    approximate: bool,
-    no_real: bool = False,
-    divided_out: float | None = None,
-    notes: tuple[str, ...] = (),
+    m: int | None,
+    roots: Iterable[FieldPoint] = (),
+    *,
+    x_is_scale: bool = False,
+    **fields,
 ) -> VacuumSolution:
-    uniq: list[float] = []
-    for r in roots:
-        if not any(r == u for u in uniq):
-            uniq.append(r)
-    pts = tuple(FieldPoint(phi_x=r, n=n) for r in uniq)
-    nontrivial = sum(1 for r in uniq if r != 0.0)
+    """The solution of every family: its degeneracy and symmetry verdicts
+    follow from its roots by one rule.
+
+    Equal roots are kept once (0.0 equals -0.0). A translation symmetry
+    is broken when some root leaves its field nonzero or unconstrained;
+    a curve (a ``relation``) breaks both, no real solution leaves both
+    verdicts None, and a one-field solution (``m`` None) has no
+    volatility verdict. Degeneracy counts the roots with a nonzero
+    solved field; ``x_is_scale`` marks phi_x as a scale the caller set
+    rather than a solved value. The orders must be integers >= 0.
+    """
+    _orders(n, m)
+    roots = tuple(dict.fromkeys(roots))
+    if fields.get("relation") is not None:
+        price = vol = True
+    elif fields.get("no_real_solution"):
+        price = vol = None
+    else:
+        price = any(pt.phi_x is None or pt.phi_x != 0.0 for pt in roots)
+        vol = any(pt.phi_y is None or pt.phi_y != 0.0 for pt in roots)
+
+    def solved_nonzero(pt: FieldPoint) -> bool:
+        solved = (pt.phi_y,) if x_is_scale else (pt.phi_x, pt.phi_y)
+        return any(v is not None and v != 0.0 for v in solved)
+
     return VacuumSolution(
-        roots=pts,
-        regime=regime,
-        n=n,
-        degeneracy=nontrivial,
-        price_translation_broken=any(r != 0.0 for r in uniq) if not no_real else None,
-        volatility_translation_broken=None,
-        approximate=approximate,
-        no_real_solution=no_real,
-        divided_out_trivial=divided_out,
-        notes=notes,
+        roots=roots, regime=regime, n=n, m=m,
+        degeneracy=sum(1 for pt in roots if solved_nonzero(pt)),
+        price_translation_broken=price,
+        volatility_translation_broken=None if m is None else vol,
+        **fields,
     )
 
 
@@ -261,22 +286,16 @@ def bs_vacuum_exact(p: MarketParams, n: int) -> VacuumSolution:
     """
     if n < 1:
         raise ValueError(f"order n must be >= 1, got {n}")
+    notes: tuple[str, ...] = ()
     if n == 1:
-        nontrivial = 1.0 - p.sigma_sq / (2.0 * p.r)
-        return _bs_solution(
-            [0.0, float(nontrivial)],
-            REGIME_EXACT,
-            n,
-            approximate=False,
-            notes=("root 0.0 is the multiplied-in trivial branch",),
-        )
-    a = p.r
-    b = (0.5 * p.sigma_sq - p.r) * n
-    c = -0.5 * p.sigma_sq * n * (n - 1)
-    roots, no_real = _quadratic_real_roots(a, b, c)
-    divided_out = 0.0 if n >= 3 else None
-    return _bs_solution(
-        roots, REGIME_EXACT, n, approximate=False, no_real=no_real, divided_out=divided_out
+        roots, no_real = [0.0, float(1.0 - p.sigma_sq / (2.0 * p.r))], False
+        notes = ("root 0.0 is the multiplied-in trivial branch",)
+    else:
+        b = (0.5 * p.sigma_sq - p.r) * n
+        roots, no_real = _quadratic_real_roots(p.r, b, -0.5 * p.sigma_sq * n * (n - 1))
+    return _solution(
+        REGIME_EXACT, n, None, [FieldPoint(r, n=n) for r in roots],
+        no_real_solution=no_real, divided_out_trivial=0.0 if n >= 3 else None, notes=notes,
     )
 
 
@@ -286,15 +305,14 @@ def bs_vacuum_weak(p: MarketParams, n: int) -> VacuumSolution:
     Trivial (0) at n = 1 for any parameters and at sigma_sq = 0. The
     formula has a pole at sigma_sq = 2r, raised as SingularRegimeError.
     """
-    if n < 0:
-        raise ValueError(f"order n must be >= 0, got {n}")
+    _orders(n, None)
     denom = p.sigma_sq - 2.0 * p.r
     if denom == 0.0:
         raise SingularRegimeError(
             "weak-field formula is singular at sigma_sq = 2 r"
         )
-    root = p.sigma_sq * (n - 1) / denom
-    return _bs_solution([float(root)], REGIME_WEAK, n, approximate=True)
+    root = FieldPoint(float(p.sigma_sq * (n - 1) / denom), n=n)
+    return _solution(REGIME_WEAK, n, None, (root,), approximate=True)
 
 
 def bs_vacuum_strong(p: MarketParams, n: int) -> VacuumSolution:
@@ -303,10 +321,9 @@ def bs_vacuum_strong(p: MarketParams, n: int) -> VacuumSolution:
     Collapses to the unique trivial vacuum at sigma_sq = 2r; at n = 1 the
     nontrivial root coincides with the exact solver's.
     """
-    if n < 0:
-        raise ValueError(f"order n must be >= 0, got {n}")
-    nontrivial = (1.0 - p.sigma_sq / (2.0 * p.r)) * n
-    return _bs_solution([0.0, float(nontrivial)], REGIME_STRONG, n, approximate=True)
+    nontrivial = float((1.0 - p.sigma_sq / (2.0 * p.r)) * n)
+    roots = (FieldPoint(0.0, n=n), FieldPoint(nontrivial, n=n))
+    return _solution(REGIME_STRONG, n, None, roots, approximate=True)
 
 
 def bs_extremum_roots(p: MarketParams, n: int) -> VacuumSolution:
@@ -319,13 +336,14 @@ def bs_extremum_roots(p: MarketParams, n: int) -> VacuumSolution:
     if n < 1:
         raise ValueError(f"order n must be >= 1, got {n}")
     ratio = p.sigma_sq / (2.0 * p.r)
-    a = 1.0
-    b = (ratio - 1.0) * (n - 1)
-    c = -ratio * (n - 1) * (n - 2)
     if n == 1:
-        return _bs_solution([0.0], REGIME_EXTREMUM, n, approximate=False)
-    roots, no_real = _quadratic_real_roots(a, b, c)
-    return _bs_solution(roots, REGIME_EXTREMUM, n, approximate=False, no_real=no_real)
+        roots, no_real = [0.0], False
+    else:
+        b = (ratio - 1.0) * (n - 1)
+        roots, no_real = _quadratic_real_roots(1.0, b, -ratio * (n - 1) * (n - 2))
+    return _solution(
+        REGIME_EXTREMUM, n, None, [FieldPoint(r, n=n) for r in roots], no_real_solution=no_real
+    )
 
 
 def extremum_quadratic_residual(p: MarketParams, n: int, phi: float) -> float:
@@ -391,42 +409,6 @@ def _two_field_point(p: MGParams, y: float) -> tuple[float, float, float, dict]:
     return y, ey, cy, flags
 
 
-def _mg_solution(
-    regime: str,
-    n: int,
-    m: int,
-    roots: tuple[FieldPoint, ...] = (),
-    *,
-    x_is_scale: bool = False,
-    **fields,
-) -> VacuumSolution:
-    """Two-field solution whose verdicts and degeneracy follow from its roots.
-
-    A translation symmetry is broken when some root leaves its field
-    nonzero or unconstrained; a curve (a ``relation``) breaks both, and no
-    real solution leaves both verdicts None. Degeneracy counts the roots
-    with a nonzero solved field; ``x_is_scale`` marks phi_x as a scale the
-    caller set rather than a solved value.
-    """
-    if fields.get("relation") is not None:
-        price = vol = True
-    elif fields.get("no_real_solution"):
-        price = vol = None
-    else:
-        price = any(pt.phi_x is None or pt.phi_x != 0.0 for pt in roots)
-        vol = any(pt.phi_y is None or pt.phi_y != 0.0 for pt in roots)
-
-    def solved_nonzero(pt: FieldPoint) -> bool:
-        solved = (pt.phi_y,) if x_is_scale else (pt.phi_x, pt.phi_y)
-        return any(v is not None and v != 0.0 for v in solved)
-
-    return VacuumSolution(
-        roots=roots, regime=regime, n=n, m=m,
-        degeneracy=sum(1 for pt in roots if solved_nonzero(pt)),
-        price_translation_broken=price, volatility_translation_broken=vol, **fields,
-    )
-
-
 def mg_case_solver(p: MGParams, y: float, n: int, m: int) -> VacuumSolution:
     """Closed-form solutions of the low-order two-field cases.
 
@@ -439,13 +421,13 @@ def mg_case_solver(p: MGParams, y: float, n: int, m: int) -> VacuumSolution:
     """
     y, ey, cy, flags = _two_field_point(p, y)
     if (n, m) == (0, 1):
-        return _mg_solution("case(0,1)", 0, 1, (FieldPoint(None, cy / p.r, 0, 1),))
+        return _solution("case(0,1)", n, m, (FieldPoint(None, cy / p.r, n, m),))
     if (n, m) == (1, 0):
-        return _mg_solution("case(1,0)", 1, 0, (FieldPoint(1.0 - ey / (2.0 * p.r), None, 1, 0),))
+        return _solution("case(1,0)", n, m, (FieldPoint(1.0 - ey / (2.0 * p.r), None, n, m),))
     if (n, m) == (1, 1):
         cross = float(mg_cross_coef(p, y))
-        return _mg_solution(
-            "case(1,1)", 1, 1,
+        return _solution(
+            "case(1,1)", n, m,
             relation=(
                 "r*phi_x*phi_y - (r - e^y/2)*phi_y - C(y)*phi_x "
                 "- rho*zeta*e^{y(alpha-1/2)} = 0"
@@ -471,7 +453,8 @@ def mg_regime_solver(
     in-regime validation is attempted. ``regime`` is matched without
     case and without ``-`` or ``_`` separators. ``phi_x`` sets the free
     price field scale where a branch needs one (the coupled weak-weak
-    roots are linear in it) and must be finite; the orders must be >= 0.
+    roots are linear in it) and must be finite; the orders must be
+    integers >= 0.
     Division by zero in a branch raises SingularRegimeError naming the
     offending condition. ``y`` must be finite and keep e^y and C(y)
     finite.
@@ -480,13 +463,10 @@ def mg_regime_solver(
     tag = _REGIMES.get(regime.replace("-", "").replace("_", "").lower())
     if tag is None:
         raise ValueError(f"unknown regime {regime!r}")
-    if n < 0:
-        raise ValueError(f"order n must be >= 0, got {n}")
-    if m < 0:
-        raise ValueError(f"order m must be >= 0, got {m}")
+    _orders(n, m)
     if not np.isfinite(phi_x):
         raise ValueError(f"price field scale phi_x must be finite, got {phi_x}")
-    solution = functools.partial(_mg_solution, tag, n, m, approximate=True)
+    solution = functools.partial(_solution, tag, n, m, approximate=True)
 
     if tag == REGIME_STRONG_STRONG:
         a_y = (1.0 - ey / (2.0 * p.r)) * n
@@ -519,10 +499,7 @@ def mg_regime_solver(
         sq = float(np.sqrt(disc))
         r1 = pref * (1.0 + sq)
         r2 = pref * (1.0 - sq)
-        roots = tuple(
-            FieldPoint(phi_x=phi_x, phi_y=val, n=n, m=m)
-            for val in ([r1] if r1 == r2 else [r1, r2])
-        )
+        roots = (FieldPoint(phi_x, r1, n, m), FieldPoint(phi_x, r2, n, m))
         return solution(roots, x_is_scale=True)
 
     if tag == REGIME_STRONG_X_WEAK_Y:

@@ -1,5 +1,6 @@
 """Crank-Nicolson evolution, pricing curves, and the numeric kernel."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -478,6 +479,24 @@ class TestPricing:
             "tabulated": (1.0 * d, 3.0 * d),
         }[payoff.kind]
         assert (curve[0], curve[-1]) == want
+
+    def test_spatial_convergence_is_second_order(self):
+        # dt = 1/2000 keeps the time error well below the spatial one
+        # down to 1601 nodes, so each halving of h should cut the error ~4x
+        def cdf(z):
+            return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+        vol_t = math.sqrt(0.04 * self.T)
+        d1 = (0.05 + 0.04 / 2) * self.T / vol_t  # at the money: ln(S0 / K) = 0
+        want = 100.0 * cdf(d1) - self.K * math.exp(-0.05 * self.T) * cdf(d1 - vol_t)
+        cfg = EvolutionConfig(dt=1.0 / 2000, n_steps=1)
+        errors = []
+        for n in (101, 201, 401, 801, 1601):
+            g = Grid1D(np.log(100.0) - 4.0, np.log(100.0) + 4.0, n)
+            curve = price_option(P, Payoff.call(self.K), self.T, g, cfg)
+            errors.append(abs(curve.values[n // 2] - want))
+        ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+        assert all(3.5 <= q <= 4.5 for q in ratios), ratios
 
 
 class TestBarrierPricing:

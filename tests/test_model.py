@@ -1,12 +1,14 @@
 """Parameter containers, grids, states, config parsing, and the record writer."""
 
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qflab.evolution import EvolutionConfig, Payoff
 from qflab.model import (
     Grid1D,
     Grid2D,
@@ -22,6 +24,7 @@ from qflab.model import (
     sample_extended_martingale_state,
     sample_martingale_state,
 )
+from qflab.operators import Potential
 from qflab.vacuum import FieldPoint
 
 HERMITIAN_TOL = 1e-12
@@ -165,12 +168,10 @@ class TestGrid2D:
         assert g.shape == (5, 4)
         assert g.size == 20
 
-    def test_flat_index_row_major(self):
-        g = Grid2D(Grid1D(0.0, 1.0, 5), Grid1D(-1.0, 0.0, 4))
-        assert g.flat_index(0, 0) == 0
-        assert g.flat_index(0, 3) == 3
-        assert g.flat_index(1, 0) == 4
-        assert g.flat_index(4, 3) == 19
+    def test_cell_and_coarser_spacing(self):
+        g = Grid2D(Grid1D(0.0, 1.0, 5), Grid1D(-1.0, 0.0, 3))
+        assert (g.h, g.cell) == (0.5, 0.25 * 0.5)
+        assert Grid1D(0.0, 1.0, 5).cell == 0.25
 
 
 class TestStateVector:
@@ -200,7 +201,7 @@ class TestStateVector:
         for i in (0, 2, 4):
             for j in (0, 3):
                 want = np.exp(g.x_axis.points[i] + g.y_axis.points[j])
-                got = sv.values[g.flat_index(i, j)]
+                got = sv.values[i * 4 + j]
                 assert got == pytest.approx(want, rel=1e-15), f"node ({i},{j})"
 
 
@@ -270,24 +271,95 @@ m_points = 61
 # anything that is not an integer (bools and integral floats included)
 NOT_INTEGERS = st.one_of(st.booleans(), st.floats(), st.text(max_size=3))
 SCALARS = st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=3))
+# anything that is not a finite real number
+NOT_FINITE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.complex_numbers(min_magnitude=1.0),
+    st.lists(st.floats(), max_size=2),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+NOT_TABLES = st.one_of(
+    st.none(),
+    st.text(alphabet="xyz", max_size=3),
+    st.lists(st.complex_numbers(min_magnitude=1.0), min_size=1, max_size=3),
+    st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), min_size=1, max_size=3),
+    st.just([[1.0, 2.0]]),
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+NONNEGATIVE = st.floats(min_value=0.0, max_value=1e300)
+ORDERS = st.integers(0, 50)
+BOUNDS = st.tuples(FINITE, FINITE).filter(lambda b: b[0] < b[1])
+GRIDS = st.builds(lambda b, n: Grid1D(*b, n), BOUNDS, st.integers(3, 20))
+MARKETS = st.builds(MarketParams, POSITIVE, NONNEGATIVE)
+VOL_MARKETS = st.builds(
+    MGParams, POSITIVE, FINITE, FINITE, NONNEGATIVE, FINITE, st.floats(-1.0, 1.0)
+)
+NOT_MARKETS = st.one_of(SCALARS, GRIDS)
+NOT_GRIDS = st.one_of(SCALARS, MARKETS)
 
 
-@given(order=NOT_INTEGERS, junk=SCALARS)
-@settings(max_examples=100, deadline=None)
-def test_constructors_refuse_ill_typed_input(order, junk):
-    axis = Grid1D(0.0, 1.0, 5)
-    market = MarketParams(r=0.05, sigma_sq=0.04)
-    for make in (
-        lambda: FieldPoint(1.0, n=order),
-        lambda: FieldPoint(1.0, 1.0, n=1, m=order),
-        lambda: Grid2D(junk, axis),
-        lambda: Grid2D(axis, junk),
-        lambda: Grid2D(axis, market),
-        lambda: SDEParams(0.1, base=junk),
-        lambda: SDEParams(0.1, base=axis),
-    ):
-        with pytest.raises(ValueError):
-            make()
+def _fields(obj) -> tuple:
+    return tuple(getattr(obj, f.name) for f in fields(obj))
+
+
+def _table(obj) -> tuple:
+    return (obj.table.tolist(),)
+
+
+# every public constructor that takes input: its valid argument lists, the
+# strategy that spoils each argument, and how to read the arguments back
+CONSTRUCTORS = {
+    "MarketParams": (MarketParams, st.tuples(POSITIVE, NONNEGATIVE), [NOT_FINITE] * 2, _fields),
+    "MGParams": (MGParams, VOL_MARKETS.map(_fields), [NOT_FINITE] * 6, _fields),
+    "SDEParams": (
+        SDEParams, st.tuples(FINITE, MARKETS | VOL_MARKETS), [NOT_FINITE, NOT_MARKETS], _fields
+    ),
+    "Grid1D": (Grid1D, GRIDS.map(_fields), [NOT_FINITE, NOT_FINITE, NOT_INTEGERS], _fields),
+    "Grid2D": (Grid2D, st.tuples(GRIDS, GRIDS), [NOT_GRIDS] * 2, _fields),
+    "Potential.constant": (
+        Potential.constant, st.tuples(FINITE), [NOT_FINITE], lambda v: (v.value,)
+    ),
+    "Potential.down_and_out": (
+        Potential.down_and_out, st.tuples(FINITE), [NOT_FINITE], lambda v: (v.level,)
+    ),
+    "Potential.double_knockout": (
+        Potential.double_knockout, BOUNDS, [NOT_FINITE] * 2, lambda v: (v.lo, v.hi)
+    ),
+    "Potential.tabulated": (
+        Potential.tabulated, st.tuples(st.lists(FINITE)), [NOT_TABLES], _table
+    ),
+    "Payoff.call": (Payoff.call, st.tuples(NONNEGATIVE), [NOT_FINITE], lambda pf: (pf.strike,)),
+    "Payoff.put": (Payoff.put, st.tuples(NONNEGATIVE), [NOT_FINITE], lambda pf: (pf.strike,)),
+    "Payoff.tabulated": (Payoff.tabulated, st.tuples(st.lists(FINITE)), [NOT_TABLES], _table),
+    "EvolutionConfig": (
+        EvolutionConfig,
+        st.tuples(POSITIVE, st.integers(1, 10**6), st.sampled_from(["euclidean", "unitary"])),
+        [NOT_FINITE, NOT_INTEGERS, SCALARS],
+        _fields,
+    ),
+    "FieldPoint": (
+        FieldPoint,
+        st.tuples(st.none() | FINITE, st.none() | FINITE, ORDERS, st.none() | ORDERS),
+        [NOT_FINITE.filter(lambda v: v is not None)] * 2 + [NOT_INTEGERS] * 2,
+        _fields,
+    ),
+}
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(CONSTRUCTORS)))
+@settings(max_examples=300, deadline=None)
+def test_constructors_refuse_ill_typed_input(data, name):
+    # valid input round-trips; one spoiled argument is refused
+    make, valid, spoilers, read = CONSTRUCTORS[name]
+    args = list(data.draw(valid, label="args"))
+    assert read(make(*args)) == tuple(args)
+    k = data.draw(st.integers(0, len(args) - 1), label="argument")
+    args[k] = data.draw(spoilers[k], label="value")
+    with pytest.raises(ValueError):
+        make(*args)
 
 
 RECORD_VALUES = st.one_of(

@@ -307,21 +307,6 @@ def test_effective_bs_matches_sparse_expression(n, sigma_sq):
                 )
 
 
-class TestCOOExport:
-    def test_row_major_round_trip(self):
-        g = Grid1D(0.0, 1.0, 5)
-        op = build_bs_hamiltonian(MarketParams(r=0.05, sigma_sq=0.04), g)
-        text = op.to_coo_text()
-        seen = []
-        rebuilt = np.zeros((5, 5))
-        for line in text.strip().split("\n"):
-            i, j, v = line.split()
-            seen.append((int(i), int(j)))
-            rebuilt[int(i), int(j)] = float(v)
-        assert seen == sorted(seen), "entries not in row-major order"
-        assert np.array_equal(rebuilt, op.matrix.toarray()), "repr round trip lost bits"
-
-
 class TestSimilarityTransform:
     def test_gauge_constants(self):
         p = MarketParams(r=0.05, sigma_sq=0.04)

@@ -453,6 +453,32 @@ class TestOrderAndScaleChecks:
         with pytest.raises(ValueError, match="must be finite"):
             FieldPoint(phi_x, phi_y, 1, 1)
 
+    @pytest.mark.parametrize("order", [2.5, 2.0, 1.0, True])
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            pytest.param(lambda k: bs_vacuum_exact(P, k), id="exact"),
+            pytest.param(lambda k: bs_vacuum_weak(P, k), id="weak"),
+            pytest.param(lambda k: bs_vacuum_strong(P, k), id="strong"),
+            pytest.param(lambda k: bs_extremum_roots(P, k), id="extremum"),
+            pytest.param(lambda k: mg_case_solver(GEN, Y_GEN, k, 1), id="case"),
+            pytest.param(lambda k: mg_regime_solver(GEN, Y_GEN, k, 3, "strong-strong"), id="ss"),
+            pytest.param(lambda k: mg_regime_solver(GEN, Y_GEN, k, 2, "weak-weak"), id="ww"),
+            pytest.param(lambda k: mg_regime_solver(GEN, Y_GEN, 1, k, "weak-weak"), id="ww-m"),
+            pytest.param(
+                lambda k: mg_regime_solver(GEN, Y_GEN, k, 2, "strong-x-weak-y"), id="sxwy"
+            ),
+            pytest.param(
+                lambda k: mg_regime_solver(GEN, Y_GEN, k, 0, "weak-x-strong-y"), id="wxsy"
+            ),
+            pytest.param(lambda k: bs_potential_residual(P, k, 1.3), id="residual"),
+        ],
+    )
+    def test_non_integer_order_refused(self, solve, order):
+        # the case solver names (2.5, 1) and (2.0, 1) as unsupported cases
+        with pytest.raises(ValueError, match="must be an integer|unsupported case"):
+            solve(order)
+
     def test_regime_matched_without_separators_or_case(self):
         sol = mg_regime_solver(GEN, Y_GEN, 0, 2, "StrongX-WeakY")
         assert sol.regime == "strong-x-weak-y"
@@ -519,7 +545,57 @@ class TestGridIdentity:
 
 
 class TestPinnedRecords:
-    """Every two-field branch and both classify models, byte for byte."""
+    """One-field families, every two-field branch and both classify models,
+    byte for byte."""
+
+    @pytest.mark.parametrize(
+        "solve,record,csv",
+        [
+            pytest.param(
+                lambda: bs_vacuum_exact(P, 1),
+                "regime = exact\nn = 1\ndegeneracy = 1\napproximate = False\n"
+                "price_translation_broken = True\nroot_0 = 0.0, free\n"
+                "root_1 = 0.6000000000000001, free\n",
+                "index,phi\n0,0.0\n1,0.6000000000000001\n",
+                id="exact-n1",
+            ),
+            pytest.param(
+                lambda: bs_vacuum_exact(P, 3),
+                "regime = exact\nn = 3\ndegeneracy = 2\napproximate = False\n"
+                "divided_out_trivial = 0.0\nprice_translation_broken = True\n"
+                "root_0 = 2.6916472867168917, free\nroot_1 = -0.8916472867168918, free\n",
+                "index,phi\n0,2.6916472867168917\n1,-0.8916472867168918\n",
+                id="exact-n3",
+            ),
+            pytest.param(
+                lambda: bs_vacuum_weak(P, 1),
+                "regime = weak-field\nn = 1\ndegeneracy = 0\napproximate = True\n"
+                "price_translation_broken = False\nroot_0 = -0.0, free\n",
+                "index,phi\n0,-0.0\n",
+                id="weak-n1",
+            ),
+            pytest.param(
+                # both roots are 0.0 at the Hermitian point, kept once
+                lambda: bs_vacuum_strong(MarketParams(r=0.05, sigma_sq=0.1), 2),
+                "regime = strong-field\nn = 2\ndegeneracy = 0\napproximate = True\n"
+                "price_translation_broken = False\nroot_0 = 0.0, free\n",
+                "index,phi\n0,0.0\n",
+                id="strong-hermitian",
+            ),
+            pytest.param(
+                lambda: bs_extremum_roots(P, 3),
+                "regime = extremum\nn = 3\ndegeneracy = 2\napproximate = False\n"
+                "price_translation_broken = True\nroot_0 = 1.677032961426901, free\n"
+                "root_1 = -0.4770329614269007, free\n",
+                "index,phi\n0,1.677032961426901\n1,-0.4770329614269007\n",
+                id="extremum-n3",
+            ),
+        ],
+    )
+    def test_one_field_record_and_csv(self, solve, record, csv):
+        sol = solve()
+        assert sol.to_record() == record
+        assert sol.to_csv() == csv
 
     @pytest.mark.parametrize(
         "solve,record,csv",
