@@ -55,6 +55,7 @@ PAYOFF_TABULATED = "tabulated"
 
 _EPS = 1e-300
 _CSV_BLOCK = 8192  # flow CSV rows formatted per write
+_FLOW_BLOCK = 16  # states per mass and norm reduction in evolve
 
 
 class SingularSolveError(ArithmeticError):
@@ -172,12 +173,20 @@ BoundarySpec = Mapping[int, Union[float, Callable[[float], float]]]
 
 def _factor(
     h: sparse.csr_matrix, scale: complex, pinned: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> tuple[slice, Callable[[np.ndarray], np.ndarray]]:
     """Solver for (I + scale H) x = b with the rows flagged in ``pinned``
-    made identity rows, factored once. If every nonzero H stores in an
-    unpinned row lies within one place of the diagonal, LAPACK's
-    ?gttrf/?gttrs factor the three diagonals read from H; any wider band
-    (a free one-sided closure row, a 2D operator) gets a sparse LU.
+    made identity rows, factored once. Returns ``(span, solve)``:
+    ``solve(b)`` takes the right-hand side of the rows in ``span`` only,
+    may overwrite ``b``, and returns those rows of x; every row outside
+    the span is a pinned row, where x = b.
+
+    If every nonzero H stores in an unpinned row lies within one place of
+    the diagonal, LAPACK's ?gttrf/?gttrs factor the three diagonals read
+    from H over the span from one row before the first unpinned row to
+    one row after the last. The pinned rows outside it are identity rows
+    with zero multipliers, so the span does the same arithmetic as the
+    whole grid. Any wider band (a free one-sided closure row, a 2D
+    operator) gets a sparse LU of the whole grid.
     """
     # imported here, so that a run that never steps loads neither solver
     from scipy.linalg import get_lapack_funcs
@@ -186,19 +195,24 @@ def _factor(
     n = h.shape[0]
     rows = np.repeat(np.arange(n), np.diff(h.indptr))
     if np.all(np.abs(h.indices - rows)[(h.data != 0) & ~pinned[rows]] <= 1):
-        d = 1 + scale * h.diagonal()
-        dl, du = scale * h.diagonal(-1), scale * h.diagonal(1)
+        free = np.flatnonzero(~pinned)
+        if free.size == 0:
+            return slice(0, 0), lambda b: b
+        lo, hi = max(free[0] - 1, 0), min(free[-1] + 2, n)
+        d = 1 + scale * h.diagonal()[lo:hi]
+        dl, du = scale * h.diagonal(-1)[lo:hi - 1], scale * h.diagonal(1)[lo:hi - 1]
+        pinned = pinned[lo:hi]
         d[pinned] = 1
         dl[pinned[1:]] = 0
         du[pinned[:-1]] = 0
         gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (d,))
         dl, d, du, du2, ipiv, info = gttrf(dl, d, du)
         if info != 0:
-            raise SingularSolveError(f"singular linear solve: zero pivot at row {info}")
-        return lambda b: gttrs(dl, d, du, du2, ipiv, b)[0]
+            raise SingularSolveError(f"singular linear solve: zero pivot at row {info + lo}")
+        return slice(lo, hi), lambda b: gttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
     m = sparse.identity(n, format="csr") + sparse.diags((~pinned).astype(float)) @ (scale * h)
     try:
-        return splu(m.tocsc()).solve
+        return slice(0, n), splu(m.tocsc()).solve
     except RuntimeError as exc:
         raise SingularSolveError(f"singular linear solve: {exc}") from exc
 
@@ -228,28 +242,43 @@ def _cn_run(
     ``pinned_idx`` (ascending) are identity rows of the matrix, which
     ``_factor`` forms from H and factors once; their right-hand side is
     the mean of the old value and the target, so the extrapolation lands
-    on the target. Row s of ``pin_values`` holds the pinned values after
+    on the target. Only the span of
+    rows ``_factor`` solves is stepped; every pinned node then takes its
+    value from ``pin_values``, whose row s holds the pinned values after
     step s + 1, so its length is the step count. Optional Rannacher
     startup replaces the first ``rannacher`` steps by pairs of implicit
     half-steps through the same factor (used for rough initial data;
     incompatible with pinning by construction).
+
+    ``psi0`` is copied once and never written. Every step is formed in
+    place in that copy, so the stepper yields the same array each time:
+    a caller that keeps a state past the next step must copy it.
     """
     if rannacher and pinned_idx.size:
         raise ValueError("Rannacher startup does not support pinned nodes")
     pinned = np.zeros(psi0.size, dtype=bool)
     pinned[pinned_idx] = True
     z = 1j if unitary else 1.0
-    solve = _factor(matrix, z * dt / 2.0, pinned)
+    span, solve = _factor(matrix, z * dt / 2.0, pinned)
+    # the pinned nodes inside the span: their columns of pin_values, and
+    # their places in the span
+    cols = slice(*np.searchsorted(pinned_idx, [span.start, span.stop]))
+    local = pinned_idx[cols] - span.start
 
-    psi = psi0
+    psi = psi0.copy()
+    free = psi[span]
+    rhs = np.empty_like(free)
     n_startup = min(rannacher, len(pin_values))
     for _ in range(n_startup):
-        psi = solve(solve(psi))
+        for _half in range(2):
+            rhs[:] = free
+            free[:] = solve(rhs)
         yield psi
     for values in pin_values[n_startup:]:
-        half = psi.copy()
-        half[pinned_idx] = (values + psi[pinned_idx]) / 2.0
-        psi = 2.0 * solve(half) - psi
+        rhs[:] = free
+        rhs[local] = (values[cols] + free[local]) / 2.0
+        y = solve(rhs)
+        np.subtract(np.multiply(y, 2.0, out=y), free, out=free)
         # the extrapolation reaches the targets only up to roundoff
         psi[pinned_idx] = values
         yield psi
@@ -304,11 +333,18 @@ def evolve(
         mass_arr, norm_arr = np.empty((2, cfg.n_steps + 1))
 
     cell = op.grid.cell
-    psi0 = state.values.astype(complex) if unitary else state.values.astype(float)
+    psi0 = state.values.astype(complex if unitary else float, copy=False)
     steps = _cn_run(op.matrix, psi0, cfg.dt, unitary, pinned_idx, pin_values)
+    # states are copied into a block and reduced a block at a time; each
+    # row sums in the order a single state would
+    block = np.empty((_FLOW_BLOCK, psi0.size), psi0.dtype)
     for k, psi in enumerate(chain([psi0], steps)):
-        mass_arr[k] = np.real(psi.sum()) * cell
-        norm_arr[k] = np.sqrt(np.sum(np.abs(psi) ** 2) * cell)
+        row = k % _FLOW_BLOCK
+        block[row] = psi
+        if row == _FLOW_BLOCK - 1 or k == cfg.n_steps:
+            states, done = block[: row + 1], slice(k - row, k + 1)
+            mass_arr[done] = np.real(states.sum(axis=1)) * cell
+            norm_arr[done] = np.sqrt(np.sum(np.abs(states) ** 2, axis=1) * cell)
     report = FlowReport(
         mass_series=mass_arr,
         norm_series=norm_arr,
@@ -317,7 +353,7 @@ def evolve(
         dt=cfg.dt,
         mode=cfg.mode,
     )
-    return StateVector(psi, state.grid), report
+    return StateVector(psi.copy(), state.grid), report
 
 
 def _edge_pairs(payoff: Payoff, vals: np.ndarray) -> tuple:

@@ -404,6 +404,158 @@ class TestStepper:
         assert splu_calls == []
 
 
+def whole_grid_solve(h, scale, pinned, b):
+    """LAPACK's tridiagonal solve of I + scale H over every row, pinned
+    rows made identity rows."""
+    from scipy.linalg import get_lapack_funcs
+
+    d = 1 + scale * h.diagonal()
+    dl, du = scale * h.diagonal(-1), scale * h.diagonal(1)
+    d[pinned] = 1
+    dl[pinned[1:]] = 0
+    du[pinned[:-1]] = 0
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (d,))
+    return gttrs(*gttrf(dl, d, du)[:5], b)[0]
+
+
+def _one_free(n, i):
+    pinned = np.ones(n, dtype=bool)
+    pinned[i] = False
+    return pinned
+
+
+class TestSpanSolve:
+    """The tridiagonal solve covers only the rows from one before the
+    first unpinned row to one after the last, and is bit for bit the
+    whole-grid solve there."""
+
+    G = Grid1D(-1.0, 1.0, 41)
+    ONE_SIDED = build_bs_hamiltonian(P, G).matrix
+    DIRICHLET = build_bs_hamiltonian(P, G, boundary=BOUNDARY_DIRICHLET).matrix
+    DOWN_AND_OUT = build_effective_bs(P, Potential.down_and_out(-0.5), G)
+    CORRIDOR = build_effective_bs(P, Potential.double_knockout(-0.3, 0.4), G)
+    EDGES = np.isin(np.arange(41), [0, 40])
+
+    @pytest.mark.parametrize("h,pinned,scale,span", [
+        (ONE_SIDED, EDGES, 0.005, (0, 41)),
+        (DOWN_AND_OUT.matrix, DOWN_AND_OUT.dirichlet_mask | EDGES, 0.005, (10, 41)),
+        (CORRIDOR.matrix, CORRIDOR.dirichlet_mask, 0.005, (14, 29)),
+        (DIRICHLET, EDGES | np.isin(np.arange(41), [20]), 0.005, (0, 41)),
+        (DIRICHLET, _one_free(41, 17), 0.005, (16, 19)),
+        (DIRICHLET, np.ones(41, dtype=bool), 0.005, (0, 0)),
+        (DIRICHLET, EDGES, 0.005j, (0, 41)),
+        (CORRIDOR.matrix, CORRIDOR.dirichlet_mask, 0.005j, (14, 29)),
+    ], ids=["vanilla", "down_and_out", "corridor", "interior_pin", "one_free_node",
+            "every_node_pinned", "complex_scale", "complex_corridor"])
+    def test_span_solve_is_whole_grid_solve(self, h, pinned, scale, span):
+        b = np.cos(np.arange(41.0)) * (1.0 + 0.5j if isinstance(scale, complex) else 1.0)
+        got_span, solve = qflab.evolution._factor(h, scale, pinned)
+        assert (got_span.start, got_span.stop) == span
+        got = b.copy()
+        got[got_span] = solve(b[got_span].copy())
+        want = whole_grid_solve(h, scale, pinned, b)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_zero_pivot_row_counts_from_the_grid(self):
+        # rows 0-2 pinned, so the span starts at row 2; row 4 is singular
+        from scipy.linalg import get_lapack_funcs
+
+        h = np.diag(np.full(6, 1.0), 1) + np.diag(np.full(6, 1.0), -1)
+        h[4, 4] = -2.0 / 0.1
+        h[4, 3] = h[4, 5] = 0.0
+        pinned = np.isin(np.arange(7), [0, 1, 2])
+        d = 1 + 0.05 * np.diag(h)
+        d[pinned] = 1
+        dl, du = 0.05 * np.diag(h, -1), 0.05 * np.diag(h, 1)
+        dl[pinned[1:]] = du[pinned[:-1]] = 0
+        *_, info = get_lapack_funcs("gttrf", (d,))(dl, d, du)
+        assert info > 0
+        with pytest.raises(SingularSolveError, match=f"zero pivot at row {info}$"):
+            qflab.evolution._factor(sparse.csr_matrix(h), 0.05, pinned)
+
+
+@pytest.fixture
+def stepper_runs(monkeypatch):
+    """Records each stepper run: the initial state it was passed, a copy
+    of that state, and every array it yields."""
+    runs = []
+    cn_run = qflab.evolution._cn_run
+
+    def recording(matrix, psi0, *args, **kwargs):
+        run = {"psi0": psi0, "before": psi0.copy(), "yielded": []}
+        runs.append(run)
+        for psi in cn_run(matrix, psi0, *args, **kwargs):
+            run["yielded"].append(psi)
+            yield psi
+
+    monkeypatch.setattr(qflab.evolution, "_cn_run", recording)
+    return runs
+
+
+class TestStepBuffers:
+    """The stepper forms each step in place in one copy of the initial
+    state; no caller's array is written, and evolve's flow series is
+    reduced a block of states at a time."""
+
+    G = Grid1D(-2.0, 2.0, 201)
+
+    def assert_untouched(self, runs):
+        assert len(runs) == 1
+        assert runs[0]["psi0"].tobytes() == runs[0]["before"].tobytes()
+
+    def test_kernel_delta_untouched(self, stepper_runs):
+        kernel_row(P, 0.3, 0.05, self.G)
+        self.assert_untouched(stepper_runs)
+        assert np.count_nonzero(stepper_runs[0]["psi0"]) == 1
+
+    @pytest.mark.parametrize("barrier", [None, Potential.double_knockout(-0.5, 0.5)])
+    def test_payoff_table_untouched(self, stepper_runs, barrier):
+        cfg = EvolutionConfig(dt=0.01, n_steps=1)
+        if barrier is None:
+            price_option(P, Payoff.call(1.0), 0.5, self.G, cfg)
+        else:
+            price_barrier(P, Payoff.call(1.0), barrier, 0.5, self.G, cfg)
+        self.assert_untouched(stepper_runs)
+
+    @pytest.mark.parametrize("mode", ["euclidean", "unitary"])
+    def test_evolve_state_untouched_and_not_aliased(self, stepper_runs, mode):
+        op = build_bs_hamiltonian(P, self.G, boundary=BOUNDARY_DIRICHLET)
+        values = np.exp(-self.G.points**2 / 0.08)
+        if mode == "unitary":
+            values = values.astype(complex)
+        before = values.copy()
+        state = StateVector(values, self.G)
+        out, _ = evolve(op, state, EvolutionConfig(dt=0.01, n_steps=5, mode=mode),
+                        boundary_values={100: 0.5})
+        assert state.values.tobytes() == before.tobytes()
+        self.assert_untouched(stepper_runs)
+        yielded = stepper_runs[0]["yielded"]
+        assert len(yielded) == 5
+        # one reused buffer, which the returned state does not share
+        assert all(psi is yielded[0] for psi in yielded)
+        assert not np.shares_memory(out.values, yielded[0])
+
+    @pytest.mark.parametrize("n_steps", [1, 15, 16, 17, 400])
+    @pytest.mark.parametrize("mode", ["euclidean", "unitary"])
+    def test_block_flow_is_per_step_sums(self, mode, n_steps):
+        g = self.G
+        op = build_bs_hamiltonian(P, g, boundary=BOUNDARY_DIRICHLET)
+        state = StateVector(np.exp(-(g.points - 0.2) ** 2 / 0.08), g)
+        cfg = EvolutionConfig(dt=0.002, n_steps=n_steps, mode=mode)
+        _, flow = evolve(op, state, cfg)
+        unitary = mode == "unitary"
+        psi0 = state.values.astype(complex if unitary else float)
+        pins = np.zeros((n_steps, 2), dtype=psi0.dtype)
+        steps = qflab.evolution._cn_run(op.matrix, psi0, cfg.dt, unitary,
+                                        np.flatnonzero(op.dirichlet_mask), pins)
+        states = [psi0, *(psi.copy() for psi in steps)]
+        mass = np.array([np.real(psi.sum()) * g.cell for psi in states])
+        norm = np.array([np.sqrt(np.sum(np.abs(psi) ** 2) * g.cell) for psi in states])
+        assert flow.mass_series.tobytes() == mass.tobytes()
+        assert flow.norm_series.tobytes() == norm.tobytes()
+
+
 class TestUnitaryMode:
     def test_hermitian_generator_conserves_norm(self):
         ph = MarketParams(r=0.05, sigma_sq=0.1)
