@@ -143,8 +143,8 @@ class SDEParams:
 class Grid1D:
     """Uniform lattice on a closed interval of the log-price axis.
 
-    The bounds must be finite and ``n_points`` an integer (not a bool) of
-    at least 3.
+    The bounds and their width must be finite and ``n_points`` an integer
+    (not a bool) of at least 3.
     """
 
     x_min: float
@@ -162,6 +162,12 @@ class Grid1D:
             )
         if _integer(self.n_points, "invalid grid: n_points") < 3:
             raise ValueError(f"invalid grid: need n_points >= 3, got {self.n_points}")
+        # as Python floats, so that an overflowing width raises no numpy warning
+        if not np.isfinite(float(self.x_max) - float(self.x_min)):
+            raise ValueError(
+                f"invalid grid: the width of [{self.x_min}, {self.x_max}] overflows, "
+                "so the spacing h is not finite"
+            )
 
     @property
     def h(self) -> float:

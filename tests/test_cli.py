@@ -606,6 +606,20 @@ class TestExitCodes:
             assert main(argv) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["price", "--payoff", "bond", "--t", "1"],
+        ["martingale-check", "--model", "bs"],
+    ], ids=["price", "martingale_check"])
+    def test_overflowing_grid_width_is_validation_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.out"
+        argv = [*argv, "--r", "0.05", "--sigma-sq", "0.04", "--x-min=-1e308", "--x-max", "1e308",
+                "--n-points", "5", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the width must not reach np.linspace
+            assert main(argv) == 2
+        assert "spacing h is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "qflab" in capsys.readouterr().out

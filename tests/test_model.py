@@ -1,5 +1,6 @@
 """Parameter containers, grids, states, config parsing, and the record writer."""
 
+import math
 import struct
 from dataclasses import fields
 
@@ -138,6 +139,11 @@ class TestGrid1D:
     @pytest.mark.parametrize("x_min,x_max", [(0.0, np.inf), (-np.inf, 1.0), (-np.inf, np.inf)])
     def test_infinite_bounds_rejected(self, x_min, x_max):
         with pytest.raises(ValueError, match="finite"):
+            Grid1D(x_min, x_max, 11)
+
+    @pytest.mark.parametrize("x_min,x_max", [(-1e308, 1e308), (np.float64(-1e308), 1e308)])
+    def test_overflowing_width_rejected(self, x_min, x_max):
+        with pytest.raises(ValueError, match="spacing h is not finite"):
             Grid1D(x_min, x_max, 11)
 
     @pytest.mark.parametrize("n", [5.5, 11.0, True, "11"])
@@ -292,7 +298,8 @@ POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
 NONNEGATIVE = st.floats(min_value=0.0, max_value=1e300)
 ORDERS = st.integers(0, 50)
 BOUNDS = st.tuples(FINITE, FINITE).filter(lambda b: b[0] < b[1])
-GRIDS = st.builds(lambda b, n: Grid1D(*b, n), BOUNDS, st.integers(3, 20))
+GRID_BOUNDS = BOUNDS.filter(lambda b: math.isfinite(b[1] - b[0]))
+GRIDS = st.builds(lambda b, n: Grid1D(*b, n), GRID_BOUNDS, st.integers(3, 20))
 MARKETS = st.builds(MarketParams, POSITIVE, NONNEGATIVE)
 VOL_MARKETS = st.builds(
     MGParams, POSITIVE, FINITE, FINITE, NONNEGATIVE, FINITE, st.floats(-1.0, 1.0)
