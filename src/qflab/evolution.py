@@ -56,6 +56,7 @@ PAYOFF_TABULATED = "tabulated"
 _EPS = 1e-300
 _CSV_BLOCK = 8192  # flow CSV rows formatted per write
 _FLOW_BLOCK = 16  # states per mass and norm reduction in evolve
+_DAMPED_STEPS = 2  # Rannacher steps that start a run from rough data
 
 
 class SingularSolveError(ArithmeticError):
@@ -231,7 +232,7 @@ def _cn_run(
     unitary: bool,
     pinned_idx: np.ndarray,
     pin_values: np.ndarray,
-    rannacher: int = 0,
+    pin_mid: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """Crank-Nicolson stepper: yields the state after each step.
 
@@ -242,39 +243,42 @@ def _cn_run(
     ``pinned_idx`` (ascending) are identity rows of the matrix, which
     ``_factor`` forms from H and factors once; their right-hand side is
     the mean of the old value and the target, so the extrapolation lands
-    on the target. Only the span of
-    rows ``_factor`` solves is stepped; every pinned node then takes its
-    value from ``pin_values``, whose row s holds the pinned values after
-    step s + 1, so its length is the step count. Optional Rannacher
-    startup replaces the first ``rannacher`` steps by pairs of implicit
-    half-steps through the same factor (used for rough initial data;
-    incompatible with pinning by construction).
+    on the target. Only the span of rows ``_factor`` solves is stepped;
+    every pinned node then takes its value from ``pin_values``, whose
+    row s holds the pinned values after step s + 1, so its length is the
+    step count.
+
+    A damped (Rannacher) start, for rough initial data, replaces the
+    first ``len(pin_mid)`` steps by pairs of implicit half-steps through
+    the same factor. Each half-step is pinned at its own target: row s
+    of ``pin_mid`` after the first half of step s + 1, row s of
+    ``pin_values`` after the second.
 
     ``psi0`` is copied once and never written. Every step is formed in
     place in that copy, so the stepper yields the same array each time:
     a caller that keeps a state past the next step must copy it.
     """
-    if rannacher and pinned_idx.size:
-        raise ValueError("Rannacher startup does not support pinned nodes")
     pinned = np.zeros(psi0.size, dtype=bool)
     pinned[pinned_idx] = True
     z = 1j if unitary else 1.0
     span, solve = _factor(matrix, z * dt / 2.0, pinned)
-    # the pinned nodes inside the span: their columns of pin_values, and
-    # their places in the span
+    # the pinned nodes inside the span: their columns of the pin tables,
+    # and their places in the span
     cols = slice(*np.searchsorted(pinned_idx, [span.start, span.stop]))
     local = pinned_idx[cols] - span.start
 
     psi = psi0.copy()
     free = psi[span]
     rhs = np.empty_like(free)
-    n_startup = min(rannacher, len(pin_values))
-    for _ in range(n_startup):
-        for _half in range(2):
+    startup = () if pin_mid is None else pin_mid[: len(pin_values)]
+    for halves in zip(startup, pin_values):
+        for values in halves:
             rhs[:] = free
+            rhs[local] = values[cols]
             free[:] = solve(rhs)
+            psi[pinned_idx] = values
         yield psi
-    for values in pin_values[n_startup:]:
+    for values in pin_values[len(startup):]:
         rhs[:] = free
         rhs[local] = (values[cols] + free[local]) / 2.0
         y = solve(rhs)
@@ -384,17 +388,32 @@ def _price(
     pairs = _edge_pairs(payoff, vals)
     knocked = op.dirichlet_mask
     vals[knocked] = 0.0
+    # a kink or a knock-out makes the data rough; the bond and the asset are smooth
+    smooth = payoff.kind in (PAYOFF_BOND, PAYOFF_ASSET) and not knocked.any()
+    n_startup = 0 if smooth else min(_DAMPED_STEPS, n_steps)
     pinned_idx = np.union1d(np.flatnonzero(knocked), [0, g.n_points - 1])
+    pin_mid = np.zeros((n_startup, pinned_idx.size))
     pin_values = _pin_table(n_steps, pinned_idx.size)
-    discount = np.exp(-p.r * (np.arange(1, n_steps + 1) * dt))
+    # the scheme's own discount of a constant, which H maps to r times
+    # itself: 1/(1 + a) per half-step of the damped start, (1 - a)/(1 + a)
+    # per Crank-Nicolson step
+    a_half = p.r * dt / 2.0
+    factors = np.full(n_startup + n_steps, (1.0 - a_half) / (1.0 + a_half))
+    factors[: 2 * n_startup] = 1.0 / (1.0 + a_half)
+    after = np.cumprod(factors)
+    # after each first half-step of the start, then after each step
+    discount = np.concatenate(
+        [after[: 2 * n_startup : 2], after[1 : 2 * n_startup : 2], after[2 * n_startup :]]
+    )
     # node 0 and node -1 are also the first and the last pinned column
     for (a, b), end, x_edge in zip(pairs, (0, -1), (g.x_min, g.x_max)):
         if not knocked[end]:
             far = b * discount
             if a:  # e^{x_edge} may overflow where a = 0 leaves the value finite
                 far = a * np.exp(x_edge) + far
-            pin_values[:, end] = far
-    return StateVector(_final(_cn_run(op.matrix, vals, dt, False, pinned_idx, pin_values)), g)
+            pin_mid[:, end], pin_values[:, end] = far[:n_startup], far[n_startup:]
+    steps = _cn_run(op.matrix, vals, dt, False, pinned_idx, pin_values, pin_mid)
+    return StateVector(_final(steps), g)
 
 
 def price_option(
@@ -459,6 +478,6 @@ def kernel_row(p: MarketParams, x: float, tau: float, g: Grid1D) -> StateVector:
     n_steps = max(50, int(np.ceil(steps_needed)))
     steps = _cn_run(
         op.matrix.T.tocsr(), delta, tau / n_steps, False, np.zeros(0, dtype=int),
-        np.zeros((n_steps, 0)), rannacher=2,
+        np.zeros((n_steps, 0)), np.zeros((_DAMPED_STEPS, 0)),
     )
     return StateVector(np.real(_final(steps)), g)

@@ -213,19 +213,45 @@ class TestEvolve:
             evolve(op, StateVector(np.ones(5), g), EvolutionConfig(dt=dt, n_steps=2))
 
 
-def dense_cn(matrix, psi, dt, z, pinned, pin_rows):
+def dense_cn(matrix, psi, dt, z, pinned, pin_rows, startup=()):
     """Reference Crank-Nicolson steps from dense solves: pinned rows of
     I + z dt/2 H become identity rows, and their right-hand side the
-    step's pinned values."""
+    step's pinned values. Each (mid, end) pair of ``startup`` first makes
+    one damped step of two implicit half-steps through the same matrix,
+    pinned at ``mid`` and then at ``end``."""
     eye = np.eye(psi.size)
     step = (z * dt / 2.0) * matrix.toarray()
     left = eye + step
     left[pinned] = eye[pinned]
+    for halves in startup:
+        for values in halves:
+            rhs = psi.copy()
+            rhs[pinned] = values
+            psi = np.linalg.solve(left, rhs)
     for values in pin_rows:
         rhs = (eye - step) @ psi
         rhs[pinned] = values
         psi = np.linalg.solve(left, rhs)
     return psi
+
+
+def scheme_discounts(r, dt, n_steps, n_startup):
+    """The pricers' edge discounts, the scheme's own decay of a constant,
+    multiplied in one factor at a time: 1/(1 + a), a = r dt/2, per
+    half-step of a damped start of ``n_startup`` steps, then
+    (1 - a)/(1 + a) per Crank-Nicolson step. Returns the discounts
+    after each first half-step of the start and after each step."""
+    a = r * dt / 2.0
+    d, halves, ends = 1.0, [], []
+    for _ in range(n_startup):
+        for _half in range(2):
+            d *= 1.0 / (1.0 + a)
+            halves.append(d)
+        ends.append(d)
+    for _ in range(n_steps - n_startup):
+        d *= (1.0 - a) / (1.0 + a)
+        ends.append(d)
+    return halves[0::2], ends
 
 
 @pytest.fixture
@@ -260,10 +286,13 @@ class TestStepper:
         got = price_option(P, Payoff.call(k), self.STEPS * self.DT, g, cfg).values
         pinned = np.zeros(g.n_points, dtype=bool)
         pinned[[0, -1]] = True
-        taus = self.DT * np.arange(1, self.STEPS + 1)
-        pins = [(0.0, np.exp(g.x_max) - k * np.exp(-P.r * tau)) for tau in taus]
+        # a call starts with two damped steps; its top edge is discounted
+        # by the scheme's own factors
+        mid, ends = scheme_discounts(P.r, self.DT, self.STEPS, 2)
+        pins = [(0.0, np.exp(g.x_max) - k * d) for d in mid + ends]
         op = build_bs_hamiltonian(P, g)
-        want = dense_cn(op.matrix, Payoff.call(k).values_on(g), self.DT, 1.0, pinned, pins)
+        want = dense_cn(op.matrix, Payoff.call(k).values_on(g), self.DT, 1.0, pinned, pins[4:],
+                        startup=[(pins[0], pins[2]), (pins[1], pins[3])])
         self.assert_close(got, want)
         assert splu_calls == []
 
@@ -275,11 +304,13 @@ class TestStepper:
         op = build_effective_bs(P, barrier, g)
         pinned = op.dirichlet_mask.copy()
         pinned[-1] = True
-        taus = self.DT * np.arange(1, self.STEPS + 1)
-        # knocked nodes hold zero, the free top edge the discounted bond
-        pins = [np.append(np.zeros(pinned.sum() - 1), np.exp(-P.r * tau)) for tau in taus]
+        # knocked nodes hold zero, the free top edge the bond discounted by
+        # the scheme's own factors; a knock-out starts with two damped steps
+        mid, ends = scheme_discounts(P.r, self.DT, self.STEPS, 2)
+        pins = [np.append(np.zeros(pinned.sum() - 1), d) for d in mid + ends]
         psi0 = np.where(op.dirichlet_mask, 0.0, 1.0)
-        want = dense_cn(op.matrix, psi0, self.DT, 1.0, pinned, pins)
+        want = dense_cn(op.matrix, psi0, self.DT, 1.0, pinned, pins[4:],
+                        startup=[(pins[0], pins[2]), (pins[1], pins[3])])
         self.assert_close(got, want)
         assert splu_calls == []
 
@@ -619,10 +650,12 @@ class TestPricing:
         ids=lambda pf: pf.kind,
     )
     def test_edges_hold_far_field(self, payoff):
-        # 300 steps of T/300 land exactly on T, so the last pins use e^{-rT}
+        # 300 steps of T/300 land exactly on T; the last pins use the
+        # scheme's discount over them, with a damped start for kinked data
         curve = price_option(P, payoff, self.T, self.G, self.CFG).values
         lo, hi = np.exp(self.G.x_min), np.exp(self.G.x_max)
-        d = np.exp(-0.05 * self.T)
+        n_startup = 0 if payoff.kind in ("bond", "martingale-asset") else 2
+        d = scheme_discounts(0.05, self.T / 300, 300, n_startup)[1][-1]
         want = {
             "call": (0.0, hi - self.K * d),
             "put": (self.K * d - lo, 0.0),
@@ -651,6 +684,37 @@ class TestPricing:
         assert all(3.5 <= q <= 4.5 for q in ratios), ratios
 
 
+class TestDampedStart:
+    """The kinked call and put start with two damped steps, so a coarse
+    step neither leaves negative gamma at the strike nor costs the
+    scheme its second order in time."""
+
+    G = Grid1D(0.605, 8.605, 801)
+    SPOT = 400  # x = 4.605, the node nearest ln 100
+
+    def price(self, payoff, dt):
+        return price_option(P, payoff, 1.0, self.G, EvolutionConfig(dt=dt, n_steps=1)).values
+
+    @pytest.mark.parametrize("payoff", [Payoff.call(100.0), Payoff.put(100.0)],
+                             ids=lambda pf: pf.kind)
+    @pytest.mark.parametrize("dt", [0.5, 0.25, 0.2, 0.1, 0.05, 0.01, 0.0025])
+    def test_gamma_nonnegative_at_every_step(self, payoff, dt):
+        v, h, s = self.price(payoff, dt), self.G.h, np.exp(self.G.points[1:-1])
+        v_x = (v[2:] - v[:-2]) / (2.0 * h)
+        v_xx = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
+        gamma = (v_xx - v_x) / s**2
+        # roundoff in the deep in-the-money tail reads about -3e-8
+        assert gamma.min() >= -1e-6, f"gamma {gamma.min():.3g} at S = {s[gamma.argmin()]:.1f}"
+
+    def test_time_convergence_is_second_order(self):
+        # dt = 0.0025 stands in for the spatial floor of this grid
+        floor = self.price(Payoff.call(100.0), 0.0025)[self.SPOT]
+        errors = [abs(self.price(Payoff.call(100.0), dt)[self.SPOT] - floor)
+                  for dt in (0.1, 0.05, 0.025)]
+        ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+        assert all(3.5 <= q <= 4.5 for q in ratios), ratios
+
+
 class TestBarrierPricing:
     T = 1.0
     B = 80.0
@@ -674,7 +738,8 @@ class TestBarrierPricing:
         cfg = EvolutionConfig(dt=1.0 / 200, n_steps=200)
         curve = price_barrier(P, Payoff.call(100.0), Potential.down_and_out(np.log(self.B)), self.T, g, cfg)
         assert curve.values[0] == 0.0
-        assert curve.values[-1] == np.exp(g.x_max) - 100.0 * np.exp(-0.05 * self.T)
+        d = scheme_discounts(0.05, self.T / 200, 200, 2)[1][-1]
+        assert curve.values[-1] == np.exp(g.x_max) - 100.0 * d
 
     def test_knocked_price_below_vanilla(self):
         g = self.make_grid()
