@@ -8,9 +8,12 @@ factors one matrix and makes one solve per step. Pinned nodes (Dirichlet
 rows of the operator, or caller-supplied boundary values) are held at
 prescribed values by making their rows identity rows of that matrix. A
 tridiagonal one is read straight from the generator's diagonals and
-factored by LAPACK; any other by a sparse LU. One stepper serves
-``evolve``, the pricers and ``kernel_row``; the pricers read only the
-target step ``cfg.dt`` of their config.
+factored by LAPACK over the span of rows that can change, from one row
+before the first unpinned node to one after the last; any other by a
+sparse LU. One stepper serves ``evolve``, the pricers and
+``kernel_row``, and forms each step in place in one buffer. The pricers
+read only the target step ``cfg.dt`` of their config, and start rough
+(kinked or knocked) data with two damped Rannacher steps.
 """
 
 from __future__ import annotations
@@ -267,6 +270,16 @@ def _cn_run(
     cols = slice(*np.searchsorted(pinned_idx, [span.start, span.stop]))
     local = pinned_idx[cols] - span.start
 
+    # each step leaves every pinned node at its target, so the mean a
+    # step's pinned rows solve for is that of the previous target (psi0
+    # before the first step) and its own
+    ends = pin_values[:, cols]
+    means = np.empty_like(ends)
+    means[:1] = psi0[pinned_idx[cols]]
+    means[1:] = ends[:-1]
+    means += ends
+    means /= 2.0
+
     psi = psi0.copy()
     free = psi[span]
     rhs = np.empty_like(free)
@@ -278,9 +291,9 @@ def _cn_run(
             free[:] = solve(rhs)
             psi[pinned_idx] = values
         yield psi
-    for values in pin_values[len(startup):]:
+    for values, mean in zip(pin_values[len(startup):], means[len(startup):]):
         rhs[:] = free
-        rhs[local] = (values[cols] + free[local]) / 2.0
+        rhs[local] = mean
         y = solve(rhs)
         np.subtract(np.multiply(y, 2.0, out=y), free, out=free)
         # the extrapolation reaches the targets only up to roundoff
