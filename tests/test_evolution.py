@@ -435,9 +435,9 @@ class TestStepper:
         assert splu_calls == []
 
 
-def whole_grid_solve(h, scale, pinned, b):
-    """LAPACK's tridiagonal solve of I + scale H over every row, pinned
-    rows made identity rows."""
+def whole_grid_factor(h, scale, pinned):
+    """LAPACK's tridiagonal factor of I + scale H over every row, pinned
+    rows made identity rows: ``gttrs`` and the output of ``gttrf``."""
     from scipy.linalg import get_lapack_funcs
 
     d = 1 + scale * h.diagonal()
@@ -446,7 +446,7 @@ def whole_grid_solve(h, scale, pinned, b):
     dl[pinned[1:]] = 0
     du[pinned[:-1]] = 0
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (d,))
-    return gttrs(*gttrf(dl, d, du)[:5], b)[0]
+    return gttrs, gttrf(dl, d, du)
 
 
 def _one_free(n, i):
@@ -484,26 +484,22 @@ class TestSpanSolve:
         assert (got_span.start, got_span.stop) == span
         got = b.copy()
         got[got_span] = solve(b[got_span].copy())
-        want = whole_grid_solve(h, scale, pinned, b)
+        gttrs, lu = whole_grid_factor(h, scale, pinned)
+        want = gttrs(*lu[:5], b)[0]
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
     def test_zero_pivot_row_counts_from_the_grid(self):
         # rows 0-2 pinned, so the span starts at row 2; row 4 is singular
-        from scipy.linalg import get_lapack_funcs
-
         h = np.diag(np.full(6, 1.0), 1) + np.diag(np.full(6, 1.0), -1)
         h[4, 4] = -2.0 / 0.1
         h[4, 3] = h[4, 5] = 0.0
+        h = sparse.csr_matrix(h)
         pinned = np.isin(np.arange(7), [0, 1, 2])
-        d = 1 + 0.05 * np.diag(h)
-        d[pinned] = 1
-        dl, du = 0.05 * np.diag(h, -1), 0.05 * np.diag(h, 1)
-        dl[pinned[1:]] = du[pinned[:-1]] = 0
-        *_, info = get_lapack_funcs("gttrf", (d,))(dl, d, du)
+        info = whole_grid_factor(h, 0.05, pinned)[1][-1]
         assert info > 0
         with pytest.raises(SingularSolveError, match=f"zero pivot at row {info}$"):
-            qflab.evolution._factor(sparse.csr_matrix(h), 0.05, pinned)
+            qflab.evolution._factor(h, 0.05, pinned)
 
 
 @pytest.fixture
