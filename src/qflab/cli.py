@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .evolution import (
+    PAYOFF_ASSET,
     EvolutionConfig,
     Payoff,
     evolve,
@@ -40,6 +41,7 @@ from .model import (
     MGParams,
     SDEParams,
     StateVector,
+    _finite,
     _float_reprs,
     _positive,
     _record,
@@ -295,12 +297,7 @@ def _run_price(args) -> None:
     g = _grid_1d(args)
     if args.payoff in ("call", "put") and args.strike is None:
         raise ValueError("--strike is required for call and put payoffs")
-    payoff = {
-        "call": lambda: Payoff.call(args.strike),
-        "put": lambda: Payoff.put(args.strike),
-        "bond": Payoff.bond,
-        "asset": Payoff.martingale_asset,
-    }[args.payoff]()
+    payoff = Payoff(PAYOFF_ASSET if args.payoff == "asset" else args.payoff, args.strike)
     # the pricers read only the target step; the count is derived from --t, so a
     # bad --t is named before the default step derived from it is checked
     dt = args.dt if args.dt is not None else _positive(args.t, "maturity") / 400.0
@@ -327,13 +324,8 @@ def _run_evolve(args) -> None:
     elif args.state == "bond":
         state = StateVector(np.ones(g.n_points), g)
     else:
-        if not (np.isfinite(args.width) and args.width > 0.0):
-            raise ValueError(f"--width must be positive and finite, got {args.width}")
-        if not np.isfinite(args.center):
-            raise ValueError(f"--center must be finite, got {args.center}")
-        state = StateVector(
-            np.exp(-((g.points - args.center) ** 2) / (2.0 * args.width**2)), g
-        )
+        center, width = _finite(args.center, "--center"), _positive(args.width, "--width")
+        state = StateVector(np.exp(-((g.points - center) ** 2) / (2.0 * width**2)), g)
     cfg_run = EvolutionConfig(dt=args.dt, n_steps=args.n_steps, mode=args.mode)
     out, flow = evolve(op, state, cfg_run)
     vals = np.abs(out.values) if args.mode == "unitary" else np.real(out.values)
@@ -359,13 +351,9 @@ def _run_simulate(args) -> None:
 
 def _run_classify(args) -> None:
     if args.model == "bs":
-        p = _market_params(args)
-        report = classify_information_flow(p)
+        report = classify_information_flow(_market_params(args))
     else:
-        p = _mg_params(args)
-        if args.y is None:
-            raise ValueError("--y is required for the two-factor classification")
-        report = classify_information_flow(p, y=args.y)
+        report = classify_information_flow(_mg_params(args), *_required(args, "y"))
     Path(args.out).write_text(report.to_record())
 
 

@@ -31,11 +31,12 @@ from .model import (
     MarketParams,
     StateVector,
     _affordable,
+    _finite,
     _finite_table,
     _float_reprs,
     _integer,
+    _nonnegative,
     _positive,
-    _real,
     _step_count,
 )
 from .operators import (
@@ -84,28 +85,32 @@ class EvolutionConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-def _checked_strike(strike: float) -> float:
-    if not (np.isfinite(_real(strike, "strike")) and strike >= 0.0):
-        raise ValueError(f"strike must be finite and nonnegative, got {strike}")
-    return float(strike)
-
-
 @dataclass(frozen=True)
 class Payoff:
     """Terminal payoff g(x). Kinds: call/put with a strike, the unit
-    bond, the asset itself, or a table aligned to the pricing grid."""
+    bond, the asset itself, or a table aligned to the pricing grid. The
+    fields a kind reads are checked when it is built: a strike must be
+    finite and nonnegative, a table a 1-D table of finite values."""
 
     kind: str
     strike: float | None = None
     table: np.ndarray | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind in (PAYOFF_CALL, PAYOFF_PUT):
+            object.__setattr__(self, "strike", _nonnegative(self.strike, "strike"))
+        elif self.kind == PAYOFF_TABULATED:
+            object.__setattr__(self, "table", _finite_table(self.table, "tabulated payoff"))
+        elif self.kind not in (PAYOFF_BOND, PAYOFF_ASSET):
+            raise ValueError(f"unknown payoff kind {self.kind!r}")
+
     @classmethod
     def call(cls, strike: float) -> "Payoff":
-        return cls(kind=PAYOFF_CALL, strike=_checked_strike(strike))
+        return cls(kind=PAYOFF_CALL, strike=strike)
 
     @classmethod
     def put(cls, strike: float) -> "Payoff":
-        return cls(kind=PAYOFF_PUT, strike=_checked_strike(strike))
+        return cls(kind=PAYOFF_PUT, strike=strike)
 
     @classmethod
     def bond(cls) -> "Payoff":
@@ -117,7 +122,7 @@ class Payoff:
 
     @classmethod
     def tabulated(cls, values) -> "Payoff":
-        return cls(kind=PAYOFF_TABULATED, table=_finite_table(values, "tabulated payoff"))
+        return cls(kind=PAYOFF_TABULATED, table=values)
 
     def values_on(self, g: Grid1D) -> np.ndarray:
         s = np.exp(g.points)
@@ -129,15 +134,13 @@ class Payoff:
             vals = np.ones(g.n_points)
         elif self.kind == PAYOFF_ASSET:
             vals = s
-        elif self.kind == PAYOFF_TABULATED:
+        else:
             if self.table.shape != (g.n_points,):
                 raise ValueError(
                     f"tabulated payoff has {self.table.shape[0]} entries for a grid "
                     f"of {g.n_points} points"
                 )
             vals = self.table.astype(float, copy=True)
-        else:
-            raise ValueError(f"unknown payoff kind {self.kind!r}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("payoff is not finite on the grid")
         return vals
@@ -477,7 +480,7 @@ def kernel_row(p: MarketParams, x: float, tau: float, g: Grid1D) -> StateVector:
     cells.
     """
     _positive(tau, "kernel time")
-    if not g.x_min <= x <= g.x_max:
+    if not g.x_min <= _finite(x, "kernel source x") <= g.x_max:
         raise ValueError(f"kernel source x={x} lies outside the grid [{g.x_min}, {g.x_max}]")
     idx = int(np.argmin(np.abs(g.points - x)))
     op = build_bs_hamiltonian(p, g)

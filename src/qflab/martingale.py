@@ -17,7 +17,9 @@ from .model import (
     MGParams,
     SDEParams,
     StateVector,
+    _finite,
     _integer,
+    _nonnegative,
     _record,
     mg_cross_coef,
     mg_yy_coef,
@@ -82,8 +84,8 @@ def martingale_residual(
     must otherwise be finite and non-negative; residual_l2 is the
     cell-weighted discrete L2 norm.
     """
-    if tol is not None and not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    if tol is not None:
+        tol = _nonnegative(tol, "tol")
     if op.grid.size != state.grid.size:
         raise ValueError(
             f"operator size {op.grid.size} does not match state size {state.grid.size}"
@@ -121,9 +123,9 @@ def solve_extended_constraint(
     """Brent root of the extended-constraint expression on a bracket.
 
     The caller owns the bracket choice (the expression can have several
-    roots). Raises NoRootError when the end values do not change sign.
+    roots); its ends must be finite. Raises NoRootError when the end values do not change sign.
     """
-    y_lo, y_hi = float(bracket[0]), float(bracket[1])
+    y_lo, y_hi = _finite(bracket[0], "bracket y_lo"), _finite(bracket[1], "bracket y_hi")
     if not y_lo < y_hi:
         raise ValueError(f"bracket must satisfy y_lo < y_hi, got ({y_lo}, {y_hi})")
     f_lo = extended_constraint_residual(p, y_lo)

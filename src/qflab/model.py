@@ -7,6 +7,8 @@ otherwise unitless (no currency handling).
 
 from __future__ import annotations
 
+import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
@@ -53,16 +55,9 @@ class MarketParams:
     sigma_sq: float
 
     def __post_init__(self) -> None:
-        if not _real(self.r, "r") > 0.0:
+        if not _finite(self.r, "r") > 0.0:
             raise ValueError(f"spot rate must be positive, got r={self.r}")
-        if _real(self.sigma_sq, "sigma_sq") < 0.0:
-            raise ValueError(
-                f"squared volatility must be nonnegative, got sigma_sq={self.sigma_sq}"
-            )
-        if not (np.isfinite(self.r) and np.isfinite(self.sigma_sq)):
-            raise ValueError(
-                f"market parameters must be finite, got r={self.r}, sigma_sq={self.sigma_sq}"
-            )
+        _nonnegative(self.sigma_sq, "sigma_sq")
 
     def hermitian(self) -> bool:
         """True when drift and diffusion balance, i.e. sigma_sq equals 2 r.
@@ -104,17 +99,13 @@ class MGParams:
     rho: float
 
     def __post_init__(self) -> None:
-        if not _real(self.r, "r") > 0.0:
+        for f in fields(self):
+            _finite(getattr(self, f.name), f.name)
+        if not self.r > 0.0:
             raise ValueError(f"spot rate must be positive, got r={self.r}")
-        if _real(self.zeta, "zeta") < 0.0:
-            raise ValueError(f"zeta must be nonnegative, got zeta={self.zeta}")
-        if not -1.0 <= _real(self.rho, "rho") <= 1.0:
+        _nonnegative(self.zeta, "zeta")
+        if not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [-1, 1], got rho={self.rho}")
-        bad = [
-            f.name for f in fields(self) if not np.isfinite(_real(getattr(self, f.name), f.name))
-        ]
-        if bad:
-            raise ValueError(f"volatility parameters must be finite, got non-finite {bad}")
 
 
 @dataclass(frozen=True)
@@ -131,10 +122,7 @@ class SDEParams:
     base: Union[MarketParams, MGParams]
 
     def __post_init__(self) -> None:
-        if not np.isfinite(_real(self.expected_return, "expected_return")):
-            raise ValueError(
-                f"expected return must be finite, got expected_return={self.expected_return}"
-            )
+        _finite(self.expected_return, "expected_return")
         if not isinstance(self.base, (MarketParams, MGParams)):
             raise ValueError(f"base must be MarketParams or MGParams, got {self.base!r}")
 
@@ -152,20 +140,16 @@ class Grid1D:
     n_points: int
 
     def __post_init__(self) -> None:
-        if not _real(self.x_min, "x_min") < _real(self.x_max, "x_max"):
-            raise ValueError(
-                f"invalid grid: need x_min < x_max, got [{self.x_min}, {self.x_max}]"
-            )
-        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
-            raise ValueError(
-                f"invalid grid: bounds must be finite, got [{self.x_min}, {self.x_max}]"
-            )
+        x_min = _finite(self.x_min, "invalid grid: x_min")
+        x_max = _finite(self.x_max, "invalid grid: x_max")
+        if not x_min < x_max:
+            raise ValueError(f"invalid grid: need x_min < x_max, got [{x_min}, {x_max}]")
         if _integer(self.n_points, "invalid grid: n_points") < 3:
             raise ValueError(f"invalid grid: need n_points >= 3, got {self.n_points}")
         # as Python floats, so that an overflowing width raises no numpy warning
-        if not np.isfinite(float(self.x_max) - float(self.x_min)):
+        if not math.isfinite(x_max - x_min):
             raise ValueError(
-                f"invalid grid: the width of [{self.x_min}, {self.x_max}] overflows, "
+                f"invalid grid: the width of [{x_min}, {x_max}] overflows, "
                 "so the spacing h is not finite"
             )
 
@@ -266,19 +250,30 @@ def _integer(value, name: str) -> int:
     return value
 
 
-def _real(value, name: str) -> float:
-    """``value`` if it is a real number, numpy's included; refuses bools and all else."""
+def _finite(value, name: str, need: str = "finite, not NaN or infinite") -> float:
+    """``value`` as a float if it is a real number, numpy's included, that
+    is not a bool and is finite: the one rule for every scalar input.
+    Refuses a non-number, and says ``name`` must be ``need`` of a NaN, an
+    infinity or an integer beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return value
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be {need}, got {value}")
+    return float(value)
 
 
-def _positive(value: float, name: str) -> float:
-    """``value`` as a float; refuses NaN, infinities, values <= 0 and non-numbers."""
-    if not np.isfinite(_real(value, name)):
-        raise ValueError(f"{name} must be finite, got {value}")
-    if not value > 0.0:
+def _positive(value, name: str) -> float:
+    """``value`` as a float if it is finite and > 0; refuses all else."""
+    if not _finite(value, name) > 0.0:
         raise ValueError(f"{name} must be positive, got {value}")
+    return float(value)
+
+
+def _nonnegative(value, name: str) -> float:
+    """``value`` as a float if it is finite and >= 0; refuses all else."""
+    need = "finite and non-negative"
+    if not _finite(value, name, need) >= 0.0:
+        raise ValueError(f"{name} must be {need}, got {value}")
     return float(value)
 
 

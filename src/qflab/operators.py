@@ -22,8 +22,8 @@ from .model import (
     MarketParams,
     MGParams,
     StateVector,
+    _finite,
     _finite_table,
-    _real,
     mg_cross_coef,
     mg_y_drift,
     mg_yy_coef,
@@ -41,6 +41,14 @@ KIND_TABULATED = "tabulated"
 # edge knock nothing (the truncation already implies them).
 _EDGE_TOL = 1e-12
 
+# the scalar fields each potential kind reads
+_POTENTIAL_SCALARS = {
+    KIND_CONSTANT: ("value",),
+    KIND_DOWN_AND_OUT: ("level",),
+    KIND_DOUBLE_KNOCKOUT: ("lo", "hi"),
+    KIND_TABULATED: (),
+}
+
 
 @dataclass(frozen=True)
 class Potential:
@@ -49,8 +57,10 @@ class Potential:
     Four kinds: a constant value, a down-and-out barrier (infinite below
     ``level``, the spot rate inside), a double knockout (infinite outside
     [lo, hi]), and a table of values aligned to a grid. Barrier kinds are
-    realized as Dirichlet-zero rows, never as literal infinities; every
-    value, level and bound given must be finite.
+    realized as Dirichlet-zero rows, never as literal infinities. The
+    fields a kind reads are checked when it is built: every value, level
+    and bound must be finite, a corridor needs lo < hi, and a table must
+    be a 1-D table of finite values.
     """
 
     kind: str
@@ -60,29 +70,32 @@ class Potential:
     hi: float | None = None
     table: np.ndarray | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in tuple(_POTENTIAL_SCALARS):  # by equality, so any kind compares
+            raise ValueError(f"unknown potential kind {self.kind!r}")
+        for name in _POTENTIAL_SCALARS[self.kind]:
+            value = _finite(getattr(self, name), f"{self.kind} potential {name}")
+            object.__setattr__(self, name, value)
+        if self.kind == KIND_TABULATED:
+            object.__setattr__(self, "table", _finite_table(self.table, "tabulated potential"))
+        if self.kind == KIND_DOUBLE_KNOCKOUT and not self.lo < self.hi:
+            raise ValueError(f"double knockout needs lo < hi, got lo={self.lo}, hi={self.hi}")
+
     @classmethod
     def constant(cls, value: float) -> "Potential":
-        if not np.isfinite(_real(value, "constant potential")):
-            raise ValueError(f"constant potential must not be NaN or infinite, got {value}")
-        return cls(kind=KIND_CONSTANT, value=float(value))
+        return cls(kind=KIND_CONSTANT, value=value)
 
     @classmethod
     def down_and_out(cls, level: float) -> "Potential":
-        if not np.isfinite(_real(level, "down-and-out level")):
-            raise ValueError(f"down-and-out level must not be NaN or infinite, got {level}")
-        return cls(kind=KIND_DOWN_AND_OUT, level=float(level))
+        return cls(kind=KIND_DOWN_AND_OUT, level=level)
 
     @classmethod
     def double_knockout(cls, lo: float, hi: float) -> "Potential":
-        if not (np.isfinite(_real(lo, "lo")) and np.isfinite(_real(hi, "hi"))):
-            raise ValueError(f"double knockout bounds must not be NaN or infinite: {lo}, {hi}")
-        if lo >= hi:
-            raise ValueError(f"double knockout needs lo < hi, got lo={lo}, hi={hi}")
-        return cls(kind=KIND_DOUBLE_KNOCKOUT, lo=float(lo), hi=float(hi))
+        return cls(kind=KIND_DOUBLE_KNOCKOUT, lo=lo, hi=hi)
 
     @classmethod
     def tabulated(cls, values) -> "Potential":
-        return cls(kind=KIND_TABULATED, table=_finite_table(values, "tabulated potential"))
+        return cls(kind=KIND_TABULATED, table=values)
 
     def values_on(self, g: Grid1D, inside_value: float) -> np.ndarray:
         """Potential values at the grid nodes of the admissible region.
@@ -99,9 +112,7 @@ class Potential:
                     f"for a grid of {g.n_points} points"
                 )
             return self.table.astype(float, copy=True)
-        if self.kind in (KIND_DOWN_AND_OUT, KIND_DOUBLE_KNOCKOUT):
-            return np.full(g.n_points, inside_value, dtype=float)
-        raise ValueError(f"unknown potential kind {self.kind!r}")
+        return np.full(g.n_points, inside_value, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -241,8 +252,6 @@ def build_effective_bs(
         if v.level > g.x_min + _EDGE_TOL:
             knocked = x <= v.level + _EDGE_TOL
     elif v.kind == KIND_DOUBLE_KNOCKOUT:
-        if v.lo >= v.hi:
-            raise ValueError(f"double knockout needs lo < hi, got lo={v.lo}, hi={v.hi}")
         if v.lo < g.x_min - _EDGE_TOL or v.hi > g.x_max + _EDGE_TOL:
             raise ValueError(
                 f"corridor [{v.lo}, {v.hi}] must lie inside the grid "

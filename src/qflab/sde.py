@@ -21,6 +21,7 @@ from .model import (
     MGParams,
     SDEParams,
     _affordable,
+    _finite,
     _float_reprs,
     _integer,
     _positive,
@@ -143,8 +144,7 @@ def simulate_mg(
     at zero. The two normal streams are correlated by the Cholesky
     construction z2 = rho z1 + sqrt(1 - rho^2) z_perp.
     """
-    if not np.isfinite(drift):
-        raise ValueError(f"drift must be finite, got {drift}")
+    drift = _finite(drift, "drift")
     _positive(v0, "v0")
     n_steps = _check_sizes(s0, T, dt, n_paths, seed)
     dt_eff = T / n_steps

@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .model import (
-    MarketParams, MGParams, _integer, _real, _record, mg_cross_coef, mg_y_drift, mg_yy_coef
+    MarketParams, MGParams, _finite, _integer, _record, mg_cross_coef, mg_y_drift, mg_yy_coef
 )
 
 FLAG_TOL = 1e-12
@@ -65,9 +65,9 @@ class FieldPoint:
 
     def __post_init__(self) -> None:
         _orders(self.n, self.m)
-        values = (self.phi_x, self.phi_y)
-        if any(v is not None and not np.isfinite(_real(v, "field value")) for v in values):
-            raise ValueError(f"field values must be finite, got {self.phi_x}, {self.phi_y}")
+        for name, value in (("phi_x", self.phi_x), ("phi_y", self.phi_y)):
+            if value is not None:
+                _finite(value, f"field value {name}")
 
 
 @dataclass(frozen=True)
@@ -392,9 +392,7 @@ def _two_field_point(p: MGParams, y: float) -> tuple[float, float, float, dict]:
 
     Refuses a y at which e^y or C(y) is not a finite float.
     """
-    if not np.isfinite(y):
-        raise ValueError(f"log-variance y must be finite, got {y}")
-    y = float(y)
+    y = _finite(y, "log-variance y")
     with np.errstate(over="ignore", invalid="ignore"):
         ey = float(np.exp(y))
         cy = float(mg_y_drift(p, y))
@@ -464,8 +462,7 @@ def mg_regime_solver(
     if tag is None:
         raise ValueError(f"unknown regime {regime!r}")
     _orders(n, m)
-    if not np.isfinite(phi_x):
-        raise ValueError(f"price field scale phi_x must be finite, got {phi_x}")
+    phi_x = _finite(phi_x, "price field scale phi_x")
     solution = functools.partial(_solution, tag, n, m, approximate=True)
 
     if tag == REGIME_STRONG_STRONG:

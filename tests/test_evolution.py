@@ -108,6 +108,23 @@ class TestPayoffs:
         with pytest.raises(ValueError):
             Payoff.tabulated(np.ones(7)).values_on(self.G)
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(kind="nope"), "unknown payoff kind 'nope'"),
+            (dict(kind="call", strike=-5.0), "strike must be finite and non-negative, got -5.0"),
+            (dict(kind="put"), "strike must be a real number, got None"),
+            (dict(kind="tabulated", table=[1.0, np.nan]), "tabulated payoff must be a 1-D table"),
+        ],
+    )
+    def test_direct_construction_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Payoff(**kwargs)
+
+    def test_direct_construction_equals_classmethod(self):
+        assert Payoff(kind="call", strike=100) == Payoff.call(100.0)
+        assert Payoff(kind="call", strike=np.float64(100.0)).strike.__class__ is float
+
 
 class TestEvolve:
     def test_bond_state_decays_exactly(self):

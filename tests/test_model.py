@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflab.evolution import EvolutionConfig, Payoff
+from qflab.evolution import EvolutionConfig, Payoff, kernel_row
+from qflab.martingale import martingale_residual, solve_extended_constraint
 from qflab.model import (
     Grid1D,
     Grid2D,
@@ -25,8 +26,15 @@ from qflab.model import (
     sample_extended_martingale_state,
     sample_martingale_state,
 )
-from qflab.operators import Potential
-from qflab.vacuum import FieldPoint
+from qflab.operators import Potential, build_bs_hamiltonian
+from qflab.sde import simulate_mg
+from qflab.vacuum import (
+    FieldPoint,
+    classify_information_flow,
+    mg_case_solver,
+    mg_polynomial_residual,
+    mg_regime_solver,
+)
 
 HERMITIAN_TOL = 1e-12
 GRID_UNIFORMITY_TOL = 1e-12
@@ -306,6 +314,13 @@ VOL_MARKETS = st.builds(
 )
 NOT_MARKETS = st.one_of(SCALARS, GRIDS)
 NOT_GRIDS = st.one_of(SCALARS, MARKETS)
+NEGATIVE = st.floats(max_value=-5e-324, allow_infinity=False)
+NOT_PAYOFF_KINDS = SCALARS.filter(
+    lambda k: k not in ("call", "put", "bond", "martingale-asset", "tabulated")
+)
+NOT_POTENTIAL_KINDS = SCALARS.filter(
+    lambda k: k not in ("constant", "down-and-out", "double-knockout", "tabulated")
+)
 
 
 def _fields(obj) -> tuple:
@@ -353,6 +368,33 @@ CONSTRUCTORS = {
         [NOT_FINITE.filter(lambda v: v is not None)] * 2 + [NOT_INTEGERS] * 2,
         _fields,
     ),
+    # the direct forms check what the classmethods used to check
+    "Payoff": (
+        Payoff,
+        st.tuples(st.sampled_from(["call", "put"]), NONNEGATIVE),
+        [NOT_PAYOFF_KINDS, NOT_FINITE | NEGATIVE],
+        lambda pf: (pf.kind, pf.strike),
+    ),
+    "Payoff(tabulated)": (
+        lambda table: Payoff("tabulated", table=table), st.tuples(st.lists(FINITE)),
+        [NOT_TABLES], _table,
+    ),
+    "Potential(constant)": (
+        Potential, st.tuples(st.just("constant"), FINITE),
+        [NOT_POTENTIAL_KINDS, NOT_FINITE], lambda v: (v.kind, v.value),
+    ),
+    "Potential(down-and-out)": (
+        lambda level: Potential("down-and-out", level=level), st.tuples(FINITE),
+        [NOT_FINITE], lambda v: (v.level,),
+    ),
+    "Potential(double-knockout)": (
+        lambda lo, hi: Potential("double-knockout", lo=lo, hi=hi), BOUNDS,
+        [NOT_FINITE] * 2, lambda v: (v.lo, v.hi),
+    ),
+    "Potential(tabulated)": (
+        lambda table: Potential("tabulated", table=table), st.tuples(st.lists(FINITE)),
+        [NOT_TABLES], _table,
+    ),
 }
 
 
@@ -367,6 +409,54 @@ def test_constructors_refuse_ill_typed_input(data, name):
     args[k] = data.draw(spoilers[k], label="value")
     with pytest.raises(ValueError):
         make(*args)
+
+
+MG = MGParams(r=0.05, lam=0.01, mu=0.005, zeta=0.1, alpha=1.0, rho=-0.5)
+KERNEL_GRID = Grid1D(-1.0, 1.0, 21)
+MARTINGALE_OP = build_bs_hamiltonian(MarketParams(r=0.05, sigma_sq=0.04), KERNEL_GRID)
+
+# every entry point that takes a loose scalar, called with one scalar
+# varied: each refuses anything that is not a finite real number
+ENTRY_SCALARS = {
+    "mg_case_solver y": lambda v: mg_case_solver(MG, v, 0, 1),
+    "mg_regime_solver y": lambda v: mg_regime_solver(MG, v, 2, 2, "strong-strong"),
+    "mg_regime_solver phi_x": lambda v: mg_regime_solver(MG, -3.0, 2, 2, "weak-weak", phi_x=v),
+    "mg_polynomial_residual y": lambda v: mg_polynomial_residual(MG, FieldPoint(1.0, 1.0, 1, 1), v),
+    "classify_information_flow y": lambda v: classify_information_flow(MG, y=v),
+    "simulate_mg drift": lambda v: simulate_mg(MG, v, 100.0, 0.04, 0.1, 0.05, 2, 0),
+    "martingale_residual tol": lambda v: martingale_residual(
+        MARTINGALE_OP, sample_martingale_state(KERNEL_GRID), tol=v
+    ),
+    "solve_extended_constraint y_lo": lambda v: solve_extended_constraint(MG, (v, 1.0)),
+    "solve_extended_constraint y_hi": lambda v: solve_extended_constraint(MG, (-5.0, v)),
+    "kernel_row x": lambda v: kernel_row(MarketParams(r=0.05, sigma_sq=0.04), v, 0.01,
+                                         KERNEL_GRID),
+}
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(ENTRY_SCALARS)))
+@settings(max_examples=200, deadline=None)
+def test_entry_points_refuse_ill_typed_scalars(data, name):
+    # None is the default tol, so it is no spoiler there
+    spoiler = NOT_FINITE.filter(lambda v: v is not None) if "tol" in name else NOT_FINITE
+    with pytest.raises(ValueError):
+        ENTRY_SCALARS[name](data.draw(spoiler, label="value"))
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [(name, value) for name in sorted(ENTRY_SCALARS) for value in (True, "-5", 1j, np.nan)],
+)
+def test_entry_points_refuse_bools_strings_complex_and_nan(name, value):
+    # a bool or a numeric string used to slip through some of these
+    with pytest.raises(ValueError):
+        ENTRY_SCALARS[name](value)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_SCALARS))
+def test_entry_points_accept_a_finite_scalar(name):
+    # 0.0 is a valid y, phi_x, drift, tol and kernel source; MG has a root in (-5, 1)
+    ENTRY_SCALARS[name]({"y_lo": -5.0, "y_hi": 1.0}.get(name.split()[-1], 0.0))
 
 
 RECORD_VALUES = st.one_of(

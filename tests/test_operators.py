@@ -170,6 +170,24 @@ class TestBarriers:
         with pytest.raises(ValueError, match="NaN"):
             make()
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(kind="nope"), "unknown potential kind 'nope'"),
+            (dict(kind="constant", value=np.nan), "constant potential value must be finite"),
+            (dict(kind="down-and-out", level=True), "level must be a real number"),
+            (dict(kind="double-knockout", lo=0.8, hi=0.2), "needs lo < hi"),
+            (dict(kind="double-knockout", lo=0.2), "hi must be a real number, got None"),
+            (dict(kind="tabulated", table=[[1.0]]), "tabulated potential must be a 1-D table"),
+        ],
+    )
+    def test_direct_construction_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Potential(**kwargs)
+
+    def test_direct_construction_equals_classmethod(self):
+        assert Potential(kind="double-knockout", lo=0, hi=1) == Potential.double_knockout(0.0, 1.0)
+
     def test_double_knockout_wrong_kind_rejected(self):
         g = Grid1D(0.0, 1.0, 11)
         with pytest.raises(ValueError):
