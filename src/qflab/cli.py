@@ -25,6 +25,7 @@ from .evolution import (
     PAYOFF_ASSET,
     EvolutionConfig,
     Payoff,
+    _monotone,
     evolve,
     price_barrier,
     price_option,
@@ -317,6 +318,8 @@ def _run_price(args) -> None:
 def _run_evolve(args) -> None:
     p = _market_params(args)
     g = _grid_1d(args)
+    if args.mode == "euclidean":
+        _monotone(p, g)
     boundary = BOUNDARY_DIRICHLET if args.boundary == "dirichlet" else BOUNDARY_ONE_SIDED
     op = build_bs_hamiltonian(p, g, boundary=boundary)
     if args.state == "asset":

@@ -18,6 +18,7 @@ read only the target step ``cfg.dt`` of their config, and start rough
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -44,6 +45,7 @@ from .operators import (
     KIND_DOWN_AND_OUT,
     OperatorMatrix,
     Potential,
+    _cell_peclet,
     build_bs_hamiltonian,
     build_effective_bs,
 )
@@ -390,14 +392,34 @@ def _edge_pairs(payoff: Payoff, vals: np.ndarray) -> tuple:
     }[payoff.kind]
 
 
+def _monotone(p: MarketParams, g: Grid1D) -> None:
+    """Refuse a Euclidean run of the one-factor generator on ``g`` whose
+    cell Peclet number exceeds 1: a central row then has a positive
+    off-diagonal, the scheme is no longer monotone, and a price can go
+    negative. The message names the node count that would satisfy it."""
+    pe = _cell_peclet(p, p.r, g.h)
+    if pe > 1.0:
+        # more than (n - 1) Pe cells bring it to 1 or below
+        fix = (
+            f"{int((g.n_points - 1) * pe) + 2} nodes or more on [{g.x_min}, {g.x_max}]"
+            if math.isfinite(pe)
+            else "a positive sigma_sq"
+        )
+        raise ValueError(
+            f"cell Peclet number Pe = h * |sigma_sq/2 - r| / sigma_sq = {pe:.6g} exceeds 1 "
+            f"on {g.n_points} nodes, so the Euclidean scheme is not monotone; use {fix}"
+        )
+
+
 def _price(
     p: MarketParams, payoff: Payoff, T: float, cfg: EvolutionConfig, op: OperatorMatrix
 ) -> StateVector:
     """Present value over T under ``op``: knocked nodes (its Dirichlet
     mask) held at zero, each free edge at its far field. Only cfg.dt is
     read, as a target step; the count is derived so the steps land
-    exactly on T."""
+    exactly on T. A grid whose cell Peclet number exceeds 1 is refused."""
     g = op.grid
+    _monotone(p, g)
     n_steps = _step_count(T, cfg.dt, "maturity")
     dt = T / n_steps
     vals = payoff.values_on(g)
@@ -477,11 +499,12 @@ def kernel_row(p: MarketParams, x: float, tau: float, g: Grid1D) -> StateVector:
     implicit startup to damp the delta's high modes. The row integrates
     to the discount factor, reproduces e^x against the asset state, and
     is nonnegative on fine grids once the kernel width clears a few
-    cells.
+    cells. A grid whose cell Peclet number exceeds 1 is refused.
     """
     _positive(tau, "kernel time")
     if not g.x_min <= _finite(x, "kernel source x") <= g.x_max:
         raise ValueError(f"kernel source x={x} lies outside the grid [{g.x_min}, {g.x_max}]")
+    _monotone(p, g)
     idx = int(np.argmin(np.abs(g.points - x)))
     op = build_bs_hamiltonian(p, g)
     delta = np.zeros(g.n_points)

@@ -10,6 +10,7 @@ pure and immutable; builders can run concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -378,6 +379,16 @@ def hermiticity_defect(op: OperatorMatrix) -> float:
     return 0.5 * float(np.abs(sub.data).max())
 
 
+def _cell_peclet(p: MarketParams, vals, h: float) -> float:
+    """Cell Peclet number h max|sigma_sq/2 - V| / sigma_sq of the 1D
+    generator with potential values ``vals`` on spacing h; inf at
+    sigma_sq = 0. Above 1, an off-diagonal -sigma_sq/(2h^2) -+ (sigma_sq/2 -
+    V)/(2h) of a central row turns positive."""
+    if p.sigma_sq == 0.0:
+        return math.inf
+    return h * float(np.abs(0.5 * p.sigma_sq - vals).max()) / p.sigma_sq
+
+
 def similarity_transform(
     p: MarketParams, v: Potential, g: Grid1D
 ) -> tuple[SimilarityTransform, OperatorMatrix]:
@@ -393,7 +404,7 @@ def similarity_transform(
 
         -(sigma_sq/2) D2 + (1/2) V'(x) + (V + sigma_sq/2)^2 / (2 sigma_sq).
 
-    Requires sigma_sq > 0 and the cell-scale drift bound
+    Requires sigma_sq > 0 and a cell Peclet number below 1, that is
     h * max|sigma_sq/2 - V| < sigma_sq (grid Peclet condition); both are
     checked. Edge rows and columns are zeroed (Dirichlet closure).
     """
@@ -402,15 +413,14 @@ def similarity_transform(
     if v.kind in (KIND_DOWN_AND_OUT, KIND_DOUBLE_KNOCKOUT):
         raise ValueError("similarity transform needs a smoothly evaluable potential")
 
-    h = g.h
     x = g.points
     vals = v.values_on(g, inside_value=p.r)
 
-    peclet = h * float(np.abs(0.5 * p.sigma_sq - vals).max())
-    if peclet >= p.sigma_sq:
+    peclet = _cell_peclet(p, vals, g.h)
+    if peclet >= 1.0:
         raise ValueError(
             "grid Peclet condition violated: need h * max|sigma_sq/2 - V| "
-            f"< sigma_sq, got {peclet:.6g} >= {p.sigma_sq:.6g}; refine the grid"
+            f"< sigma_sq, got Pe = {peclet:.6g} >= 1; refine the grid"
         )
 
     # trapezoid rule accumulated from the left edge

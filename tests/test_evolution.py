@@ -808,6 +808,49 @@ class TestBarrierPricing:
             price_barrier(P, Payoff.call(1.0), Potential.constant(0.05), self.T, g, cfg)
 
 
+class TestMonotoneGuard:
+    """A Euclidean pricing run is refused once the cell Peclet number
+    h |sigma_sq/2 - r| / sigma_sq exceeds 1, where a central row of the
+    generator turns a positive off-diagonal and prices can go negative."""
+
+    LOW_VOL = MarketParams(r=0.05, sigma_sq=1e-4)
+    G = Grid1D(0.605, 8.605, 801)  # Pe = 0.01 * 0.04995 / 1e-4 = 4.995
+
+    def test_price_refused_with_pe_and_node_count(self):
+        with pytest.raises(ValueError, match=r"Pe = .* = 4\.995 exceeds 1 .* 3998 nodes or more"):
+            price_option(self.LOW_VOL, Payoff.put(100.0), 1.0, self.G, EvolutionConfig(0.01, 1))
+
+    def test_named_node_count_prices_without_negative_values(self):
+        g = Grid1D(0.605, 8.605, 3998)
+        curve = price_option(self.LOW_VOL, Payoff.put(100.0), 1.0, g, EvolutionConfig(0.01, 1))
+        assert curve.values.min() >= 0.0
+
+    def test_barrier_price_refused(self):
+        barrier = Potential.down_and_out(3.0)
+        with pytest.raises(ValueError, match="Peclet"):
+            price_barrier(
+                self.LOW_VOL, Payoff.put(100.0), barrier, 1.0, self.G, EvolutionConfig(0.01, 1)
+            )
+
+    def test_zero_volatility_refused(self):
+        with pytest.raises(ValueError, match="Pe = .* = inf .* positive sigma_sq"):
+            price_option(
+                MarketParams(r=0.05, sigma_sq=0.0), Payoff.bond(), 1.0, self.G,
+                EvolutionConfig(0.01, 1),
+            )
+
+    def test_kernel_refused(self):
+        with pytest.raises(ValueError, match="Peclet"):
+            kernel_row(self.LOW_VOL, 4.0, 0.1, self.G)
+
+    def test_library_evolve_unguarded(self):
+        # evolve steps any operator it is given, monotone or not
+        op = build_bs_hamiltonian(self.LOW_VOL, self.G)
+        state = StateVector(np.ones(self.G.n_points), self.G)
+        out, _ = evolve(op, state, EvolutionConfig(0.01, 3))
+        assert np.all(np.isfinite(out.values))
+
+
 class TestKernel:
     def test_row_integrates_to_discount_factor(self):
         g = Grid1D(-1.0, 1.0, 201)
