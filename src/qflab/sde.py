@@ -94,6 +94,17 @@ def _check_rows(rows: int, max_rows: int = CSV_ROW_GUARD, force: bool = False) -
         )
 
 
+def _check_finite(table: np.ndarray, what: str, dt: float) -> None:
+    """Refuse a path table that left the finite range, naming its first
+    path and step that did. Every entry is >= 0 or NaN, and NaN
+    propagates through the max, so one max tests the whole table."""
+    if not np.isfinite(table.max()):
+        path, step = np.argwhere(~np.isfinite(table))[0].tolist()
+        raise ArithmeticError(
+            f"{what} path {path} leaves the finite range at step {step} (t = {step * dt!r})"
+        )
+
+
 def simulate_gbm(
     sp: SDEParams, s0: float, T: float, dt: float, n_paths: int, seed: int
 ) -> PathEnsemble:
@@ -104,7 +115,8 @@ def simulate_gbm(
     (phi - sigma_sq/2) dt + sigma sqrt(dt) z. A path is s0 times the
     exponential of their running sum, so it starts at s0 exactly. The
     requested dt is adjusted to divide the horizon evenly. Zero
-    volatility gives the deterministic exponential on every path.
+    volatility gives the deterministic exponential on every path. A path
+    that overflows raises ArithmeticError.
     """
     base = sp.base
     if not isinstance(base, MarketParams):
@@ -118,12 +130,14 @@ def simulate_gbm(
     with _affordable(n_steps, f"a path table of {n_paths} x {n_steps + 1} values"):
         paths = np.empty((n_paths, n_steps + 1))
     paths[:, 0] = 0.0
-    for rows, z in _path_blocks(seed, n_paths, (n_steps,)):
-        z *= scale  # the increments are built in place: no second block in memory
-        z += drift
-        np.cumsum(z, axis=1, out=paths[rows, 1:])
-    np.exp(paths, out=paths)
-    paths *= s0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, z in _path_blocks(seed, n_paths, (n_steps,)):
+            z *= scale  # the increments are built in place: no second block in memory
+            z += drift
+            np.cumsum(z, axis=1, out=paths[rows, 1:])
+        np.exp(paths, out=paths)
+        paths *= s0
+    _check_finite(paths, "price", dt_eff)
     return PathEnsemble(paths=paths, dt=dt_eff, seed=int(seed))
 
 
@@ -142,7 +156,9 @@ def simulate_mg(
     The price is log-Euler with the running variance; the variance is
     explicit Euler on dV = (lam + mu V) dt + zeta V^alpha dW2, reflected
     at zero. The two normal streams are correlated by the Cholesky
-    construction z2 = rho z1 + sqrt(1 - rho^2) z_perp.
+    construction z2 = rho z1 + sqrt(1 - rho^2) z_perp. A path that
+    leaves the finite range (explicit Euler blows up for alpha > 1 and
+    large zeta) raises ArithmeticError.
     """
     drift = _finite(drift, "drift")
     _positive(v0, "v0")
@@ -163,17 +179,21 @@ def simulate_mg(
     for rows, z in _path_blocks(seed, n_paths, (n_steps, 2)):
         s_paths[rows, 1:] = z[:, :, 0]
         v_paths[rows, 1:] = p.rho * z[:, :, 0] + rho_perp * z[:, :, 1]
-    for start in range(0, n_paths, PATH_BLOCK):
-        rows = slice(start, min(start + PATH_BLOCK, n_paths))
-        s_block, v_block = s_paths[rows], v_paths[rows]
-        x = np.full(s_block.shape[0], np.log(s0))
-        v = np.full(s_block.shape[0], float(v0))
-        for k in range(1, n_steps + 1):
-            z1, z2 = s_block[:, k], v_block[:, k]
-            x = x + (drift - 0.5 * v) * dt_eff + np.sqrt(v) * sq_dt * z1
-            v = np.abs(v + (p.lam + p.mu * v) * dt_eff + p.zeta * v**p.alpha * sq_dt * z2)
-            s_block[:, k] = np.exp(x)
-            v_block[:, k] = v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_paths, PATH_BLOCK):
+            rows = slice(start, min(start + PATH_BLOCK, n_paths))
+            s_block, v_block = s_paths[rows], v_paths[rows]
+            x = np.full(s_block.shape[0], np.log(s0))
+            v = np.full(s_block.shape[0], float(v0))
+            for k in range(1, n_steps + 1):
+                z1, z2 = s_block[:, k], v_block[:, k]
+                x = x + (drift - 0.5 * v) * dt_eff + np.sqrt(v) * sq_dt * z1
+                v = np.abs(v + (p.lam + p.mu * v) * dt_eff + p.zeta * v**p.alpha * sq_dt * z2)
+                s_block[:, k] = np.exp(x)
+                v_block[:, k] = v
+    # the variance leaves the finite range first; the price follows it
+    _check_finite(v_paths, "variance", dt_eff)
+    _check_finite(s_paths, "price", dt_eff)
     return PathEnsemble(paths=s_paths, dt=dt_eff, seed=int(seed), v_paths=v_paths)
 
 

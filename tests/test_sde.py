@@ -313,6 +313,35 @@ MG_CSV = (
 )
 
 
+class TestNonFinitePaths:
+    """A path table that leaves the finite range is refused, naming its
+    first bad path and step; the suite turns any numpy warning into an
+    error, so none escapes on the way."""
+
+    def test_exploding_variance_refused(self):
+        # explicit Euler on zeta V^alpha dW with alpha = 1.5 blows up
+        p = MGParams(r=0.05, lam=0.05, mu=0.5, zeta=2.0, alpha=1.5, rho=-0.5)
+        with pytest.raises(ArithmeticError, match=r"variance path \d+ .* at step \d+ \(t = "):
+            simulate_mg(p, 0.05, 100.0, 0.5, 5.0, 0.05, 200, seed=0)
+
+    def test_overflowing_price_refused(self):
+        sp = SDEParams(expected_return=800.0, base=BASE)
+        with pytest.raises(ArithmeticError, match="price path 0 leaves the finite range at step"):
+            simulate_gbm(sp, 100.0, 1.0, 0.01, 3, seed=0)
+
+    def test_first_bad_path_and_step_named(self):
+        table = np.ones((4, 6))
+        table[2, 4] = table[3, 1] = np.inf
+        table[2, 5] = np.nan
+        with pytest.raises(ArithmeticError, match=r"^price path 2 .* at step 4 \(t = 0\.5\)$"):
+            qflab.sde._check_finite(table, "price", 0.125)
+
+    def test_underflow_to_zero_is_kept(self):
+        # prices that reach 0.0 are finite: nothing is refused
+        sp = SDEParams(expected_return=-800.0, base=BASE)
+        assert simulate_gbm(sp, 100.0, 1.0, 0.01, 3, seed=0).terminal().max() == 0.0
+
+
 class TestStreamedExport:
     """The export's full text is pinned, and its memory stays at one
     path's text however many rows it writes."""
