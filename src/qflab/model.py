@@ -131,8 +131,9 @@ class SDEParams:
 class Grid1D:
     """Uniform lattice on a closed interval of the log-price axis.
 
-    The bounds and their width must be finite and ``n_points`` an integer
-    (not a bool) of at least 3.
+    The bounds must be finite and ``n_points`` an integer (not a bool) of
+    at least 3. The spacing h must leave h^2 and 1/h^2, the scales of the
+    difference stencils, positive finite floats.
     """
 
     x_min: float
@@ -146,11 +147,17 @@ class Grid1D:
             raise ValueError(f"invalid grid: need x_min < x_max, got [{x_min}, {x_max}]")
         if _integer(self.n_points, "invalid grid: n_points") < 3:
             raise ValueError(f"invalid grid: need n_points >= 3, got {self.n_points}")
-        # as Python floats, so that an overflowing width raises no numpy warning
-        if not math.isfinite(x_max - x_min):
+        # as Python floats, so that an overflow or underflow raises no numpy warning
+        h = (x_max - x_min) / (int(self.n_points) - 1)
+        if not math.isfinite(h):
             raise ValueError(
                 f"invalid grid: the width of [{x_min}, {x_max}] overflows, "
                 "so the spacing h is not finite"
+            )
+        if not (0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf):
+            raise ValueError(
+                f"invalid grid: the spacing h = {h!r} of [{x_min}, {x_max}] leaves "
+                "h^2 or 1/h^2 outside the positive finite floats"
             )
 
     @property

@@ -154,6 +154,16 @@ class TestGrid1D:
         with pytest.raises(ValueError, match="spacing h is not finite"):
             Grid1D(x_min, x_max, 11)
 
+    @pytest.mark.parametrize(
+        "x_min,x_max,n",
+        [(0.0, 5e-324, 3), (0.0, 1e-200, 3), (-1e300, 1e300, 3), (0.0, 1e200, 11)],
+        ids=["h_zero", "inverse_square_overflows", "square_overflows", "square_overflows_n11"],
+    )
+    def test_spacing_outside_the_stencil_range_rejected(self, x_min, x_max, n):
+        # the stencils scale by 1/h and 1/h^2: h^2 and 1/h^2 must be finite and nonzero
+        with pytest.raises(ValueError, match="h\\^2 or 1/h\\^2 outside the positive finite"):
+            Grid1D(x_min, x_max, n)
+
     @pytest.mark.parametrize("n", [5.5, 11.0, True, "11"])
     def test_non_integer_points_rejected(self, n):
         with pytest.raises(ValueError, match="integer"):
@@ -306,7 +316,10 @@ POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
 NONNEGATIVE = st.floats(min_value=0.0, max_value=1e300)
 ORDERS = st.integers(0, 50)
 BOUNDS = st.tuples(FINITE, FINITE).filter(lambda b: b[0] < b[1])
-GRID_BOUNDS = BOUNDS.filter(lambda b: math.isfinite(b[1] - b[0]))
+# bounds whose spacing over 2..19 cells leaves h^2 and 1/h^2 finite floats
+GRID_BOUNDS = st.tuples(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150)).filter(
+    lambda b: b[1] - b[0] > 1e-150
+)
 GRIDS = st.builds(lambda b, n: Grid1D(*b, n), GRID_BOUNDS, st.integers(3, 20))
 MARKETS = st.builds(MarketParams, POSITIVE, NONNEGATIVE)
 VOL_MARKETS = st.builds(
