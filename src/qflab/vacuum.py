@@ -115,26 +115,22 @@ class VacuumSolution:
             ("limit_value", self.limit_value),
             ("price_translation_broken", self.price_translation_broken),
             ("volatility_translation_broken", self.volatility_translation_broken),
-            *(
-                (f"root_{k}", f"{_cell(pt.phi_x)}, {_cell(pt.phi_y)}")
-                for k, pt in enumerate(self.roots)
-            ),
+            *((f"root_{k}", ", ".join(self._cells(pt))) for k, pt in enumerate(self.roots)),
         ])
 
     def to_csv(self) -> str:
         """One root per row for sweep plotting: ``index,phi`` for a
         one-field solution (``m`` None), ``index,phi_x,phi_y`` otherwise."""
-        one_field = self.m is None
-        lines = ["index,phi" if one_field else "index,phi_x,phi_y"]
-        for k, pt in enumerate(self.roots):
-            cells = (pt.phi_x,) if one_field else (pt.phi_x, pt.phi_y)
-            lines.append(",".join([str(k), *map(_cell, cells)]))
+        lines = ["index,phi" if self.m is None else "index,phi_x,phi_y"]
+        lines += [",".join([str(k), *self._cells(pt)]) for k, pt in enumerate(self.roots)]
         return "\n".join(lines) + "\n"
 
-
-def _cell(v: float | None) -> str:
-    """A root's field value as written: "free" when unconstrained."""
-    return "free" if v is None else repr(float(v))
+    def _cells(self, pt: FieldPoint) -> list[str]:
+        """A root's field values as both writers write them: phi alone
+        for a one-field solution (``m`` None), phi_x and phi_y otherwise;
+        "free" where a value is unconstrained."""
+        values = (pt.phi_x,) if self.m is None else (pt.phi_x, pt.phi_y)
+        return ["free" if v is None else repr(float(v)) for v in values]
 
 
 def _orders(n: int, m: int | None) -> None:

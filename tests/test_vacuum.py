@@ -554,8 +554,8 @@ class TestPinnedRecords:
             pytest.param(
                 lambda: bs_vacuum_exact(P, 1),
                 "regime = exact\nn = 1\ndegeneracy = 1\napproximate = False\n"
-                "price_translation_broken = True\nroot_0 = 0.0, free\n"
-                "root_1 = 0.6000000000000001, free\n",
+                "price_translation_broken = True\nroot_0 = 0.0\n"
+                "root_1 = 0.6000000000000001\n",
                 "index,phi\n0,0.0\n1,0.6000000000000001\n",
                 id="exact-n1",
             ),
@@ -563,14 +563,14 @@ class TestPinnedRecords:
                 lambda: bs_vacuum_exact(P, 3),
                 "regime = exact\nn = 3\ndegeneracy = 2\napproximate = False\n"
                 "divided_out_trivial = 0.0\nprice_translation_broken = True\n"
-                "root_0 = 2.6916472867168917, free\nroot_1 = -0.8916472867168918, free\n",
+                "root_0 = 2.6916472867168917\nroot_1 = -0.8916472867168918\n",
                 "index,phi\n0,2.6916472867168917\n1,-0.8916472867168918\n",
                 id="exact-n3",
             ),
             pytest.param(
                 lambda: bs_vacuum_weak(P, 1),
                 "regime = weak-field\nn = 1\ndegeneracy = 0\napproximate = True\n"
-                "price_translation_broken = False\nroot_0 = -0.0, free\n",
+                "price_translation_broken = False\nroot_0 = -0.0\n",
                 "index,phi\n0,-0.0\n",
                 id="weak-n1",
             ),
@@ -578,15 +578,15 @@ class TestPinnedRecords:
                 # both roots are 0.0 at the Hermitian point, kept once
                 lambda: bs_vacuum_strong(MarketParams(r=0.05, sigma_sq=0.1), 2),
                 "regime = strong-field\nn = 2\ndegeneracy = 0\napproximate = True\n"
-                "price_translation_broken = False\nroot_0 = 0.0, free\n",
+                "price_translation_broken = False\nroot_0 = 0.0\n",
                 "index,phi\n0,0.0\n",
                 id="strong-hermitian",
             ),
             pytest.param(
                 lambda: bs_extremum_roots(P, 3),
                 "regime = extremum\nn = 3\ndegeneracy = 2\napproximate = False\n"
-                "price_translation_broken = True\nroot_0 = 1.677032961426901, free\n"
-                "root_1 = -0.4770329614269007, free\n",
+                "price_translation_broken = True\nroot_0 = 1.677032961426901\n"
+                "root_1 = -0.4770329614269007\n",
                 "index,phi\n0,1.677032961426901\n1,-0.4770329614269007\n",
                 id="extremum-n3",
             ),
