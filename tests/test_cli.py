@@ -620,6 +620,49 @@ class TestExitCodes:
         assert "spacing h is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    LOW_VOL = ["--r", "0.05", "--sigma-sq", "1e-4", "--x-min", "0.605", "--x-max", "8.605",
+               "--n-points", "801"]
+
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            # Pe = 4.995: the put went negative (-0.1749) before the guard
+            (["price", "--payoff", "put", "--strike", "100", "--t", "1", *LOW_VOL], 2,
+             "Pe = h * |sigma_sq/2 - r| / sigma_sq = 4.995 exceeds 1 on 801 nodes"),
+            (["evolve", "--mode", "euclidean", "--state", "bond", "--dt", "0.01",
+              "--n-steps", "2", *LOW_VOL], 2, "3998 nodes or more"),
+            # h = 5e-324 / 2 rounds to zero
+            (["price", "--payoff", "bond", "--r", "0.05", "--sigma-sq", "0.04", "--t", "1",
+              "--x-min", "0", "--x-max", "5e-324", "--n-points", "3"], 2,
+             "invalid grid: the spacing h = 0.0"),
+            # explicit Euler on zeta V^alpha dW blows up at alpha = 1.5
+            (["simulate", "--model", "mg", "--r", "0.05", "--lambda", "0.05", "--mu", "0.5",
+              "--zeta", "2", "--alpha", "1.5", "--rho", "-0.5", "--v0", "0.5", "--t", "5",
+              "--dt", "0.05", "--n-paths", "200", "--drift", "0.05", "--s0", "100"], 1,
+             "error = ArithmeticError\nverb = simulate\nmessage = variance path "),
+        ],
+        ids=["price_peclet", "evolve_peclet", "grid_underflow", "simulate_non_finite"],
+    )
+    def test_unsafe_numerics_refused_without_warnings(self, tmp_path, capsys, argv, code,
+                                                      message):
+        out = tmp_path / "x.out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert message in (captured.err if code == 2 else captured.out)
+        if code == 2:
+            assert not out.exists()
+        else:
+            assert out.read_text() == captured.out
+        assert not Path(f"{out}.manifest").exists()
+
+    def test_unitary_evolve_is_not_guarded(self, tmp_path):
+        out = tmp_path / "u.csv"
+        argv = ["evolve", "--mode", "unitary", "--state", "gaussian", "--center", "4.6",
+                "--dt", "0.01", "--n-steps", "2", *self.LOW_VOL, "--out", str(out)]
+        assert main(argv) == 0
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "qflab" in capsys.readouterr().out
