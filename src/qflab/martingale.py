@@ -123,7 +123,8 @@ def solve_extended_constraint(
     """Brent root of the extended-constraint expression on a bracket.
 
     The caller owns the bracket choice (the expression can have several
-    roots); its ends must be finite. Raises NoRootError when the end values do not change sign.
+    roots); its ends must be finite. Raises NoRootError when the end
+    values do not change sign.
     """
     y_lo, y_hi = _finite(bracket[0], "bracket y_lo"), _finite(bracket[1], "bracket y_hi")
     if not y_lo < y_hi:

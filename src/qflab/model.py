@@ -260,8 +260,9 @@ def _integer(value, name: str) -> int:
 def _finite(value, name: str, need: str = "finite, not NaN or infinite") -> float:
     """``value`` as a float if it is a real number, numpy's included, that
     is not a bool and is finite: the one rule for every scalar input.
-    Refuses a non-number, and says ``name`` must be ``need`` of a NaN, an
-    infinity or an integer beyond the float range."""
+    Anything else is refused with ValueError; the message for a NaN, an
+    infinity or an integer beyond the float range says ``name`` must be
+    ``need``."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     if not abs(value) <= sys.float_info.max:

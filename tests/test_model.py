@@ -434,7 +434,9 @@ ENTRY_SCALARS = {
     "mg_case_solver y": lambda v: mg_case_solver(MG, v, 0, 1),
     "mg_regime_solver y": lambda v: mg_regime_solver(MG, v, 2, 2, "strong-strong"),
     "mg_regime_solver phi_x": lambda v: mg_regime_solver(MG, -3.0, 2, 2, "weak-weak", phi_x=v),
-    "mg_polynomial_residual y": lambda v: mg_polynomial_residual(MG, FieldPoint(1.0, 1.0, 1, 1), v),
+    "mg_polynomial_residual y": lambda v: mg_polynomial_residual(
+        MG, FieldPoint(1.0, 1.0, 1, 1), v
+    ),
     "classify_information_flow y": lambda v: classify_information_flow(MG, y=v),
     "simulate_mg drift": lambda v: simulate_mg(MG, v, 100.0, 0.04, 0.1, 0.05, 2, 0),
     "martingale_residual tol": lambda v: martingale_residual(

@@ -186,7 +186,8 @@ class TestBarriers:
             Potential(**kwargs)
 
     def test_direct_construction_equals_classmethod(self):
-        assert Potential(kind="double-knockout", lo=0, hi=1) == Potential.double_knockout(0.0, 1.0)
+        direct = Potential(kind="double-knockout", lo=np.int64(0), hi=1)
+        assert direct == Potential.double_knockout(0.0, 1.0) and type(direct.lo) is float
 
     def test_double_knockout_wrong_kind_rejected(self):
         g = Grid1D(0.0, 1.0, 11)
