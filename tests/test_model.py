@@ -1,6 +1,5 @@
 """Parameter containers, grids, states, config parsing, and the record writer."""
 
-import math
 import struct
 from dataclasses import fields
 
