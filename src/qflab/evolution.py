@@ -226,11 +226,13 @@ def _factor(
         raise SingularSolveError(f"singular linear solve: {exc}") from exc
 
 
-def _pin_table(n_steps: int, n_pins: int, dtype=float) -> np.ndarray:
-    """Zeroed pinned-node values, one row per step; a step count whose
-    table cannot be allocated is refused as a ValueError that names it."""
-    with _affordable(n_steps, f"a pin table of {n_steps} x {n_pins} values"):
-        return np.zeros((n_steps, n_pins), dtype=dtype)
+def _pin_table(n_steps: int, n_pins: int, dtype=float, damped: int = 0) -> np.ndarray:
+    """Zeroed pinned targets, one row per solve of a run of ``n_steps``
+    whose first ``damped`` steps are damped; a step count whose table
+    cannot be allocated is refused as a ValueError that names it."""
+    rows = n_steps + damped
+    with _affordable(n_steps, f"a pin table of {rows} x {n_pins} values"):
+        return np.zeros((rows, n_pins), dtype=dtype)
 
 
 def _cn_run(
@@ -239,8 +241,8 @@ def _cn_run(
     dt: float,
     unitary: bool,
     pinned_idx: np.ndarray,
-    pin_values: np.ndarray,
-    pin_mid: np.ndarray | None = None,
+    targets: np.ndarray,
+    damped: int = 0,
 ) -> Iterator[np.ndarray]:
     """Crank-Nicolson stepper: yields the state after each step.
 
@@ -251,16 +253,14 @@ def _cn_run(
     ``pinned_idx`` (ascending) are identity rows of the matrix, which
     ``_factor`` forms from H and factors once; their right-hand side is
     the mean of the old value and the target, so the extrapolation lands
-    on the target. Only the span of rows ``_factor`` solves is stepped;
-    every pinned node then takes its value from ``pin_values``, whose
-    row s holds the pinned values after step s + 1, so its length is the
-    step count.
+    on the target. Only the span of rows ``_factor`` solves is stepped.
 
     A damped (Rannacher) start, for rough initial data, replaces the
-    first ``len(pin_mid)`` steps by pairs of implicit half-steps through
-    the same factor. Each half-step is pinned at its own target: row s
-    of ``pin_mid`` after the first half of step s + 1, row s of
-    ``pin_values`` after the second.
+    first ``damped`` steps by pairs of implicit half-steps through the
+    same factor. ``targets`` holds one row of pinned values per solve, in
+    time order: one after each of the 2 * ``damped`` half-steps, then one
+    after each Crank-Nicolson step. A run of n steps so reads n + ``damped``
+    rows.
 
     ``psi0`` is copied once and never written. Every step is formed in
     place in that copy, so the stepper yields the same array each time:
@@ -270,17 +270,18 @@ def _cn_run(
     pinned[pinned_idx] = True
     z = 1j if unitary else 1.0
     span, solve = _factor(matrix, z * dt / 2.0, pinned)
-    # the pinned nodes inside the span: their columns of the pin tables,
-    # and their places in the span
+    # the pinned nodes inside the span: their columns of the targets, and
+    # their places in the span
     cols = slice(*np.searchsorted(pinned_idx, [span.start, span.stop]))
     local = pinned_idx[cols] - span.start
+    halves = targets[: 2 * damped].reshape(damped, 2, targets.shape[1])
+    ends = targets[2 * damped :, cols]
 
-    # each step leaves every pinned node at its target, so the mean a
+    # each solve leaves every pinned node at its target, so the mean a
     # step's pinned rows solve for is that of the previous target (psi0
-    # before the first step) and its own
-    ends = pin_values[:, cols]
+    # before the first solve) and its own
     means = np.empty_like(ends)
-    means[:1] = psi0[pinned_idx[cols]]
+    means[:1] = targets[2 * damped - 1, cols] if damped else psi0[pinned_idx[cols]]
     means[1:] = ends[:-1]
     means += ends
     means /= 2.0
@@ -288,15 +289,14 @@ def _cn_run(
     psi = psi0.copy()
     free = psi[span]
     rhs = np.empty_like(free)
-    startup = () if pin_mid is None else pin_mid[: len(pin_values)]
-    for halves in zip(startup, pin_values):
-        for values in halves:
+    for pair in halves:
+        for values in pair:
             rhs[:] = free
             rhs[local] = values[cols]
             free[:] = solve(rhs)
             psi[pinned_idx] = values
         yield psi
-    for values, mean in zip(pin_values[len(startup):], means[len(startup):]):
+    for values, mean in zip(targets[2 * damped :], means):
         rhs[:] = free
         rhs[local] = mean
         y = solve(rhs)
@@ -428,29 +428,24 @@ def _price(
     vals[knocked] = 0.0
     # a kink or a knock-out makes the data rough; the bond and the asset are smooth
     smooth = payoff.kind in (PAYOFF_BOND, PAYOFF_ASSET) and not knocked.any()
-    n_startup = 0 if smooth else min(_DAMPED_STEPS, n_steps)
+    damped = 0 if smooth else min(_DAMPED_STEPS, n_steps)
     pinned_idx = np.union1d(np.flatnonzero(knocked), [0, g.n_points - 1])
-    pin_mid = np.zeros((n_startup, pinned_idx.size))
-    pin_values = _pin_table(n_steps, pinned_idx.size)
+    targets = _pin_table(n_steps, pinned_idx.size, damped=damped)
     # the scheme's own discount of a constant, which H maps to r times
-    # itself: 1/(1 + a) per half-step of the damped start, (1 - a)/(1 + a)
-    # per Crank-Nicolson step
+    # itself after each solve: 1/(1 + a) per half-step of the damped
+    # start, (1 - a)/(1 + a) per Crank-Nicolson step
     a_half = p.r * dt / 2.0
-    factors = np.full(n_startup + n_steps, (1.0 - a_half) / (1.0 + a_half))
-    factors[: 2 * n_startup] = 1.0 / (1.0 + a_half)
-    after = np.cumprod(factors)
-    # after each first half-step of the start, then after each step
-    discount = np.concatenate(
-        [after[: 2 * n_startup : 2], after[1 : 2 * n_startup : 2], after[2 * n_startup :]]
-    )
+    factors = np.full(n_steps + damped, (1.0 - a_half) / (1.0 + a_half))
+    factors[: 2 * damped] = 1.0 / (1.0 + a_half)
+    discount = np.cumprod(factors)
     # node 0 and node -1 are also the first and the last pinned column
     for (a, b), end, x_edge in zip(pairs, (0, -1), (g.x_min, g.x_max)):
         if not knocked[end]:
             far = b * discount
             if a:  # e^{x_edge} may overflow where a = 0 leaves the value finite
                 far = a * np.exp(x_edge) + far
-            pin_mid[:, end], pin_values[:, end] = far[:n_startup], far[n_startup:]
-    steps = _cn_run(op.matrix, vals, dt, False, pinned_idx, pin_values, pin_mid)
+            targets[:, end] = far
+    steps = _cn_run(op.matrix, vals, dt, False, pinned_idx, targets, damped)
     return StateVector(_final(steps), g)
 
 
@@ -517,6 +512,6 @@ def kernel_row(p: MarketParams, x: float, tau: float, g: Grid1D) -> StateVector:
     n_steps = max(50, int(np.ceil(steps_needed)))
     steps = _cn_run(
         op.matrix.T.tocsr(), delta, tau / n_steps, False, np.zeros(0, dtype=int),
-        np.zeros((n_steps, 0)), np.zeros((_DAMPED_STEPS, 0)),
+        np.zeros((n_steps + _DAMPED_STEPS, 0)), _DAMPED_STEPS,
     )
     return StateVector(np.real(_final(steps)), g)
