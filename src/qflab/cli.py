@@ -261,6 +261,8 @@ def _run_mg_vacuum(args) -> None:
 
 def _run_martingale_check(args) -> MartingaleReport:
     if args.model == "bs":
+        if args.state == "extended":
+            raise ValueError("--state extended needs --model mg: e^{x+y} lives on the 2D grid")
         p = _market_params(args)
         g = _grid_1d(args, default=Grid1D(-4.0, 4.0, 801))
         op = build_bs_hamiltonian(p, g)

@@ -127,22 +127,25 @@ class Payoff:
         return cls(kind=PAYOFF_TABULATED, table=values)
 
     def values_on(self, g: Grid1D) -> np.ndarray:
-        s = np.exp(g.points)
-        if self.kind == PAYOFF_CALL:
-            vals = np.maximum(s - self.strike, 0.0)
-        elif self.kind == PAYOFF_PUT:
-            vals = np.maximum(self.strike - s, 0.0)
-        elif self.kind == PAYOFF_BOND:
+        if self.kind == PAYOFF_BOND:
             vals = np.ones(g.n_points)
-        elif self.kind == PAYOFF_ASSET:
-            vals = s
-        else:
+        elif self.kind == PAYOFF_TABULATED:
             if self.table.shape != (g.n_points,):
                 raise ValueError(
                     f"tabulated payoff has {self.table.shape[0]} entries for a grid "
                     f"of {g.n_points} points"
                 )
             vals = self.table.astype(float, copy=True)
+        else:
+            # e^x overflows past x = 709.78; a call or an asset there is refused below
+            with np.errstate(over="ignore"):
+                s = np.exp(g.points)
+            if self.kind == PAYOFF_CALL:
+                vals = np.maximum(s - self.strike, 0.0)
+            elif self.kind == PAYOFF_PUT:
+                vals = np.maximum(self.strike - s, 0.0)
+            else:
+                vals = s
         if not np.all(np.isfinite(vals)):
             raise ValueError("payoff is not finite on the grid")
         return vals
@@ -338,7 +341,7 @@ def evolve(
     pinned = op.dirichlet_mask.copy()
     prescribed: dict = {}
     for i, value in (boundary_values or {}).items():
-        idx = int(i)
+        idx = _integer(i, "boundary node")
         if not 0 <= idx < op.grid.size:
             raise ValueError(f"boundary node {idx} outside grid")
         pinned[idx] = True
@@ -351,6 +354,8 @@ def evolve(
     for idx, value in prescribed.items():
         column = np.searchsorted(pinned_idx, idx)
         pin_values[:, column] = [value(tau) for tau in taus] if callable(value) else value
+        if not np.all(np.isfinite(pin_values[:, column])):
+            raise ValueError(f"boundary value at node {idx} is not finite")
     with _affordable(cfg.n_steps, f"a flow series of 2 x {cfg.n_steps + 1} values"):
         mass_arr, norm_arr = np.empty((2, cfg.n_steps + 1))
 
@@ -443,7 +448,13 @@ def _price(
         if not knocked[end]:
             far = b * discount
             if a:  # e^{x_edge} may overflow where a = 0 leaves the value finite
-                far = a * np.exp(x_edge) + far
+                with np.errstate(over="ignore"):
+                    far = a * np.exp(x_edge) + far
+                if not np.all(np.isfinite(far)):
+                    raise ValueError(
+                        f"the far-field price at the grid edge x = {x_edge} is not finite: "
+                        f"e^{x_edge} overflows a float"
+                    )
             targets[:, end] = far
     steps = _cn_run(op.matrix, vals, dt, False, pinned_idx, targets, damped)
     return StateVector(_final(steps), g)

@@ -160,6 +160,8 @@ def simulate_mg(
     leaves the finite range (explicit Euler blows up for alpha > 1 and
     large zeta) raises ArithmeticError.
     """
+    if not isinstance(p, MGParams):
+        raise ValueError("simulate_mg needs two-factor parameters (MGParams)")
     drift = _finite(drift, "drift")
     _positive(v0, "v0")
     n_steps = _check_sizes(s0, T, dt, n_paths, seed)

@@ -204,23 +204,17 @@ def bs_potential_residual(p: MarketParams, n: int, phi: float) -> float:
     return t1 + t2 + t3
 
 
-def _quadratic_real_roots(a: float, b: float, c: float) -> tuple[list[float], bool]:
-    """Real roots of a x^2 + b x + c, with a no-real-solution flag."""
-    if a == 0.0:
-        if b == 0.0:
-            return ([], c != 0.0)
-        return ([-c / b], False)
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return ([], True)
-    sq = np.sqrt(disc)
+def _quadratic_real_roots(a: float, b: float, c: float) -> list[float]:
+    """Both real roots of a x^2 + b x + c for a > 0 and c <= 0, where
+    the discriminant b^2 - 4ac is never negative."""
+    sq = np.sqrt(b * b - 4.0 * a * c)
     # Citardauq pairing avoids cancellation for the small root
     if b >= 0.0:
         r1 = (-b - sq) / (2.0 * a)
     else:
         r1 = (-b + sq) / (2.0 * a)
     r2 = c / (a * r1) if r1 != 0.0 else -b / a
-    return ([float(r1), float(r2)], False)
+    return [float(r1), float(r2)]
 
 
 def _solution(
@@ -280,18 +274,19 @@ def bs_vacuum_exact(p: MarketParams, n: int) -> VacuumSolution:
     satisfies the divided (quadratic) form rather than the literal
     order-1 polynomial.
     """
+    _orders(n, None)
     if n < 1:
         raise ValueError(f"order n must be >= 1, got {n}")
     notes: tuple[str, ...] = ()
     if n == 1:
-        roots, no_real = [0.0, float(1.0 - p.sigma_sq / (2.0 * p.r))], False
+        roots = [0.0, float(1.0 - p.sigma_sq / (2.0 * p.r))]
         notes = ("root 0.0 is the multiplied-in trivial branch",)
     else:
         b = (0.5 * p.sigma_sq - p.r) * n
-        roots, no_real = _quadratic_real_roots(p.r, b, -0.5 * p.sigma_sq * n * (n - 1))
+        roots = _quadratic_real_roots(p.r, b, -0.5 * p.sigma_sq * n * (n - 1))
     return _solution(
         REGIME_EXACT, n, None, [FieldPoint(r, n=n) for r in roots],
-        no_real_solution=no_real, divided_out_trivial=0.0 if n >= 3 else None, notes=notes,
+        divided_out_trivial=0.0 if n >= 3 else None, notes=notes,
     )
 
 
@@ -317,6 +312,7 @@ def bs_vacuum_strong(p: MarketParams, n: int) -> VacuumSolution:
     Collapses to the unique trivial vacuum at sigma_sq = 2r; at n = 1 the
     nontrivial root coincides with the exact solver's.
     """
+    _orders(n, None)
     nontrivial = float((1.0 - p.sigma_sq / (2.0 * p.r)) * n)
     roots = (FieldPoint(0.0, n=n), FieldPoint(nontrivial, n=n))
     return _solution(REGIME_STRONG, n, None, roots, approximate=True)
@@ -329,17 +325,16 @@ def bs_extremum_roots(p: MarketParams, n: int) -> VacuumSolution:
 
     Trivial at n = 1 (both non-constant coefficients vanish).
     """
+    _orders(n, None)
     if n < 1:
         raise ValueError(f"order n must be >= 1, got {n}")
     ratio = p.sigma_sq / (2.0 * p.r)
     if n == 1:
-        roots, no_real = [0.0], False
+        roots = [0.0]
     else:
         b = (ratio - 1.0) * (n - 1)
-        roots, no_real = _quadratic_real_roots(1.0, b, -ratio * (n - 1) * (n - 2))
-    return _solution(
-        REGIME_EXTREMUM, n, None, [FieldPoint(r, n=n) for r in roots], no_real_solution=no_real
-    )
+        roots = _quadratic_real_roots(1.0, b, -ratio * (n - 1) * (n - 2))
+    return _solution(REGIME_EXTREMUM, n, None, [FieldPoint(r, n=n) for r in roots])
 
 
 def extremum_quadratic_residual(p: MarketParams, n: int, phi: float) -> float:

@@ -159,6 +159,31 @@ class TestMartingaleCheck:
         assert code == 0
         assert read_kv(out)["verdict"] == "pass"
 
+    @pytest.mark.parametrize("state,verdict", [("price", "pass"), ("extended", "fail")])
+    def test_mg_default_grid(self, tmp_path, capsys, state, verdict):
+        # the default 2D grid: x in [-1, 1] on 201 nodes, y in [-4, -2] on 81
+        out = tmp_path / "report.txt"
+        code = main([
+            "martingale-check", "--model", "mg", "--r", "0.05", "--lambda", "0.01",
+            "--mu", "-0.3", "--zeta", "0.1", "--alpha", "1.0", "--rho", "-0.5",
+            "--state", state, "--out", str(out),
+        ])
+        assert code == 0
+        record = read_kv(out)
+        assert record["h"] == "0.025"
+        assert record["verdict"] == verdict
+        assert f"verdict = {verdict}" in capsys.readouterr().out
+
+    def test_bs_extended_state_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "report.txt"
+        code = main([
+            "martingale-check", "--model", "bs", "--r", "0.05", "--sigma-sq", "0.04",
+            "--state", "extended", "--out", str(out),
+        ])
+        assert code == 2
+        assert "--state extended needs --model mg" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_meaningless_tolerance_is_validation_error(self, tmp_path, capsys, tol):
         out = tmp_path / "report.txt"
@@ -306,6 +331,32 @@ class TestPrice:
         assert "message = down-and-out level 2.0 knocks out every node" in err
         assert "corridor" not in err
 
+    def test_barrier_and_corridor_together_refused(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main([
+            "price", "--payoff", "bond", "--r", "0.05", "--sigma-sq", "0.04", "--t", "1",
+            "--x-min", "-1", "--x-max", "1", "--n-points", "11", "--barrier-level", "-0.5",
+            "--corridor", "-0.5", "0.5", "--out", str(out),
+        ])
+        assert code == 2
+        assert "choose one of --barrier-level or --corridor" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payoff", [["bond"], ["put", "--strike", "100"]])
+    def test_overflowing_exponential_priced_without_warnings(self, tmp_path, payoff):
+        # e^x overflows on the upper part of [700, 720]; neither payoff reads it there
+        out = tmp_path / "curve.csv"
+        argv = ["price", "--payoff", *payoff, "--r", "0.05", "--sigma-sq", "0.04", "--t", "1",
+                "--x-min", "700", "--x-max", "720", "--n-points", "51", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        vals = np.array([float(ln.split(",")[1]) for ln in out.read_text().split("\n")[1:-1]])
+        if payoff == ["bond"]:
+            assert np.allclose(vals, np.exp(-0.05), rtol=1e-6)
+        else:
+            assert np.all(np.isfinite(vals)) and vals[-1] == 0.0
+
     def test_strike_required_for_call(self, tmp_path):
         code = main([
             "price", "--payoff", "call", "--r", "0.05", "--sigma-sq", "0.04",
@@ -329,6 +380,19 @@ class TestEvolve:
         vals = [float(ln.split(",")[1]) for ln in out.read_text().strip().split("\n")[1:]]
         assert np.max(np.abs(np.array(vals) - np.exp(-0.05))) < 1e-6
         assert flow.read_text().startswith("t,mass,norm")
+
+    def test_asset_state(self, tmp_path):
+        # e^x is annihilated by the generator, so it stays put up to the stencil error
+        out = tmp_path / "state.csv"
+        code = main([
+            "evolve", "--r", "0.05", "--sigma-sq", "0.04", "--state", "asset",
+            "--x-min", "-1", "--x-max", "1", "--n-points", "41",
+            "--dt", "0.01", "--n-steps", "50", "--out", str(out),
+        ])
+        assert code == 0
+        rows = [ln.split(",") for ln in out.read_text().strip().split("\n")[1:]]
+        xs, vals = np.array(rows, dtype=float).T
+        assert np.allclose(vals, np.exp(xs), rtol=1e-3)
 
     def test_unitary_gaussian(self, tmp_path):
         out = tmp_path / "state.csv"
@@ -389,6 +453,18 @@ class TestSimulate:
 
 
 class TestClassify:
+    def test_bs_report(self, tmp_path):
+        out = tmp_path / "regime.txt"
+        code = main([
+            "classify", "--model", "bs", "--r", "0.05", "--sigma-sq", "0.04", "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_text() == (
+            "flag_sigma_sq_equals_2r = False\n"
+            "value_sigma_sq_minus_2r = -0.060000000000000005\n"
+            "information_flow = leaking\n"
+        )
+
     def test_mg_report(self, tmp_path):
         out = tmp_path / "regime.txt"
         code = main([
@@ -622,6 +698,8 @@ class TestExitCodes:
 
     LOW_VOL = ["--r", "0.05", "--sigma-sq", "1e-4", "--x-min", "0.605", "--x-max", "8.605",
                "--n-points", "801"]
+    OVERFLOW = ["--r", "0.05", "--sigma-sq", "0.04", "--t", "1", "--n-points", "51",
+                "--x-min", "700", "--x-max", "720"]
 
     @pytest.mark.parametrize(
         "argv,code,message",
@@ -640,8 +718,16 @@ class TestExitCodes:
               "--zeta", "2", "--alpha", "1.5", "--rho", "-0.5", "--v0", "0.5", "--t", "5",
               "--dt", "0.05", "--n-paths", "200", "--drift", "0.05", "--s0", "100"], 1,
              "error = ArithmeticError\nverb = simulate\nmessage = variance path "),
+            # e^x overflows past x = 709.78
+            (["price", "--payoff", "call", "--strike", "100", *OVERFLOW], 2,
+             "payoff is not finite on the grid"),
+            (["price", "--payoff", "asset", *OVERFLOW], 2, "payoff is not finite on the grid"),
+            # every payoff value is 0, but the low edge's far field -e^710 + k d is not finite
+            (["price", "--payoff", "put", "--strike", "100", *OVERFLOW[:-4], "--x-min", "710",
+              "--x-max", "720"], 2, "far-field price at the grid edge x = 710.0 is not finite"),
         ],
-        ids=["price_peclet", "evolve_peclet", "grid_underflow", "simulate_non_finite"],
+        ids=["price_peclet", "evolve_peclet", "grid_underflow", "simulate_non_finite",
+             "call_overflow", "asset_overflow", "put_far_field_overflow"],
     )
     def test_unsafe_numerics_refused_without_warnings(self, tmp_path, capsys, argv, code,
                                                       message):

@@ -207,6 +207,35 @@ class TestEvolve:
         assert out.values[0].real == pytest.approx(2.0 * 0.2, rel=1e-12)
         assert out.values[50].real == pytest.approx(1.5, rel=1e-12)
 
+    @pytest.mark.parametrize("node", [0.7, True, "3", 3.0], ids=repr)
+    def test_boundary_node_must_be_an_integer(self, node):
+        # int() used to read these as nodes 0, 1, 3 and 3
+        g = Grid1D(-1.0, 1.0, 21)
+        with pytest.raises(ValueError, match="boundary node must be an integer"):
+            evolve(build_bs_hamiltonian(P, g), StateVector(np.ones(21), g),
+                   EvolutionConfig(dt=0.01, n_steps=5), boundary_values={node: 1.0})
+
+    @pytest.mark.parametrize("mode", ["euclidean", "unitary"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), lambda tau: 1.0 if tau < 0.03 else float("inf")],
+        ids=["nan", "inf", "callable_inf"],
+    )
+    def test_non_finite_boundary_value_refused_before_stepping(self, stepper_runs, mode,
+                                                               value):
+        g = Grid1D(-1.0, 1.0, 21)
+        with pytest.raises(ValueError, match="boundary value at node 3 is not finite"):
+            evolve(build_bs_hamiltonian(P, g), StateVector(np.ones(21), g),
+                   EvolutionConfig(dt=0.01, n_steps=5, mode=mode),
+                   boundary_values={np.int64(3): value})
+        assert stepper_runs == []
+
+    def test_complex_boundary_value_held_in_unitary_mode(self):
+        g = Grid1D(-1.0, 1.0, 21)
+        out, _ = evolve(build_bs_hamiltonian(P, g), StateVector(np.ones(21), g),
+                        EvolutionConfig(dt=0.01, n_steps=5, mode="unitary"),
+                        boundary_values={3: 0.5 + 0.25j})
+        assert out.values[3] == 0.5 + 0.25j
+
     def test_complex_state_rejected_in_euclidean_mode(self):
         g = Grid1D(-1.0, 1.0, 51)
         op = build_bs_hamiltonian(P, g)
@@ -677,6 +706,24 @@ class TestPricing:
             "tabulated": (1.0 * d, 3.0 * d),
         }[payoff.kind]
         assert (curve[0], curve[-1]) == want
+
+    # a down-and-out level below the grid knocks no node
+    @pytest.mark.parametrize("barrier", [None, Potential.down_and_out(705.0)])
+    def test_overflowing_far_field_refused_before_stepping(self, stepper_runs, barrier):
+        # a put pays 0 on [710, 720], but its low-edge far field -e^710 + K d is not finite
+        g = Grid1D(710.0, 720.0, 51)
+        with pytest.raises(ValueError, match="far-field price at the grid edge x = 710.0"):
+            if barrier is None:
+                price_option(P, Payoff.put(self.K), self.T, g, self.CFG)
+            else:
+                price_barrier(P, Payoff.put(self.K), barrier, self.T, g, self.CFG)
+        assert stepper_runs == []
+
+    @pytest.mark.parametrize("payoff", [Payoff.call(K), Payoff.martingale_asset()],
+                             ids=lambda pf: pf.kind)
+    def test_overflowing_payoff_refused(self, payoff):
+        with pytest.raises(ValueError, match="payoff is not finite on the grid"):
+            price_option(P, payoff, self.T, Grid1D(700.0, 720.0, 51), self.CFG)
 
     def test_spatial_convergence_is_second_order(self):
         # dt = 1/2000 keeps the time error well below the spatial one

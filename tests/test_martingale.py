@@ -200,6 +200,13 @@ class TestConstraint:
         hi = extended_constraint_residual(p, -0.8)
         assert lo * hi < 0.0
 
+    @pytest.mark.parametrize("bracket", [(0.0, 1.0), (-1.0, 0.0)])
+    def test_root_at_a_bracket_end_returned_as_is(self, bracket):
+        # zeta = 0: the expression is lam + mu e^y, exactly -1 + 1 = 0 at y = 0
+        p = MGParams(r=0.05, lam=-1.0, mu=1.0, zeta=0.0, alpha=1.0, rho=0.0)
+        root = solve_extended_constraint(p, bracket)
+        assert (root.y_star, root.residual, root.bracket) == (0.0, 0.0, bracket)
+
     def test_no_root_raises(self):
         # positive mean-reversion target keeps the expression positive
         p = MGParams(r=0.05, lam=0.01, mu=0.3, zeta=0.1, alpha=1.0, rho=0.5)

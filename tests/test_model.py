@@ -93,6 +93,11 @@ class TestMGParams:
         with pytest.raises(ValueError):
             MGParams(r=0.05, lam=0.01, mu=-0.3, zeta=-0.1, alpha=1.0, rho=0.0)
 
+    @pytest.mark.parametrize("r", [0.0, -0.01])
+    def test_rate_must_be_positive(self, r):
+        with pytest.raises(ValueError, match=f"spot rate must be positive, got r={r}"):
+            MGParams(r=r, lam=0.01, mu=-0.3, zeta=0.1, alpha=1.0, rho=-0.5)
+
     @pytest.mark.parametrize("rho", [1.0000001, -1.1])
     def test_correlation_bounds(self, rho):
         with pytest.raises(ValueError):
@@ -283,6 +288,20 @@ m_points = 61
         path = tmp_path / "bad.cfg"
         path.write_text("r = 0.05\nspeed = 11\n")
         with pytest.raises(ValueError, match="speed"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("r = 0.05\nsigma_sq 0.04\n", "config line 2: expected 'key = value'"),
+            ("n_points = 80.5\n", "config line 1: bad value for 'n_points': '80.5'"),
+            ("r = fast\n", "config line 1: bad value for 'r': 'fast'"),
+        ],
+    )
+    def test_malformed_line_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
             load_config(path)
 
     def test_comments_and_blanks_ignored(self, tmp_path):

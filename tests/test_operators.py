@@ -14,6 +14,7 @@ from qflab.model import sample_extended_martingale_state, sample_martingale_stat
 from qflab.operators import (
     BOUNDARY_DIRICHLET,
     BOUNDARY_ONE_SIDED,
+    OperatorMatrix,
     Potential,
     apply_momentum,
     build_bs_hamiltonian,
@@ -119,6 +120,32 @@ class TestHermiticityDefect:
         d1 = hermiticity_defect(build_bs_hamiltonian(p, Grid1D(-1.0, 1.0, 101)))
         d2 = hermiticity_defect(build_bs_hamiltonian(p, Grid1D(-1.0, 1.0, 201)))
         assert d2 / d1 == pytest.approx(2.0, rel=1e-10)
+
+
+    def test_no_interior_row_is_zero(self):
+        # three nodes: both edges excluded, the middle one pinned
+        g = Grid1D(-1.0, 1.0, 3)
+        op = OperatorMatrix(sparse.csr_matrix(np.triu(np.ones((3, 3)))), g,
+                            np.array([False, True, False]))
+        assert hermiticity_defect(op) == 0.0
+
+
+class TestOperatorMatrix:
+    G = Grid1D(-1.0, 1.0, 3)
+
+    @pytest.mark.parametrize(
+        "matrix,mask,message",
+        [
+            (np.ones((3, 2)), None, "operator matrix must be square, got \\(3, 2\\)"),
+            (np.eye(4), None, "operator of size 4 does not match grid size 3"),
+            (np.diag([1.0, np.nan, 1.0]), None, "operator matrix has non-finite entries"),
+            (np.eye(3), [True, False], "dirichlet mask length does not match operator size"),
+        ],
+        ids=["non_square", "mismatched", "non_finite", "bad_mask"],
+    )
+    def test_bad_operator_rejected(self, matrix, mask, message):
+        with pytest.raises(ValueError, match=message):
+            OperatorMatrix(sparse.csr_matrix(matrix), self.G, mask)
 
 
 class TestBarriers:
@@ -407,6 +434,11 @@ class TestMomentum:
         sv = StateVector(g.points**2, g)
         out = apply_momentum(sv, g).values
         assert np.max(np.abs(out - 2.0 * g.points)) < 1e-12
+
+    def test_state_of_another_size_rejected(self):
+        g = Grid1D(-1.0, 1.0, 41)
+        with pytest.raises(ValueError, match="state and grid sizes differ"):
+            apply_momentum(sample_martingale_state(Grid1D(-1.0, 1.0, 21)), g)
 
     @given(freq=st.floats(0.5, 3.0))
     @settings(max_examples=20, deadline=None)

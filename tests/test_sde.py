@@ -70,6 +70,10 @@ class TestShapes:
         with pytest.raises(ValueError):
             simulate_gbm(sp, 100.0, 1.0, 0.1, 10, seed=1)
 
+    def test_mg_requires_two_factor_params(self):
+        with pytest.raises(ValueError, match="simulate_mg needs two-factor parameters"):
+            simulate_mg(BASE, 0.05, 100.0, 0.04, 1.0, 0.1, 2, 0)
+
     def test_mg_requires_positive_v0(self):
         with pytest.raises(ValueError):
             simulate_mg(MG, 0.05, 100.0, 0.0, 1.0, 0.01, 10, seed=1)

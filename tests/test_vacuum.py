@@ -165,6 +165,10 @@ class TestApproximateFamilies:
         for pt in sol.roots:
             assert abs(extremum_quadratic_residual(P, 3, pt.phi_x)) < 1e-12
 
+    def test_extremum_order_below_one_rejected(self):
+        with pytest.raises(ValueError, match="order n must be >= 1, got 0"):
+            bs_extremum_roots(P, 0)
+
     def test_extremum_n1_only_trivial(self):
         sol = bs_extremum_roots(P, 1)
         assert [pt.phi_x for pt in sol.roots] == [0.0]
@@ -377,6 +381,10 @@ class TestClassify:
         with pytest.raises(ValueError, match="finite"):
             mg_polynomial_residual(p, FieldPoint(1.0, 1.0, 1, 1), y)
 
+    def test_other_parameter_types_rejected(self):
+        with pytest.raises(ValueError, match="unsupported parameter type Grid1D"):
+            classify_information_flow(Grid1D(-1.0, 1.0, 3))
+
     def test_mg_requires_variance_level(self):
         p = MGParams(r=0.05, lam=0.01, mu=-0.3, zeta=0.1, alpha=1.0, rho=-0.5)
         with pytest.raises(ValueError):
@@ -453,7 +461,7 @@ class TestOrderAndScaleChecks:
         with pytest.raises(ValueError, match="must be finite"):
             FieldPoint(phi_x, phi_y, 1, 1)
 
-    @pytest.mark.parametrize("order", [2.5, 2.0, 1.0, True])
+    @pytest.mark.parametrize("order", [2.5, 2.0, 1.0, True, "a"])
     @pytest.mark.parametrize(
         "solve",
         [
