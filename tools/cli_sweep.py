@@ -1,0 +1,129 @@
+"""Byte-identity sweep of the qflab command line.
+
+Runs a fixed list of command lines through ``qflab.cli.main`` in-process
+and prints, for each run, its exit code, what ``main`` printed, and one
+``sha256 name`` line per file it wrote. Two checkouts whose printouts are
+equal wrote the same bytes for every output and manifest:
+
+    python tools/cli_sweep.py OLD/src /tmp/sweep-old > old.txt
+    python tools/cli_sweep.py NEW/src /tmp/sweep-new > new.txt
+    diff old.txt new.txt
+
+SRC is a checkout's ``src`` directory, from which qflab is imported. OUT
+is a directory, created if missing, that the runs work in; every output
+name is relative to it, so the manifests hold no absolute path and the
+tool writes nothing outside OUT. Runs are numbered, and each writes only
+files named after its number. Every warning a run raises is printed as
+one line, by its category and message, after what ``main`` printed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import warnings
+from pathlib import Path
+
+BS = ["--r", "0.05", "--sigma-sq", "0.04"]
+MG = ["--r", "0.05", "--lambda", "0.01", "--mu", "-0.3", "--zeta", "0.1", "--alpha", "1.0"]
+PRICE_GRID = ["--x-min", "0.605", "--x-max", "8.605", "--n-points", "801"]
+EVOLVE_GRID = ["--x-min", "-2", "--x-max", "2", "--n-points", "101"]
+
+
+def _runs() -> list[list[str]]:
+    """Every command line of the sweep, without its output options."""
+    runs = []
+    for family in ("exact", "weak", "strong", "extremum"):
+        runs += [["bs-vacuum", *BS, "--family", family, "--n", str(n)] for n in (1, 2, 3, 4)]
+    two_field = ["mg-vacuum", *MG, "--rho", "0.9", "--y", "-3"]
+    runs += [[*two_field, "--n", n, "--m", m] for n, m in (("0", "1"), ("1", "0"), ("1", "1"))]
+    for regime in ("strong-strong", "weak-weak", "strong-x-weak-y", "weak-x-strong-y"):
+        runs.append([*two_field, "--n", "2", "--m", "2", "--regime", regime])
+    runs += [
+        ["classify", "--model", "bs", *BS],
+        ["classify", "--model", "mg", *MG, "--rho", "-0.5", "--y", "-3"],
+        ["martingale-check", "--model", "bs", *BS],
+        ["martingale-check", "--model", "mg", *MG, "--rho", "-0.5", "--state", "price"],
+        ["martingale-check", "--model", "mg", *MG, "--rho", "-0.5", "--state", "extended"],
+        ["constraint-solve", *MG, "--rho", "-0.5", "--bracket", "-7", "-0.8"],
+        # no sign change on the bracket: exit 1
+        ["constraint-solve", "--r", "0.05", "--lambda", "0.01", "--mu", "0.3", "--zeta", "0.1",
+         "--alpha", "1.0", "--rho", "0.5", "--bracket", "-7", "-0.8"],
+    ]
+    payoffs = (["call", "--strike", "100"], ["put", "--strike", "100"], ["bond"], ["asset"])
+    knocks = ([], ["--barrier-level", "4.382"], ["--corridor", "4.0", "5.2"])
+    for payoff in payoffs:
+        for knock in knocks:
+            for step in ([], ["--dt", "0.25"]):
+                runs.append(["price", *BS, "--payoff", *payoff, "--t", "1", *PRICE_GRID,
+                             *knock, *step])
+    for mode in ("euclidean", "unitary"):
+        for boundary in ("one-sided", "dirichlet"):
+            for state in ("asset", "bond", "gaussian"):
+                runs.append(["evolve", *BS, "--mode", mode, "--boundary", boundary,
+                             "--state", state, *EVOLVE_GRID, "--dt", "0.01", "--n-steps", "50"])
+    paths = ["--drift", "0.05", "--s0", "100", "--t", "1", "--dt", "0.05", "--n-paths", "50",
+             "--seed", "7"]
+    runs += [
+        ["simulate", "--model", "gbm", *BS, *paths],
+        ["simulate", "--model", "mg", *MG, "--rho", "-0.5", "--v0", "0.04", *paths],
+        # exit 1: a pole of the weak-field formula, and an exploding variance
+        ["bs-vacuum", "--r", "0.05", "--sigma-sq", "0.1", "--family", "weak", "--n", "2"],
+        ["simulate", "--model", "mg", "--r", "0.05", "--lambda", "0.05", "--mu", "0.5",
+         "--zeta", "2", "--alpha", "1.5", "--rho", "-0.5", "--v0", "0.5", "--drift", "0.05",
+         "--s0", "100", "--t", "5", "--dt", "0.05", "--n-paths", "200"],
+        # exit 2: refused input
+        ["price", *BS, "--payoff", "call", "--t", "1", *PRICE_GRID],
+        ["price", *BS, "--payoff", "put", "--strike", "100", "--t", "1", "--x-min", "710",
+         "--x-max", "720", "--n-points", "51"],
+        ["price", *BS, "--payoff", "bond", "--t", "1", *PRICE_GRID, "--barrier-level", "4",
+         "--corridor", "4", "5"],
+        ["martingale-check", "--model", "bs", *BS, "--state", "extended"],
+        ["evolve", "--r", "0.05", "--sigma-sq", "1e-4", "--state", "bond", *PRICE_GRID,
+         "--dt", "0.01", "--n-steps", "2"],
+        ["transmogrify"],
+    ]
+    return runs
+
+
+def _outputs(k: int, argv: list[str]) -> list[str]:
+    """The output options of run ``k``: every file it may write is named
+    after its number."""
+    name = f"{k:03d}"
+    extra = []
+    if argv[0] == "mg-vacuum":
+        extra = ["--csv-out", f"{name}.roots.csv"]
+    elif argv[0] == "evolve":
+        extra = ["--flow-out", f"{name}.flow.csv"]
+    return [*extra, "--out", f"{name}.out"]
+
+
+def main(src: str, out: str) -> None:
+    sys.path.insert(0, str(Path(src).resolve()))
+    from qflab.cli import main as qflab_main
+
+    Path(out).mkdir(parents=True, exist_ok=True)
+    os.chdir(out)
+    for k, argv in enumerate(_runs()):
+        argv = [*argv, *_outputs(k, argv)]
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = qflab_main(argv)
+        print(f"# {k:03d} exit {code}: {' '.join(argv)}")
+        for line in printed.getvalue().splitlines():
+            print(f"| {line}")
+        for w in caught:
+            print(f"| warning {w.category.__name__}: {w.message}")
+        for path in sorted(Path(".").glob(f"{k:03d}.*")):
+            print(hashlib.sha256(path.read_bytes()).hexdigest(), path.name)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit("usage: python tools/cli_sweep.py SRC OUT")
+    main(sys.argv[1], sys.argv[2])
