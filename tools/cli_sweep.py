@@ -12,9 +12,15 @@ equal wrote the same bytes for every output and manifest:
 SRC is a checkout's ``src`` directory, from which qflab is imported. OUT
 is a directory, created if missing, that the runs work in; every output
 name is relative to it, so the manifests hold no absolute path and the
-tool writes nothing outside OUT. Runs are numbered, and each writes only
-files named after its number. Every warning a run raises is printed as
-one line, by its category and message, after what ``main`` printed.
+tool writes nothing outside OUT but the config file the ``--config`` run
+reads. Runs are numbered, and each writes only files named after its
+number. Every warning a run raises is printed as one line, by its
+category and message, after what ``main`` printed. The first line names
+the Python, numpy and scipy versions, since a float's last bits may
+change with them.
+
+``tests/cli_sweep_golden.txt`` holds this printout, and
+``tests/test_cli_sweep.py`` runs ``sweep`` against it.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import contextlib
 import hashlib
 import io
 import os
+import platform
 import sys
 import warnings
 from pathlib import Path
@@ -31,6 +38,8 @@ BS = ["--r", "0.05", "--sigma-sq", "0.04"]
 MG = ["--r", "0.05", "--lambda", "0.01", "--mu", "-0.3", "--zeta", "0.1", "--alpha", "1.0"]
 PRICE_GRID = ["--x-min", "0.605", "--x-max", "8.605", "--n-points", "801"]
 EVOLVE_GRID = ["--x-min", "-2", "--x-max", "2", "--n-points", "101"]
+CONFIG_NAME = "sweep.cfg"
+CONFIG_TEXT = "r = 0.05\nsigma_sq = 0.04\nx_min = -1\nx_max = 1\nn_points = 41\n"
 
 
 def _runs() -> list[list[str]]:
@@ -86,6 +95,12 @@ def _runs() -> list[list[str]]:
          "--dt", "0.01", "--n-steps", "2"],
         ["transmogrify"],
     ]
+    # later runs go last, so that every earlier run keeps its number and its digests
+    runs += [
+        # the config file fills the market and the grid; the flag wins over its sigma_sq
+        ["price", "--config", CONFIG_NAME, "--sigma-sq", "0.09", "--payoff", "put", "--strike", "1",
+         "--t", "1"],
+    ]
     return runs
 
 
@@ -101,26 +116,47 @@ def _outputs(k: int, argv: list[str]) -> list[str]:
     return [*extra, "--out", f"{name}.out"]
 
 
-def main(src: str, out: str) -> None:
-    sys.path.insert(0, str(Path(src).resolve()))
+def versions() -> str:
+    """The printout's first line: the Python, numpy and scipy versions."""
+    import numpy
+    import scipy
+
+    return (f"# python {platform.python_version()}, numpy {numpy.__version__}, "
+            f"scipy {scipy.__version__}")
+
+
+def sweep(out) -> list[str]:
+    """Run every command line in the directory ``out``, created if
+    missing, and return the printout's lines. The working directory is
+    restored afterwards."""
     from qflab.cli import main as qflab_main
 
+    lines = [versions()]
     Path(out).mkdir(parents=True, exist_ok=True)
+    cwd = os.getcwd()
     os.chdir(out)
-    for k, argv in enumerate(_runs()):
-        argv = [*argv, *_outputs(k, argv)]
-        printed = io.StringIO()
-        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed), \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = qflab_main(argv)
-        print(f"# {k:03d} exit {code}: {' '.join(argv)}")
-        for line in printed.getvalue().splitlines():
-            print(f"| {line}")
-        for w in caught:
-            print(f"| warning {w.category.__name__}: {w.message}")
-        for path in sorted(Path(".").glob(f"{k:03d}.*")):
-            print(hashlib.sha256(path.read_bytes()).hexdigest(), path.name)
+    try:
+        Path(CONFIG_NAME).write_text(CONFIG_TEXT)
+        for k, argv in enumerate(_runs()):
+            argv = [*argv, *_outputs(k, argv)]
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = qflab_main(argv)
+            lines.append(f"# {k:03d} exit {code}: {' '.join(argv)}")
+            lines += [f"| {line}" for line in printed.getvalue().splitlines()]
+            lines += [f"| warning {w.category.__name__}: {w.message}" for w in caught]
+            for path in sorted(Path(".").glob(f"{k:03d}.*")):
+                lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()} {path.name}")
+    finally:
+        os.chdir(cwd)
+    return lines
+
+
+def main(src: str, out: str) -> None:
+    sys.path.insert(0, str(Path(src).resolve()))
+    print("\n".join(sweep(out)))
 
 
 if __name__ == "__main__":
