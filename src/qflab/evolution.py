@@ -32,6 +32,7 @@ from .model import (
     MarketParams,
     StateVector,
     _affordable,
+    _computed,
     _finite,
     _finite_table,
     _float_reprs,
@@ -128,27 +129,21 @@ class Payoff:
 
     def values_on(self, g: Grid1D) -> np.ndarray:
         if self.kind == PAYOFF_BOND:
-            vals = np.ones(g.n_points)
-        elif self.kind == PAYOFF_TABULATED:
+            return np.ones(g.n_points)
+        if self.kind == PAYOFF_TABULATED:
             if self.table.shape != (g.n_points,):
                 raise ValueError(
                     f"tabulated payoff has {self.table.shape[0]} entries for a grid "
                     f"of {g.n_points} points"
                 )
-            vals = self.table.astype(float, copy=True)
-        else:
-            # e^x overflows past x = 709.78; a call or an asset there is refused below
-            with np.errstate(over="ignore"):
-                s = np.exp(g.points)
-            if self.kind == PAYOFF_CALL:
-                vals = np.maximum(s - self.strike, 0.0)
-            elif self.kind == PAYOFF_PUT:
-                vals = np.maximum(self.strike - s, 0.0)
-            else:
-                vals = s
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("payoff is not finite on the grid")
-        return vals
+            return self.table.astype(float, copy=True)
+        k = self.strike
+        of_price = {  # e^x overflows past x = 709.78, where a put is still finite
+            PAYOFF_CALL: lambda s: np.maximum(s - k, 0.0),
+            PAYOFF_PUT: lambda s: np.maximum(k - s, 0.0),
+            PAYOFF_ASSET: lambda s: s,
+        }[self.kind]
+        return _computed(lambda: of_price(np.exp(g.points)), "payoff is not finite on the grid")
 
 
 @dataclass(frozen=True)
@@ -448,13 +443,11 @@ def _price(
         if not knocked[end]:
             far = b * discount
             if a:  # e^{x_edge} may overflow where a = 0 leaves the value finite
-                with np.errstate(over="ignore"):
-                    far = a * np.exp(x_edge) + far
-                if not np.all(np.isfinite(far)):
-                    raise ValueError(
-                        f"the far-field price at the grid edge x = {x_edge} is not finite: "
-                        f"e^{x_edge} overflows a float"
-                    )
+                far = _computed(
+                    lambda: a * np.exp(x_edge) + far,
+                    f"the far-field price at the grid edge x = {x_edge} is not finite: "
+                    f"e^{x_edge} overflows a float",
+                )
             targets[:, end] = far
     steps = _cn_run(op.matrix, vals, dt, False, pinned_idx, targets, damped)
     return StateVector(_final(steps), g)

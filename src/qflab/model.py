@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -268,6 +268,21 @@ def _finite(value, name: str, need: str = "finite, not NaN or infinite") -> floa
     if not abs(value) <= sys.float_info.max:
         raise ValueError(f"{name} must be {need}, got {value}")
     return float(value)
+
+
+def _computed(compute: Callable, refusal: str):
+    """``compute()`` with numpy's overflow, invalid and divide warnings
+    silenced, the one rule for arithmetic that may leave the float range:
+    a NaN or an infinity in the result, or a Python OverflowError on the
+    way, is refused with ValueError(``refusal``)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            value = compute()
+    except OverflowError:
+        raise ValueError(refusal) from None
+    if not np.all(np.isfinite(value)):
+        raise ValueError(refusal)
+    return value
 
 
 def _positive(value, name: str) -> float:

@@ -17,14 +17,14 @@ float, whatever the field value's type.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .model import (
-    MarketParams, MGParams, _finite, _integer, _record, mg_cross_coef, mg_y_drift, mg_yy_coef
+    MarketParams, MGParams, _computed, _finite, _integer, _record, mg_cross_coef, mg_y_drift,
+    mg_yy_coef,
 )
 
 FLAG_TOL = 1e-12
@@ -179,16 +179,10 @@ def _term(coeff: float, base: float | None, exponent: int, label: str) -> float:
                 "of a zero field value"
             )
         return 0.0
-    try:
-        with np.errstate(over="raise"):
-            value = coeff * base**exponent
-    except (OverflowError, FloatingPointError):
-        value = math.inf
-    if math.isinf(value) and math.isfinite(coeff):
-        raise ValueError(
-            f"term {label}: field value {base} to the power {exponent} overflows a float"
-        )
-    return value
+    return _computed(
+        lambda: coeff * base**exponent,
+        f"term {label}: field value {base} to the power {exponent} overflows a float",
+    )
 
 
 def bs_potential_residual(p: MarketParams, n: int, phi: float) -> float:
@@ -384,13 +378,10 @@ def _two_field_point(p: MGParams, y: float) -> tuple[float, float, float, dict]:
     Refuses a y at which e^y or C(y) is not a finite float.
     """
     y = _finite(y, "log-variance y")
-    with np.errstate(over="ignore", invalid="ignore"):
-        ey = float(np.exp(y))
-        cy = float(mg_y_drift(p, y))
-    if not (np.isfinite(ey) and np.isfinite(cy)):
-        raise ValueError(
-            f"log-variance y = {y!r} leaves e^y = {ey!r} or C(y) = {cy!r} non-finite"
-        )
+    ey, cy = _computed(
+        lambda: (float(np.exp(y)), float(mg_y_drift(p, y))),
+        f"log-variance y = {y!r} leaves e^y or C(y) non-finite",
+    )
     flags = {
         "y_drift_zero": abs(cy) <= FLAG_TOL,
         "ey_equals_2r": abs(ey - 2.0 * p.r) <= FLAG_TOL,
