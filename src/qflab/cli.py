@@ -42,6 +42,7 @@ from .model import (
     MGParams,
     SDEParams,
     StateVector,
+    _computed,
     _finite,
     _float_reprs,
     _positive,
@@ -274,8 +275,7 @@ def _run_martingale_check(args) -> MartingaleReport:
         if args.state == "extended":
             state = sample_extended_martingale_state(g2)
         else:
-            x = g2.x_axis.points
-            vals = np.repeat(np.exp(x), g2.y_axis.n_points)
+            vals = np.repeat(sample_martingale_state(g2.x_axis).values, g2.y_axis.n_points)
             state = StateVector(vals, g2)
     report = martingale_residual(op, state, tol=args.tol)
     Path(args.out).write_text(report.to_record())
@@ -330,7 +330,14 @@ def _run_evolve(args) -> None:
         state = StateVector(np.ones(g.n_points), g)
     else:
         center, width = _finite(args.center, "--center"), _positive(args.width, "--width")
-        state = StateVector(np.exp(-((g.points - center) ** 2) / (2.0 * width**2)), g)
+        # 2 width^2 may overflow, or underflow to 0, where the state has no value
+        refusal = f"--width {width!r} leaves 2 width^2 outside the positive floats"
+        if _computed(lambda: 2.0 * width**2, refusal) == 0.0:
+            raise ValueError(refusal)
+        state = StateVector(_computed(
+            lambda: np.exp(-((g.points - center) ** 2) / (2.0 * width**2)),
+            f"the gaussian state of --width {width!r} at --center {center!r} is not finite",
+        ), g)
     cfg_run = EvolutionConfig(dt=args.dt, n_steps=args.n_steps, mode=args.mode)
     out, flow = evolve(op, state, cfg_run)
     vals = np.abs(out.values) if args.mode == "unitary" else np.real(out.values)

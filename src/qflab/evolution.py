@@ -34,6 +34,7 @@ from .model import (
     _affordable,
     _computed,
     _finite,
+    _finite_complex,
     _finite_table,
     _float_reprs,
     _integer,
@@ -84,6 +85,10 @@ class EvolutionConfig:
         _positive(self.dt, "dt")
         if _integer(self.n_steps, "n_steps") < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        _computed(
+            lambda: self.n_steps * self.dt,
+            f"the horizon n_steps * dt = {self.n_steps} * {self.dt} overflows a float",
+        )
         if self.mode not in (MODE_EUCLIDEAN, MODE_UNITARY):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -199,6 +204,7 @@ def _factor(
     from scipy.linalg import get_lapack_funcs
     from scipy.sparse.linalg import splu
 
+    _computed(lambda: scale * h.data, f"the generator times the step's {scale} overflows a float")
     n = h.shape[0]
     rows = np.repeat(np.arange(n), np.diff(h.indptr))
     if np.all(np.abs(h.indices - rows)[(h.data != 0) & ~pinned[rows]] <= 1):
@@ -321,8 +327,10 @@ def evolve(
 
     Nodes in the operator's Dirichlet mask are pinned; their values
     default to zero and can be prescribed per node through
-    ``boundary_values`` (a constant or a function of elapsed time).
-    Nodes named in ``boundary_values`` are pinned even when unmasked.
+    ``boundary_values`` (a constant or a function of elapsed time). Each
+    value must be a finite real number, or a number with finite real and
+    imaginary parts in unitary mode. Nodes named in ``boundary_values``
+    are pinned even when unmasked.
     The mass and norm of the state are recorded before the first step
     and after each step.
     """
@@ -346,36 +354,47 @@ def evolve(
     # only prescribed pins read the step times, and their table column
     # already holds one value per step
     taus = (np.arange(1, cfg.n_steps + 1) * cfg.dt).tolist() if prescribed else []
+    number = _finite_complex if unitary else _finite
     for idx, value in prescribed.items():
+        name = f"boundary value at node {idx}"
         column = np.searchsorted(pinned_idx, idx)
-        pin_values[:, column] = [value(tau) for tau in taus] if callable(value) else value
-        if not np.all(np.isfinite(pin_values[:, column])):
-            raise ValueError(f"boundary value at node {idx} is not finite")
+        pin_values[:, column] = (
+            [number(value(tau), name) for tau in taus] if callable(value) else number(value, name)
+        )
     with _affordable(cfg.n_steps, f"a flow series of 2 x {cfg.n_steps + 1} values"):
         mass_arr, norm_arr = np.empty((2, cfg.n_steps + 1))
 
     cell = op.grid.cell
     psi0 = state.values.astype(complex if unitary else float, copy=False)
     steps = _cn_run(op.matrix, psi0, cfg.dt, unitary, pinned_idx, pin_values)
-    # states are copied into a block and reduced a block at a time; each
-    # row sums in the order a single state would
-    block = np.empty((_FLOW_BLOCK, psi0.size), psi0.dtype)
-    for k, psi in enumerate(chain([psi0], steps)):
-        row = k % _FLOW_BLOCK
-        block[row] = psi
-        if row == _FLOW_BLOCK - 1 or k == cfg.n_steps:
-            states, done = block[: row + 1], slice(k - row, k + 1)
-            mass_arr[done] = np.real(states.sum(axis=1)) * cell
-            norm_arr[done] = np.sqrt(np.sum(np.abs(states) ** 2, axis=1) * cell)
+
+    def run() -> tuple:
+        # states are copied into a block and reduced a block at a time;
+        # each row sums in the order a single state would
+        block = np.empty((_FLOW_BLOCK, psi0.size), psi0.dtype)
+        for k, psi in enumerate(chain([psi0], steps)):
+            row = k % _FLOW_BLOCK
+            block[row] = psi
+            if row == _FLOW_BLOCK - 1 or k == cfg.n_steps:
+                states, done = block[: row + 1], slice(k - row, k + 1)
+                mass_arr[done] = np.real(states.sum(axis=1)) * cell
+                norm_arr[done] = np.sqrt(np.sum(np.abs(states) ** 2, axis=1) * cell)
+        mass_drift = abs(mass_arr[-1] - mass_arr[0]) / max(abs(mass_arr[0]), _EPS)
+        norm_drift = abs(norm_arr[-1] - norm_arr[0]) / max(abs(norm_arr[0]), _EPS)
+        return psi.copy(), mass_arr, norm_arr, mass_drift, norm_drift
+
+    psi, mass_arr, norm_arr, mass_drift, norm_drift = _computed(
+        run, "the evolved state, or its mass or norm, overflows a float"
+    )
     report = FlowReport(
         mass_series=mass_arr,
         norm_series=norm_arr,
-        mass_drift=abs(mass_arr[-1] - mass_arr[0]) / max(abs(mass_arr[0]), _EPS),
-        norm_drift=abs(norm_arr[-1] - norm_arr[0]) / max(abs(norm_arr[0]), _EPS),
+        mass_drift=mass_drift,
+        norm_drift=norm_drift,
         dt=cfg.dt,
         mode=cfg.mode,
     )
-    return StateVector(psi.copy(), state.grid), report
+    return StateVector(psi, state.grid), report
 
 
 def _edge_pairs(payoff: Payoff, vals: np.ndarray) -> tuple:
@@ -450,7 +469,8 @@ def _price(
                 )
             targets[:, end] = far
     steps = _cn_run(op.matrix, vals, dt, False, pinned_idx, targets, damped)
-    return StateVector(_final(steps), g)
+    price = _computed(lambda: _final(steps), f"the price over T = {T} overflows a float")
+    return StateVector(price, g)
 
 
 def price_option(

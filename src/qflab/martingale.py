@@ -17,6 +17,7 @@ from .model import (
     MGParams,
     SDEParams,
     StateVector,
+    _computed,
     _finite,
     _integer,
     _nonnegative,
@@ -82,7 +83,8 @@ def martingale_residual(
     a different closure stencil and pinned rows are identically zero).
     ``tol`` defaults to 10 h^2 max|state| with h the coarser spacing and
     must otherwise be finite and non-negative; residual_l2 is the
-    cell-weighted discrete L2 norm.
+    cell-weighted discrete L2 norm. A residual or a default tolerance
+    that leaves the float range is refused, so no verdict rests on one.
     """
     if tol is not None:
         tol = _nonnegative(tol, "tol")
@@ -91,14 +93,16 @@ def martingale_residual(
             f"operator size {op.grid.size} does not match state size {state.grid.size}"
         )
     h, cell = op.grid.h, op.grid.cell
-    if tol is None:
-        tol = default_tolerance(h, state)
 
-    res = op.matrix @ state.values
-    keep = op.interior_mask()
-    res = res[keep]
-    residual_max = float(np.abs(res).max()) if res.size else 0.0
-    residual_l2 = float(np.sqrt(np.sum(np.abs(res) ** 2) * cell))
+    def measured() -> tuple[float, float, float]:
+        res = (op.matrix @ state.values)[op.interior_mask()]
+        residual_max = float(np.abs(res).max()) if res.size else 0.0
+        residual_l2 = float(np.sqrt(np.sum(np.abs(res) ** 2) * cell))
+        return residual_max, residual_l2, default_tolerance(h, state) if tol is None else tol
+
+    residual_max, residual_l2, tol = _computed(
+        measured, "the martingale residual of this state, or its tolerance, overflows a float"
+    )
     return MartingaleReport(
         residual_max=residual_max,
         residual_l2=residual_l2,
@@ -124,13 +128,20 @@ def solve_extended_constraint(
 
     The caller owns the bracket choice (the expression can have several
     roots); its ends must be finite. Raises NoRootError when the end
-    values do not change sign.
+    values do not change sign. The expression is refused wherever it is
+    evaluated, a bracket end included, at a y where it overflows a float.
     """
     y_lo, y_hi = _finite(bracket[0], "bracket y_lo"), _finite(bracket[1], "bracket y_hi")
     if not y_lo < y_hi:
         raise ValueError(f"bracket must satisfy y_lo < y_hi, got ({y_lo}, {y_hi})")
-    f_lo = extended_constraint_residual(p, y_lo)
-    f_hi = extended_constraint_residual(p, y_hi)
+
+    def f(y: float) -> float:
+        return _computed(
+            lambda: extended_constraint_residual(p, y),
+            f"the extended constraint overflows a float at y = {y!r}",
+        )
+
+    f_lo, f_hi = f(y_lo), f(y_hi)
     if f_lo == 0.0:
         return ConstraintRoot(y_star=y_lo, residual=0.0, bracket=(y_lo, y_hi))
     if f_hi == 0.0:
@@ -143,14 +154,8 @@ def solve_extended_constraint(
     # imported here, so that importing qflab does not load scipy.optimize
     from scipy.optimize import brentq
 
-    y_star = brentq(
-        lambda yy: extended_constraint_residual(p, yy), y_lo, y_hi, xtol=1e-15, rtol=1e-15
-    )
-    return ConstraintRoot(
-        y_star=float(y_star),
-        residual=float(extended_constraint_residual(p, y_star)),
-        bracket=(y_lo, y_hi),
-    )
+    y_star = brentq(f, y_lo, y_hi, xtol=1e-15, rtol=1e-15)
+    return ConstraintRoot(y_star=float(y_star), residual=float(f(y_star)), bracket=(y_lo, y_hi))
 
 
 def cross_parameter_identity(p: MGParams) -> dict:

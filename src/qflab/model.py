@@ -11,7 +11,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from numbers import Integral, Real
+from numbers import Complex, Integral, Real
 from pathlib import Path
 from typing import Callable, Iterator, Union
 
@@ -238,15 +238,25 @@ class StateVector:
 
 
 def sample_martingale_state(grid: Grid1D) -> StateVector:
-    """The price state S = e^x sampled on the lattice."""
-    return StateVector(np.exp(grid.points), grid)
+    """The price state S = e^x sampled on the lattice; refused where e^x
+    overflows a float."""
+    vals = _computed(
+        lambda: np.exp(grid.points),
+        f"the price state e^x overflows a float on [{grid.x_min}, {grid.x_max}]",
+    )
+    return StateVector(vals, grid)
 
 
 def sample_extended_martingale_state(grid: Grid2D) -> StateVector:
-    """The two-field state S = e^{x+y}, flattened row-major (x outer, y inner)."""
+    """The two-field state S = e^{x+y}, flattened row-major (x outer, y
+    inner); refused where e^{x+y} overflows a float."""
     x = grid.x_axis.points
     y = grid.y_axis.points
-    vals = np.exp(x[:, None] + y[None, :]).reshape(-1)
+    vals = _computed(
+        lambda: np.exp(x[:, None] + y[None, :]).reshape(-1),
+        f"the state e^(x+y) overflows a float at x = {grid.x_axis.x_max}, "
+        f"y = {grid.y_axis.x_max}",
+    )
     return StateVector(vals, grid)
 
 
@@ -270,17 +280,28 @@ def _finite(value, name: str, need: str = "finite, not NaN or infinite") -> floa
     return float(value)
 
 
+def _finite_complex(value, name: str) -> complex:
+    """``value`` as a complex if it is a number, numpy's included, that is
+    not a bool and whose real and imaginary parts pass ``_finite``: the
+    complex counterpart of that rule."""
+    if isinstance(value, bool) or not isinstance(value, Complex):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return complex(_finite(value.real, name), _finite(value.imag, name))
+
+
 def _computed(compute: Callable, refusal: str):
     """``compute()`` with numpy's overflow, invalid and divide warnings
     silenced, the one rule for arithmetic that may leave the float range:
-    a NaN or an infinity in the result, or a Python OverflowError on the
-    way, is refused with ValueError(``refusal``)."""
+    a NaN or an infinity in the result (in any item of a tuple), or a
+    Python OverflowError on the way, is refused with
+    ValueError(``refusal``)."""
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             value = compute()
     except OverflowError:
         raise ValueError(refusal) from None
-    if not np.all(np.isfinite(value)):
+    parts = value if isinstance(value, tuple) else (value,)
+    if not all(np.all(np.isfinite(part)) for part in parts):
         raise ValueError(refusal)
     return value
 

@@ -23,6 +23,7 @@ from .model import (
     MarketParams,
     MGParams,
     StateVector,
+    _computed,
     _finite,
     _finite_table,
     mg_cross_coef,
@@ -274,9 +275,17 @@ def build_effective_bs(
     rows = np.repeat(np.arange(n), np.diff(indptr))
     d1 = _stencil_weights(n, g.h, 1)
     d2 = _stencil_weights(n, g.h, 2)
-    drift = 0.5 * p.sigma_sq - vals
-    data = (-0.5 * p.sigma_sq) * d2 + drift[rows] * d1
-    data[cols == rows] += vals
+
+    def entries() -> np.ndarray:
+        drift = 0.5 * p.sigma_sq - vals
+        data = (-0.5 * p.sigma_sq) * d2 + drift[rows] * d1
+        data[cols == rows] += vals
+        return data
+
+    data = _computed(
+        entries, f"the generator's entries overflow a float on spacing h = {g.h!r} "
+        f"at sigma_sq = {p.sigma_sq!r}"
+    )
     keep = (data != 0.0) & ~mask[rows]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=n))))
     a = sparse.csr_matrix((data[keep], cols[keep], indptr), shape=(n, n))
@@ -319,11 +328,22 @@ def build_mg_hamiltonian(p: MGParams, g: Grid2D) -> OperatorMatrix:
     on_diag = ycols == yrows
     w1y = _stencil_weights(ny, g.y_axis.h, 1)
     w2y = _stencil_weights(ny, g.y_axis.h, 2)
-    ey = np.exp(y)[yrows]
-    b2 = np.where(on_diag, -0.5 * ey, 0.0)
-    b1 = np.where(on_diag, -(p.r - 0.5 * ey), 0.0) - mg_cross_coef(p, y)[yrows] * w1y
-    b0 = (-mg_y_drift(p, y))[yrows] * w1y - mg_yy_coef(p, y)[yrows] * w2y
-    b0[on_diag] += p.r
+    # the coefficients and every entry built from them are refused where
+    # they leave the float range
+    refusal = (
+        f"the two-factor generator overflows a float on y in [{g.y_axis.x_min}, "
+        f"{g.y_axis.x_max}] with spacings hx = {g.x_axis.h!r}, hy = {g.y_axis.h!r}"
+    )
+
+    def y_factors() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ey = np.exp(y)[yrows]
+        b2 = np.where(on_diag, -0.5 * ey, 0.0)
+        b1 = np.where(on_diag, -(p.r - 0.5 * ey), 0.0) - mg_cross_coef(p, y)[yrows] * w1y
+        b0 = (-mg_y_drift(p, y))[yrows] * w1y - mg_yy_coef(p, y)[yrows] * w2y
+        b0[on_diag] += p.r
+        return b2, b1, b0
+
+    b2, b1, b0 = _computed(y_factors, refusal)
 
     xptr, xcols = _stencil_pattern(nx)
     w1x = _stencil_weights(nx, g.x_axis.h, 1)
@@ -333,7 +353,7 @@ def build_mg_hamiltonian(p: MGParams, g: Grid2D) -> OperatorMatrix:
         """Entries, columns and per-y-row counts of x row i's ny rows."""
         s = slice(xptr[i], xptr[i + 1])
         cx = xcols[s, None]
-        vals = (w2x[s, None] * b2 + w1x[s, None] * b1) + (cx == i) * b0
+        vals = _computed(lambda: (w2x[s, None] * b2 + w1x[s, None] * b1) + (cx == i) * b0, refusal)
         cols = cx * ny + ycols
         rows = np.broadcast_to(yrows, vals.shape)
         # ordered by (y row, x column, y column): sorted CSR rows

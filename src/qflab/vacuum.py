@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -211,6 +211,16 @@ def _quadratic_real_roots(a: float, b: float, c: float) -> list[float]:
     return [float(r1), float(r2)]
 
 
+def _bs_points(p: MarketParams, n: int, regime: str, roots: Callable[[], list]) -> list:
+    """The one-field roots ``roots()`` of order n as field points; refused
+    where they leave the float range."""
+    values = _computed(
+        roots,
+        f"{regime} roots of order {n} overflow a float at r = {p.r!r}, sigma_sq = {p.sigma_sq!r}",
+    )
+    return [FieldPoint(v, n=n) for v in values]
+
+
 def _solution(
     regime: str,
     n: int,
@@ -271,16 +281,18 @@ def bs_vacuum_exact(p: MarketParams, n: int) -> VacuumSolution:
     _orders(n, None)
     if n < 1:
         raise ValueError(f"order n must be >= 1, got {n}")
-    notes: tuple[str, ...] = ()
     if n == 1:
-        roots = [0.0, float(1.0 - p.sigma_sq / (2.0 * p.r))]
+        roots = _bs_points(
+            p, n, REGIME_EXACT, lambda: [0.0, float(1.0 - p.sigma_sq / (2.0 * p.r))]
+        )
         notes = ("root 0.0 is the multiplied-in trivial branch",)
     else:
-        b = (0.5 * p.sigma_sq - p.r) * n
-        roots = _quadratic_real_roots(p.r, b, -0.5 * p.sigma_sq * n * (n - 1))
+        roots = _bs_points(p, n, REGIME_EXACT, lambda: _quadratic_real_roots(
+            p.r, (0.5 * p.sigma_sq - p.r) * n, -0.5 * p.sigma_sq * n * (n - 1)
+        ))
+        notes = ()
     return _solution(
-        REGIME_EXACT, n, None, [FieldPoint(r, n=n) for r in roots],
-        divided_out_trivial=0.0 if n >= 3 else None, notes=notes,
+        REGIME_EXACT, n, None, roots, divided_out_trivial=0.0 if n >= 3 else None, notes=notes
     )
 
 
@@ -296,8 +308,8 @@ def bs_vacuum_weak(p: MarketParams, n: int) -> VacuumSolution:
         raise SingularRegimeError(
             "weak-field formula is singular at sigma_sq = 2 r"
         )
-    root = FieldPoint(float(p.sigma_sq * (n - 1) / denom), n=n)
-    return _solution(REGIME_WEAK, n, None, (root,), approximate=True)
+    roots = _bs_points(p, n, REGIME_WEAK, lambda: [float(p.sigma_sq * (n - 1) / denom)])
+    return _solution(REGIME_WEAK, n, None, roots, approximate=True)
 
 
 def bs_vacuum_strong(p: MarketParams, n: int) -> VacuumSolution:
@@ -307,8 +319,9 @@ def bs_vacuum_strong(p: MarketParams, n: int) -> VacuumSolution:
     nontrivial root coincides with the exact solver's.
     """
     _orders(n, None)
-    nontrivial = float((1.0 - p.sigma_sq / (2.0 * p.r)) * n)
-    roots = (FieldPoint(0.0, n=n), FieldPoint(nontrivial, n=n))
+    roots = _bs_points(
+        p, n, REGIME_STRONG, lambda: [0.0, float((1.0 - p.sigma_sq / (2.0 * p.r)) * n)]
+    )
     return _solution(REGIME_STRONG, n, None, roots, approximate=True)
 
 
@@ -322,13 +335,13 @@ def bs_extremum_roots(p: MarketParams, n: int) -> VacuumSolution:
     _orders(n, None)
     if n < 1:
         raise ValueError(f"order n must be >= 1, got {n}")
-    ratio = p.sigma_sq / (2.0 * p.r)
     if n == 1:
-        roots = [0.0]
-    else:
-        b = (ratio - 1.0) * (n - 1)
-        roots = _quadratic_real_roots(1.0, b, -ratio * (n - 1) * (n - 2))
-    return _solution(REGIME_EXTREMUM, n, None, [FieldPoint(r, n=n) for r in roots])
+        return _solution(REGIME_EXTREMUM, n, None, [FieldPoint(0.0, n=n)])
+    ratio = p.sigma_sq / (2.0 * p.r)
+    roots = _bs_points(p, n, REGIME_EXTREMUM, lambda: _quadratic_real_roots(
+        1.0, (ratio - 1.0) * (n - 1), -ratio * (n - 1) * (n - 2)
+    ))
+    return _solution(REGIME_EXTREMUM, n, None, roots)
 
 
 def extremum_quadratic_residual(p: MarketParams, n: int, phi: float) -> float:
@@ -446,10 +459,10 @@ def mg_regime_solver(
     _orders(n, m)
     phi_x = _finite(phi_x, "price field scale phi_x")
     solution = functools.partial(_solution, tag, n, m, approximate=True)
+    overflow = f"the {tag} formulas overflow a float at orders n = {n}, m = {m}"
 
     if tag == REGIME_STRONG_STRONG:
-        a_y = (1.0 - ey / (2.0 * p.r)) * n
-        a_x = (cy / p.r) * m
+        a_y, a_x = _computed(lambda: ((1.0 - ey / (2.0 * p.r)) * n, (cy / p.r) * m), overflow)
         return solution(
             relation="phi_x*phi_y = a_y*phi_y + a_x*phi_x",
             curve_coeffs={"a_y": a_y, "a_x": a_x},
@@ -471,8 +484,10 @@ def mg_regime_solver(
             raise SingularRegimeError(
                 "coupled weak-weak formula needs n, m >= 2 (division by n*m)"
             )
-        pref = p.rho * p.zeta * float(np.exp(y * (p.alpha - 1.5))) * m * phi_x / (1.0 - n)
-        disc = 1.0 - 2.0 * (m - 1) * (n - 1) / (p.rho**2 * n * m)
+        pref, disc = _computed(lambda: (
+            p.rho * p.zeta * float(np.exp(y * (p.alpha - 1.5))) * m * phi_x / (1.0 - n),
+            1.0 - 2.0 * (m - 1) * (n - 1) / (p.rho**2 * n * m),
+        ), overflow)
         if disc < 0.0:
             return solution(no_real_solution=True)
         sq = float(np.sqrt(disc))
@@ -486,17 +501,17 @@ def mg_regime_solver(
             raise SingularRegimeError(
                 "strong-x/weak-y denominator C(y) vanishes at these parameters"
             )
-        phi_y = float(mg_yy_coef(p, y)) * (1 - m) / cy
+        phi_y = _computed(lambda: float(mg_yy_coef(p, y)) * (1 - m) / cy, overflow)
         return solution((FieldPoint(phi_x=0.0, phi_y=phi_y, n=n, m=m),))
 
     # weak-x / strong-y
     denom = p.r - 0.5 * ey
     if abs(denom) <= FLAG_TOL:
         raise SingularRegimeError("weak-x/strong-y denominator r - e^y/2 vanishes")
-    val = (1 - n) * (0.5 * ey) / denom
+    val, limit = _computed(lambda: ((1 - n) * (0.5 * ey) / denom, float(n - 1)), overflow)
     return solution(
         (FieldPoint(phi_x=val, phi_y=0.0, n=n, m=m),),
-        limit_value=float(n - 1),
+        limit_value=limit,
         notes=("limit_value is the y -> infinity value, parameter-free",),
     )
 
@@ -512,12 +527,17 @@ def classify_information_flow(p, y: float | None = None) -> RegimeReport:
     """
     if isinstance(p, MarketParams):
         flags = {"sigma_sq_equals_2r": p.hermitian()}
-        values = {"sigma_sq_minus_2r": float(p.sigma_sq - 2.0 * p.r)}
+        values = {"sigma_sq_minus_2r": _computed(
+            lambda: float(p.sigma_sq - 2.0 * p.r), "sigma_sq - 2r overflows a float"
+        )}
         return RegimeReport(flags=flags, values=values, preserved=all(flags.values()), y=None)
     if isinstance(p, MGParams):
         if y is None:
             raise ValueError("two-factor classification requires a log-variance y")
         y, ey, cy, flags = _two_field_point(p, y)
-        values = {"y_drift": cy, "ey_minus_2r": ey - 2.0 * p.r}
+        values = {
+            "y_drift": cy,
+            "ey_minus_2r": _computed(lambda: ey - 2.0 * p.r, "e^y - 2r overflows a float"),
+        }
         return RegimeReport(flags=flags, values=values, preserved=all(flags.values()), y=y)
     raise ValueError(f"unsupported parameter type {type(p).__name__}")

@@ -1,13 +1,20 @@
 """End-to-end command-line runs: outputs, manifests, exit codes."""
 
+import contextlib
+import io
+import math
+import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import qflab.cli
 from qflab.cli import main
@@ -752,6 +759,163 @@ class TestExitCodes:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "qflab" in capsys.readouterr().out
+
+
+MG_ZETA = ["--r", "0.05", "--lambda", "0.01", "--mu", "-0.3", "--alpha", "1", "--rho", "-0.5",
+           "--zeta"]
+EDGE = ["--x-min", "709", "--x-max", "709.7", "--n-points", "5"]
+
+
+class TestOverflowRule:
+    """Every value computed past the float range is refused as a validation
+    error (exit 2), before any warning and before any report is written."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # zeta**2 raised a Python OverflowError: exit 1 with error = OverflowError
+            (["martingale-check", "--model", "mg", *MG_ZETA, "1e200"],
+             "the two-factor generator overflows a float on y in [-4.0, -2.0]"),
+            (["classify", "--model", "mg", *MG_ZETA, "1e200", "--y", "-3"],
+             "log-variance y = -3.0 leaves e^y or C(y) non-finite"),
+            (["mg-vacuum", *MG_ZETA, "1e200", "--y", "-3", "--n", "1", "--m", "1"],
+             "log-variance y = -3.0 leaves e^y or C(y) non-finite"),
+            (["constraint-solve", *MG_ZETA, "1e200", "--bracket", "-7", "-0.8"],
+             "the extended constraint overflows a float at y = -7.0"),
+            (["evolve", "--r", "0.05", "--sigma-sq", "0.04", "--state", "gaussian", "--width",
+              "1e200", "--x-min", "-1", "--x-max", "1", "--n-points", "21", "--dt", "0.01",
+              "--n-steps", "2"], "--width 1e+200 leaves 2 width^2 outside the positive floats"),
+            # 2 width^2 underflows to 0
+            (["evolve", "--r", "0.05", "--sigma-sq", "0.04", "--state", "gaussian", "--width",
+              "1e-170", "--x-min", "-1", "--x-max", "1", "--n-points", "21", "--dt", "0.01",
+              "--n-steps", "2"], "--width 1e-170 leaves 2 width^2 outside the positive floats"),
+            # exit 0 with residual_l2 = inf: a pass, and a fail
+            (["martingale-check", "--model", "bs", "--r", "700", "--sigma-sq", "0.01", "--x-min",
+              "-0.3", "--x-max", "700", "--n-points", "21"],
+             "the martingale residual of this state, or its tolerance, overflows a float"),
+            (["martingale-check", "--model", "mg", *MG_ZETA, "1e150"],
+             "the martingale residual of this state, or its tolerance, overflows a float"),
+            # exit 0 after overflow warnings inside Brent's bracket
+            (["constraint-solve", "--r", "1e150", "--lambda", "1e-12", "--mu", "1", "--zeta",
+              "1e-4", "--alpha", "1", "--rho", "-1", "--bracket", "0", "1e6"],
+             "the extended constraint overflows a float at y = 1000000.0"),
+            # refused by FieldPoint only after a numpy warning
+            (["bs-vacuum", "--r", "5e-324", "--sigma-sq", "1", "--n", "4"],
+             "exact roots of order 4 overflow a float at r = 5e-324, sigma_sq = 1.0"),
+            (["bs-vacuum", "--r", "5e-324", "--sigma-sq", "1", "--n", "4", "--family",
+              "extremum"], "extremum roots of order 4 overflow a float"),
+            # orders past the float range raised a Python OverflowError
+            (["bs-vacuum", "--r", "0.05", "--sigma-sq", "0.04", "--n", str(10**400), "--family",
+              "weak"], "weak-field roots of order 1000"),
+            (["mg-vacuum", *MG_ZETA, "0.1", "--y", "-3", "--n", str(10**400), "--m", "2",
+              "--regime", "strong-strong"], "the strong-strong formulas overflow a float"),
+            # refused by StateVector or OperatorMatrix only after numpy warnings
+            (["evolve", "--r", "0.05", "--sigma-sq", "0.04", "--state", "asset", *EDGE, "--dt",
+              "0.01", "--n-steps", "1"], "the evolved state, or its mass or norm, overflows"),
+            (["price", "--r", "0.05", "--sigma-sq", "0.04", "--payoff", "asset", "--t", "1",
+              *EDGE], "the price over T = 1.0 overflows a float"),
+            (["evolve", "--r", "1e200", "--sigma-sq", "0.04", "--mode", "unitary", "--state",
+              "bond", "--x-min", "-1", "--x-max", "0", "--n-points", "21", "--dt", "1e300",
+              "--n-steps", "3"], "the generator times the step's 5e+299j overflows a float"),
+            (["martingale-check", "--model", "bs", "--r", "0.05", "--sigma-sq", "1e308",
+              "--x-min", "-1", "--x-max", "1", "--n-points", "21"],
+             "the generator's entries overflow a float on spacing h = 0.1"),
+            # exit 0 with an infinite time in the flow CSV, or an infinite record value
+            (["evolve", "--r", "0.05", "--sigma-sq", "0.04", "--state", "bond", "--x-min", "-1",
+              "--x-max", "1", "--n-points", "21", "--dt", "1e308", "--n-steps", "3"],
+             "the horizon n_steps * dt = 3 * 1e+308 overflows a float"),
+            (["classify", "--model", "bs", "--r", "1e308", "--sigma-sq", "0.04"],
+             "sigma_sq - 2r overflows a float"),
+            (["classify", "--model", "mg", "--r", "1e308", "--lambda", "0.01", "--mu", "0.3",
+              "--zeta", "0.1", "--alpha", "1", "--rho", "1", "--y", "0.5"],
+             "e^y - 2r overflows a float"),
+        ],
+        ids=["mg_generator_zeta", "classify_zeta", "mg_vacuum_zeta", "constraint_zeta",
+             "gaussian_wide", "gaussian_narrow", "bs_residual", "mg_residual",
+             "constraint_bracket", "bs_exact_roots", "bs_extremum_roots", "bs_weak_order",
+             "mg_regime_order", "evolve_edge", "price_edge", "factor_scale", "bs_entries",
+             "evolve_horizon", "classify_bs_values", "classify_mg_values"],
+    )
+    def test_refused_without_warnings(self, tmp_path, capsys, argv, message):
+        extra = ["--flow-out", str(tmp_path / "flow.csv")] if argv[0] == "evolve" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, *extra, "--out", str(tmp_path / "x.out")]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    # each verb's command lines, and its numeric flags with values the door
+    # accepts (None: the flag is left out)
+    MG_FLAGS = [("--r", "0.05"), ("--lambda", "0.01"), ("--mu", "-0.3"), ("--zeta", "0.1"),
+                ("--alpha", "1.0"), ("--rho", "-0.5")]
+    BS_FLAGS = [("--r", "0.05"), ("--sigma-sq", "0.04")]
+    X_FLAGS = [("--x-min", "-1"), ("--x-max", "1")]
+    VERBS = [
+        ([["martingale-check", "--model", "bs", "--n-points", "5"]],
+         [*BS_FLAGS, *X_FLAGS, ("--tol", None)]),
+        ([["martingale-check", "--model", "mg", "--state", state, "--n-points", "5",
+           "--m-points", "5"] for state in ("price", "extended")],
+         [*MG_FLAGS, *X_FLAGS, ("--y-min", "-4"), ("--y-max", "-2"), ("--tol", None)]),
+        ([["constraint-solve"]], [*MG_FLAGS, ("--bracket", "-7", "-0.8")]),
+        ([["classify", "--model", "bs"]], BS_FLAGS),
+        ([["classify", "--model", "mg"]], [*MG_FLAGS, ("--y", "-3")]),
+        ([["mg-vacuum", "--n", n, "--m", m] for n, m in (("0", "1"), ("1", "0"), ("1", "1"))]
+         + [["mg-vacuum", "--n", "2", "--m", "3", "--regime", regime] for regime in (
+             "strong-strong", "weak-weak", "strong-x-weak-y", "weak-x-strong-y")],
+         [*MG_FLAGS, ("--y", "-3"), ("--phi-x", None)]),
+        ([["bs-vacuum", "--family", family, "--n", n] for family in (
+            "exact", "weak", "strong", "extremum") for n in ("1", "2", "4")], BS_FLAGS),
+        ([["evolve", "--mode", mode, "--boundary", boundary, "--state", state, "--n-points",
+           "5", "--n-steps", "2"] for mode in ("euclidean", "unitary")
+          for boundary in ("one-sided", "dirichlet") for state in ("asset", "bond", "gaussian")],
+         [*BS_FLAGS, *X_FLAGS, ("--center", None), ("--width", None), ("--dt", "0.01")]),
+    ]
+    EXTREMES = ["0", "-0", "5e-324", "-5e-324", "1e-170", "-1e-170", "700", "-700", "709.7",
+                "1e150", "-1e150", "1e200", "-1e200"]
+
+    @staticmethod
+    @st.composite
+    def command_lines(draw):
+        fixed, numeric = draw(st.sampled_from(TestOverflowRule.VERBS))
+        argv = list(draw(st.sampled_from(fixed)))
+        for flag, *accepted in numeric:
+            values = [draw(st.one_of(st.just(a), st.sampled_from(TestOverflowRule.EXTREMES)))
+                      for a in accepted]
+            if values == [None]:
+                continue
+            # --flag=value, so that argparse reads -5e-324 as a value
+            argv += [f"{flag}={values[0]}"] if len(values) == 1 else [flag, *values]
+        return argv
+
+    @seed(20261019)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(argv=command_lines())
+    def test_extreme_numeric_flags(self, argv):
+        with tempfile.TemporaryDirectory() as d:
+            outputs = [Path(d, "run.out")]
+            argv = [*argv, "--out", str(outputs[0])]
+            if argv[0] == "evolve":
+                outputs.append(Path(d, "flow.csv"))
+                argv += ["--flow-out", str(outputs[1])]
+            elif argv[0] == "mg-vacuum":
+                outputs.append(Path(d, "roots.csv"))
+                argv += ["--csv-out", str(outputs[1])]
+            printed = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(printed), \
+                    contextlib.redirect_stderr(printed):
+                warnings.simplefilter("error")
+                code = main(argv)
+            written = [path.read_text() for path in outputs if path.exists()]
+        assert code in (0, 1, 2), argv
+        assert "error = OverflowError" not in printed.getvalue() + "".join(written), argv
+        if code == 0:
+            for text in written:
+                for token in re.split(r"[\s,=]+", text):
+                    try:
+                        number = float(token)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(number), (argv, token)
 
 
 class TestRecordFormat:

@@ -223,11 +223,45 @@ class TestEvolve:
     def test_non_finite_boundary_value_refused_before_stepping(self, stepper_runs, mode,
                                                                value):
         g = Grid1D(-1.0, 1.0, 21)
-        with pytest.raises(ValueError, match="boundary value at node 3 is not finite"):
+        with pytest.raises(ValueError, match="boundary value at node 3 must be finite"):
             evolve(build_bs_hamiltonian(P, g), StateVector(np.ones(21), g),
                    EvolutionConfig(dt=0.01, n_steps=5, mode=mode),
                    boundary_values={np.int64(3): value})
         assert stepper_runs == []
+
+    @pytest.mark.parametrize("node", [21, -1, 10**30])
+    def test_boundary_node_outside_grid_refused(self, node):
+        g = Grid1D(-1.0, 1.0, 21)
+        with pytest.raises(ValueError, match=f"boundary node {node} outside grid"):
+            evolve(build_bs_hamiltonian(P, g), StateVector(np.ones(21), g),
+                   EvolutionConfig(dt=0.01, n_steps=5), boundary_values={node: 1.0})
+
+    @pytest.mark.parametrize("mode", ["euclidean", "unitary"])
+    @pytest.mark.parametrize(
+        "value", ["1.5", True, [1.0, 2.0], None, lambda tau: "1.5", lambda tau: True],
+        ids=["string", "bool", "list", "none", "callable_string", "callable_bool"],
+    )
+    def test_boundary_value_must_be_a_number(self, stepper_runs, mode, value):
+        # numpy's conversion used to pin "1.5" at 1.5 and True at 1.0
+        g = Grid1D(-1.0, 1.0, 21)
+        with pytest.raises(ValueError, match="boundary value at node 3 must be a"):
+            evolve(build_bs_hamiltonian(P, g), StateVector(np.ones(21), g),
+                   EvolutionConfig(dt=0.01, n_steps=5, mode=mode), boundary_values={3: value})
+        assert stepper_runs == []
+
+    @pytest.mark.parametrize("value", [1j, 0.5 + 0.25j, np.complex128(1.0)])
+    def test_complex_boundary_value_refused_in_euclidean_mode(self, value):
+        g = Grid1D(-1.0, 1.0, 21)
+        with pytest.raises(ValueError, match="boundary value at node 3 must be a real number"):
+            evolve(build_bs_hamiltonian(P, g), StateVector(np.ones(21), g),
+                   EvolutionConfig(dt=0.01, n_steps=5), boundary_values={3: value})
+
+    def test_real_boundary_values_held_in_unitary_mode(self):
+        g = Grid1D(-1.0, 1.0, 21)
+        out, _ = evolve(build_bs_hamiltonian(P, g), StateVector(np.ones(21), g),
+                        EvolutionConfig(dt=0.01, n_steps=5, mode="unitary"),
+                        boundary_values={3: 2, 4: np.float64(0.5), 5: lambda tau: tau})
+        assert out.values[3:6].tolist() == [2 + 0j, 0.5 + 0j, 0.05 + 0j]
 
     def test_complex_boundary_value_held_in_unitary_mode(self):
         g = Grid1D(-1.0, 1.0, 21)

@@ -1,6 +1,7 @@
 """Parameter containers, grids, states, config parsing, and the record writer."""
 
 import struct
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -17,6 +18,8 @@ from qflab.model import (
     MGParams,
     SDEParams,
     StateVector,
+    _computed,
+    _finite_complex,
     _record,
     load_config,
     mg_cross_coef,
@@ -231,6 +234,64 @@ class TestStateVector:
                 want = np.exp(g.x_axis.points[i] + g.y_axis.points[j])
                 got = sv.values[i * 4 + j]
                 assert got == pytest.approx(want, rel=1e-15), f"node ({i},{j})"
+
+
+class TestOverflowRule:
+    """``_computed``: the one rule for a value computed past the float range."""
+
+    def test_numpy_overflow_is_refused_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^e\\^x overflows$"):
+                _computed(lambda: np.exp(np.array([1.0, 710.0])), "e^x overflows")
+
+    @pytest.mark.parametrize("compute", [
+        lambda: np.float64(0.0) / np.float64(0.0),  # invalid
+        lambda: np.float64(1.0) / np.float64(0.0),  # divide
+        lambda: (1.0, np.array([1.0, np.inf])),  # any item of a tuple
+    ], ids=["nan", "divide", "tuple_item"])
+    def test_nan_and_infinity_are_refused(self, compute):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="refused"):
+                _computed(compute, "refused")
+
+    @pytest.mark.parametrize("compute", [lambda: 1e200**2, lambda: 1.0 * 10**400],
+                             ids=["float_power", "int_to_float"])
+    def test_python_overflow_error_is_refused(self, compute):
+        with pytest.raises(ValueError, match="past the range") as info:
+            _computed(compute, "past the range")
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
+    def test_finite_value_passes_unchanged(self):
+        value = np.array([1.0, -2.5, 1e308])
+        assert _computed(lambda: value, "unused") is value
+        pair = (0.5, np.zeros(3))
+        assert _computed(lambda: pair, "unused") is pair
+        assert _computed(lambda: 3, "unused") == 3
+
+    def test_numpy_error_state_is_restored(self):
+        before = np.geterr()
+        _computed(lambda: 1.0, "unused")
+        with pytest.raises(ValueError):
+            _computed(lambda: np.exp(1000.0), "refused")
+        assert np.geterr() == before
+
+
+class TestFiniteComplex:
+    @pytest.mark.parametrize("value,expected", [
+        (1, 1 + 0j), (0.5 + 0.25j, 0.5 + 0.25j), (np.complex128(2 - 1j), 2 - 1j),
+        (np.float64(-3.0), -3 + 0j),
+    ])
+    def test_numbers_become_complex(self, value, expected):
+        got = _finite_complex(value, "z")
+        assert type(got) is complex and got == expected
+
+    @pytest.mark.parametrize("value", [True, "1", None, [1.0], complex(np.nan, 0.0),
+                                       complex(0.0, np.inf), 10**400])
+    def test_everything_else_is_refused(self, value):
+        with pytest.raises(ValueError, match="^z must be"):
+            _finite_complex(value, "z")
 
 
 class TestCoefficients:
