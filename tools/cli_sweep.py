@@ -101,6 +101,27 @@ def _runs() -> list[list[str]]:
         ["price", "--config", CONFIG_NAME, "--sigma-sq", "0.09", "--payoff", "put", "--strike", "1",
          "--t", "1"],
     ]
+    # exit 2: values computed past the float range, refused by one rule
+    big_zeta = ["--r", "0.05", "--lambda", "0.01", "--mu", "-0.3", "--zeta", "1e200", "--alpha",
+                "1", "--rho", "-0.5"]
+    gaussian = ["evolve", *BS, "--state", "gaussian", "--x-min", "-1", "--x-max", "1",
+                "--n-points", "21", "--dt", "0.01", "--n-steps", "2"]
+    runs += [
+        ["martingale-check", "--model", "mg", *big_zeta],
+        ["classify", "--model", "mg", *big_zeta, "--y", "-3"],
+        ["mg-vacuum", *big_zeta, "--y", "-3", "--n", "1", "--m", "1"],
+        ["constraint-solve", *big_zeta, "--bracket", "-7", "-0.8"],
+        [*gaussian, "--width", "1e200"],
+        [*gaussian, "--width", "1e-170"],
+        ["martingale-check", "--model", "bs", "--r", "700", "--sigma-sq", "0.01", "--x-min",
+         "-0.3", "--x-max", "700", "--n-points", "21"],
+        ["constraint-solve", "--r", "1e150", "--lambda", "1e-12", "--mu", "1", "--zeta", "1e-4",
+         "--alpha", "1", "--rho", "-1", "--bracket", "0", "1e6"],
+        ["bs-vacuum", "--r", "5e-324", "--sigma-sq", "1", "--n", "4"],
+        ["bs-vacuum", "--r", "5e-324", "--sigma-sq", "1", "--n", "4", "--family", "extremum"],
+        ["price", *BS, "--payoff", "asset", "--t", "1", "--x-min", "709", "--x-max", "709.7",
+         "--n-points", "5"],
+    ]
     return runs
 
 
