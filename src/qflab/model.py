@@ -301,7 +301,7 @@ def _computed(compute: Callable, refusal: str):
     except OverflowError:
         raise ValueError(refusal) from None
     parts = value if isinstance(value, tuple) else (value,)
-    if not all(np.all(np.isfinite(part)) for part in parts):
+    if not all(np.isfinite(part).all() for part in parts):
         raise ValueError(refusal)
     return value
 
