@@ -204,7 +204,7 @@ def _factor(
     from scipy.linalg import get_lapack_funcs
     from scipy.sparse.linalg import splu
 
-    _computed(lambda: scale * h.data, f"the generator times the step's {scale} overflows a float")
+    _computed(lambda: scale * h.data, f"the generator times z dt/2 = {scale} overflows a float")
     n = h.shape[0]
     rows = np.repeat(np.arange(n), np.diff(h.indptr))
     if np.all(np.abs(h.indices - rows)[(h.data != 0) & ~pinned[rows]] <= 1):

@@ -816,7 +816,7 @@ class TestOverflowRule:
               *EDGE], "the price over T = 1.0 overflows a float"),
             (["evolve", "--r", "1e200", "--sigma-sq", "0.04", "--mode", "unitary", "--state",
               "bond", "--x-min", "-1", "--x-max", "0", "--n-points", "21", "--dt", "1e300",
-              "--n-steps", "3"], "the generator times the step's 5e+299j overflows a float"),
+              "--n-steps", "3"], "the generator times z dt/2 = 5e+299j overflows a float"),
             (["martingale-check", "--model", "bs", "--r", "0.05", "--sigma-sq", "1e308",
               "--x-min", "-1", "--x-max", "1", "--n-points", "21"],
              "the generator's entries overflow a float on spacing h = 0.1"),
