@@ -12,9 +12,10 @@ equal wrote the same bytes for every output and manifest:
 SRC is a checkout's ``src`` directory, from which qflab is imported. OUT
 is a directory, created if missing, that the runs work in; every output
 name is relative to it, so the manifests hold no absolute path and the
-tool writes nothing outside OUT but the config file the ``--config`` run
-reads. Runs are numbered, and each writes only files named after its
-number. Every warning a run raises is printed as one line, by its
+tool writes nothing outside OUT. The config file the ``--config`` run
+reads is written into OUT first. Runs are numbered, and each writes only
+files named after its number; new runs go at the end of the list, so
+that earlier runs keep their numbers. Every warning a run raises is printed as one line, by its
 category and message, after what ``main`` printed. The first line names
 the Python, numpy and scipy versions, since a float's last bits may
 change with them.
@@ -95,7 +96,6 @@ def _runs() -> list[list[str]]:
          "--dt", "0.01", "--n-steps", "2"],
         ["transmogrify"],
     ]
-    # later runs go last, so that every earlier run keeps its number and its digests
     runs += [
         # the config file fills the market and the grid; the flag wins over its sigma_sq
         ["price", "--config", CONFIG_NAME, "--sigma-sq", "0.09", "--payoff", "put", "--strike", "1",
