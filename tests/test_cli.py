@@ -908,6 +908,8 @@ class TestOverflowRule:
             written = [path.read_text() for path in outputs if path.exists()]
         assert code in (0, 1, 2), argv
         assert "error = OverflowError" not in printed.getvalue() + "".join(written), argv
+        if code == 1:
+            assert written[0].startswith("error = "), argv
         if code == 0:
             for text in written:
                 for token in re.split(r"[\s,=]+", text):
