@@ -22,10 +22,9 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Union
 
 import numpy as np
-from scipy import sparse
 
 from .model import (
     Grid1D,
@@ -51,6 +50,9 @@ from .operators import (
     build_bs_hamiltonian,
     build_effective_bs,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 MODE_EUCLIDEAN = "euclidean"
 MODE_UNITARY = "unitary"
@@ -201,6 +203,7 @@ def _factor(
     operator) gets a sparse LU of the whole grid.
     """
     # imported here, so that a run that never steps loads neither solver
+    from scipy import sparse
     from scipy.linalg import get_lapack_funcs
     from scipy.sparse.linalg import splu
 

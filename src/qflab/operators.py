@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
-from scipy import sparse
 
 from .model import (
     Grid1D,
@@ -30,6 +29,11 @@ from .model import (
     mg_y_drift,
     mg_yy_coef,
 )
+
+# scipy.sparse is imported where it is called, so that importing qflab
+# loads no scipy: the vacuum solvers and the Monte Carlo check never call it
+if TYPE_CHECKING:
+    from scipy import sparse
 
 BOUNDARY_ONE_SIDED = "one-sided"
 BOUNDARY_DIRICHLET = "dirichlet-zero"
@@ -131,6 +135,8 @@ class OperatorMatrix:
     dirichlet_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        from scipy import sparse
+
         m = sparse.csr_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         if m.shape[0] != m.shape[1]:
@@ -217,6 +223,8 @@ def _stencil(n: int, h: float, order: int) -> sparse.csr_matrix:
     """Central difference of the given order (1 or 2), closed by
     second-order one-sided edge rows, as CSR with sorted indices and no
     stored zeros."""
+    from scipy import sparse
+
     indptr, cols = _stencil_pattern(n)
     m = sparse.csr_matrix((_stencil_weights(n, h, order), cols, indptr), shape=(n, n))
     m.eliminate_zeros()
@@ -245,6 +253,8 @@ def build_effective_bs(
     region and pin every knocked node's row to zero (Dirichlet); a bound
     at or beyond a domain edge knocks nothing.
     """
+    from scipy import sparse
+
     n = g.n_points
     x = g.points
     vals = v.values_on(g, inside_value=p.r)
@@ -313,6 +323,8 @@ def build_mg_hamiltonian(p: MGParams, g: Grid2D) -> OperatorMatrix:
     where C(y) = lam e^{-y} + mu - (zeta^2/2) e^{2y(alpha-1)}. Note the
     full zeta^2 weight on the dyy term. Flattening is row-major, x outer.
     """
+    from scipy import sparse
+
     nx, ny = g.shape
     y = g.y_axis.points
 
@@ -428,6 +440,8 @@ def similarity_transform(
     h * max|sigma_sq/2 - V| < sigma_sq (grid Peclet condition); both are
     checked. Edge rows and columns are zeroed (Dirichlet closure).
     """
+    from scipy import sparse
+
     if p.sigma_sq == 0.0:
         raise ValueError("similarity transform undefined at sigma_sq = 0")
     if v.kind in (KIND_DOWN_AND_OUT, KIND_DOUBLE_KNOCKOUT):

@@ -250,30 +250,43 @@ class TestConstraintSolve:
         assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
     def test_runs_that_never_step_leave_solvers_unloaded(self, tmp_path):
-        # LAPACK's tridiagonal solver and SuperLU load on the first
-        # factorization: martingale-check and simulate never make one
+        # scipy loads where it is called: the vacuum verbs, classify,
+        # simulate and the Monte Carlo statistic load none of it,
+        # martingale-check only scipy.sparse, and the first factorization
+        # LAPACK's tridiagonal solver and SuperLU
         code = f"""
 import sys
+import qflab, qflab.cli
+from qflab import MarketParams, SDEParams, mc_martingale_check
 from qflab.cli import main
 def loaded():
-    return sorted(m for m in ("scipy.linalg", "scipy.sparse.linalg") if m in sys.modules)
+    if not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules):
+        return "loaded: no scipy"
+    mods = ("scipy.sparse", "scipy.linalg", "scipy.sparse.linalg")
+    return "loaded: " + " ".join(m for m in mods if m in sys.modules)
+def run(*argv):
+    assert main([*argv, "--out", {str(tmp_path / "out.txt")!r}]) == 0, argv
 print(loaded())
 mg = ["--r", "0.05", "--lambda", "0.01", "--mu", "-0.3", "--zeta", "0.1", "--alpha", "1.0",
       "--rho", "-0.5"]
-for argv in (
-    ["martingale-check", "--model", "bs", "--r", "0.05", "--sigma-sq", "0.04"],
-    ["martingale-check", "--model", "mg", *mg, "--x-min", "-1", "--x-max", "1",
-     "--n-points", "21", "--y-min", "-4", "--y-max", "-3", "--m-points", "11"],
-    ["simulate", "--model", "gbm", "--r", "0.05", "--sigma-sq", "0.04", "--drift", "0.05",
-     "--s0", "100", "--t", "1", "--dt", "0.25", "--n-paths", "10"],
-    ["simulate", "--model", "mg", *mg, "--drift", "0.05", "--s0", "100", "--v0", "0.04",
-     "--t", "1", "--dt", "0.25", "--n-paths", "10"],
-):
-    assert main([*argv, "--out", {str(tmp_path / "out.txt")!r}]) == 0, argv
+run("bs-vacuum", "--r", "0.05", "--sigma-sq", "0.04", "--n", "2")
+run("mg-vacuum", "--r", "0.05", "--lambda", "0.01", "--mu", "0.02", "--zeta", "0.1",
+    "--alpha", "1.5", "--rho", "1.0", "--y", "-3.2", "--n", "2", "--m", "2",
+    "--regime", "weak-weak")
+run("classify", "--model", "bs", "--r", "0.05", "--sigma-sq", "0.04")
+run("classify", "--model", "mg", *mg, "--y", "-3.2")
+run("simulate", "--model", "gbm", "--r", "0.05", "--sigma-sq", "0.04", "--drift", "0.05",
+    "--s0", "100", "--t", "1", "--dt", "0.25", "--n-paths", "10")
+run("simulate", "--model", "mg", *mg, "--drift", "0.05", "--s0", "100", "--v0", "0.04",
+    "--t", "1", "--dt", "0.25", "--n-paths", "10")
+mc_martingale_check(SDEParams(0.05, MarketParams(0.05, 0.04)), 100.0, 1.0, 1000, 0)
 print(loaded())
-assert main(["price", "--payoff", "call", "--strike", "100", "--r", "0.05", "--sigma-sq",
-             "0.04", "--t", "1", "--x-min", "3.6", "--x-max", "5.6", "--n-points", "41",
-             "--out", {str(tmp_path / "curve.csv")!r}]) == 0
+run("martingale-check", "--model", "bs", "--r", "0.05", "--sigma-sq", "0.04")
+run("martingale-check", "--model", "mg", *mg, "--x-min", "-1", "--x-max", "1",
+    "--n-points", "21", "--y-min", "-4", "--y-max", "-3", "--m-points", "11")
+print(loaded())
+run("price", "--payoff", "call", "--strike", "100", "--r", "0.05", "--sigma-sq", "0.04",
+    "--t", "1", "--x-min", "3.6", "--x-max", "5.6", "--n-points", "41")
 print(loaded())
 """
         env = {"PYTHONPATH": str(Path(qflab.cli.__file__).parents[1])}
@@ -281,8 +294,11 @@ print(loaded())
                              capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         # martingale-check also prints its verdict line: keep the module lists
-        assert [ln for ln in run.stdout.splitlines() if ln.startswith("[")] == [
-            "[]", "[]", "['scipy.linalg', 'scipy.sparse.linalg']"
+        assert [ln for ln in run.stdout.splitlines() if ln.startswith("loaded:")] == [
+            "loaded: no scipy",
+            "loaded: no scipy",
+            "loaded: scipy.sparse",
+            "loaded: scipy.sparse scipy.linalg scipy.sparse.linalg",
         ]
 
 
