@@ -192,10 +192,16 @@ def bs_potential_residual(p: MarketParams, n: int, phi: float) -> float:
     """
     _orders(n, None)
     half = 0.5 * p.sigma_sq
-    t1 = _term(-half * n * (n - 1), phi, n - 2, "diffusion")
-    t2 = _term((half - p.r) * n, phi, n - 1, "drift")
-    t3 = _term(p.r, phi, n, "rate")
-    return t1 + t2 + t3
+
+    def residual() -> float:
+        t1 = _term(-half * n * (n - 1), phi, n - 2, "diffusion")
+        t2 = _term((half - p.r) * n, phi, n - 1, "drift")
+        t3 = _term(p.r, phi, n, "rate")
+        return t1 + t2 + t3
+
+    return _computed(
+        residual, f"the potential polynomial of order {n} overflows a float at phi = {phi}"
+    )
 
 
 def _quadratic_real_roots(a: float, b: float, c: float) -> list[float]:
@@ -346,8 +352,14 @@ def bs_extremum_roots(p: MarketParams, n: int) -> VacuumSolution:
 
 def extremum_quadratic_residual(p: MarketParams, n: int, phi: float) -> float:
     """Defining residual of the extremum family (used by fidelity checks)."""
-    ratio = p.sigma_sq / (2.0 * p.r)
-    return phi**2 + (ratio - 1.0) * (n - 1) * phi - ratio * (n - 1) * (n - 2)
+
+    def residual() -> float:
+        ratio = p.sigma_sq / (2.0 * p.r)
+        return phi**2 + (ratio - 1.0) * (n - 1) * phi - ratio * (n - 1) * (n - 2)
+
+    return _computed(
+        residual, f"the extremum quadratic of order {n} overflows a float at phi = {phi}"
+    )
 
 
 def mg_polynomial_residual(p: MGParams, point: FieldPoint, y: float) -> float:
@@ -375,13 +387,19 @@ def mg_polynomial_residual(p: MGParams, point: FieldPoint, y: float) -> float:
         px = _term(1.0, phi_x, ex, label + "/x")
         return _term(cx * px, phi_y, ey_, label + "/y") if px != 0.0 else 0.0
 
-    t1 = pair(-0.5 * ey * n * (n - 1), n - 2, m, "xx")
-    t2 = pair(-(p.r - 0.5 * ey) * n, n - 1, m, "x")
-    t3 = pair(-cy * m, n, m - 1, "y")
-    t4 = pair(-float(mg_cross_coef(p, y)) * n * m, n - 1, m - 1, "xy")
-    t5 = pair(-float(mg_yy_coef(p, y)) * m * (m - 1), n, m - 2, "yy")
-    t6 = pair(p.r, n, m, "rate")
-    return t1 + t2 + t3 + t4 + t5 + t6
+    def residual() -> float:
+        t1 = pair(-0.5 * ey * n * (n - 1), n - 2, m, "xx")
+        t2 = pair(-(p.r - 0.5 * ey) * n, n - 1, m, "x")
+        t3 = pair(-cy * m, n, m - 1, "y")
+        t4 = pair(-float(mg_cross_coef(p, y)) * n * m, n - 1, m - 1, "xy")
+        t5 = pair(-float(mg_yy_coef(p, y)) * m * (m - 1), n, m - 2, "yy")
+        t6 = pair(p.r, n, m, "rate")
+        return t1 + t2 + t3 + t4 + t5 + t6
+
+    return _computed(
+        residual, f"the two-field polynomial of orders ({n}, {m}) overflows a float at "
+        f"phi_x = {phi_x}, phi_y = {phi_y}, y = {y}"
+    )
 
 
 def _two_field_point(p: MGParams, y: float) -> tuple[float, float, float, dict]:

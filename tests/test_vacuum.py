@@ -424,6 +424,25 @@ class TestOverflow:
     def test_large_powers_that_fit_still_evaluate(self):
         assert np.isfinite(bs_potential_residual(P, 300, 10.0))
 
+    # an order or a field value past the float range is refused by name, not raised as
+    # Python's OverflowError
+    def test_order_past_float_range_refused_by_bs_residual(self):
+        with pytest.raises(ValueError, match="potential polynomial of order 1000.* overflows a "
+                                             "float at phi = 1.0$"):
+            bs_potential_residual(P, 10**400, 1.0)
+
+    def test_order_past_float_range_refused_by_mg_residual(self):
+        with pytest.raises(ValueError, match=r"two-field polynomial of orders \(1000.*, 1\) "
+                                             "overflows a float at phi_x = 1.0, phi_y = 1.0, "
+                                             "y = -3.0$"):
+            mg_polynomial_residual(GEN, FieldPoint(1.0, 1.0, 10**400, 1), -3.0)
+
+    @pytest.mark.parametrize("phi", [1e200, np.float64(1e200)], ids=["float", "float64"])
+    def test_field_past_float_range_refused_by_extremum_residual(self, phi):
+        with pytest.raises(ValueError, match="extremum quadratic of order 2 overflows a float "
+                                             r"at phi = 1e\+200$"):
+            extremum_quadratic_residual(P, 2, phi)
+
     @pytest.mark.parametrize("y", [800.0, -800.0], ids=["ey", "y_drift"])
     def test_overflowing_y_refused_by_every_two_field_solver(self, y):
         # the suite turns warnings into errors, so no overflow warning escapes either
