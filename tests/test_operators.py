@@ -550,6 +550,20 @@ class TestMGOperator:
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64))
 
+    def test_annihilation_decays_at_second_order_in_x(self):
+        # the y and cross stencils are exact on a state constant in y, so
+        # what is left of H e^x is the x stencils' error
+        p = MGParams(r=0.05, lam=0.05, mu=-1.0, zeta=0.2, alpha=0.8, rho=-0.5)
+        gy = Grid1D(-3.6, -3.2, 21)
+        maxes = []
+        for nx in (51, 101, 201, 401):
+            g2 = Grid2D(Grid1D(-0.5, 0.5, nx), gy)
+            op = build_mg_hamiltonian(p, g2)
+            vals = np.repeat(np.exp(g2.x_axis.points), gy.n_points)
+            maxes.append(np.abs(op.matrix @ vals)[op.interior_mask()].max())
+        ratios = [a / b for a, b in zip(maxes, maxes[1:])]
+        assert all(3.5 <= q <= 4.5 for q in ratios), f"halving hx scaled it by {ratios}"
+
     def test_interior_mask_excludes_both_edges(self):
         g2 = Grid2D(Grid1D(0.0, 1.0, 5), Grid1D(0.0, 1.0, 4))
         op = build_mg_hamiltonian(self.P, g2)
