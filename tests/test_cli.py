@@ -252,8 +252,8 @@ class TestConstraintSolve:
     def test_runs_that_never_step_leave_solvers_unloaded(self, tmp_path):
         # scipy loads where it is called: the vacuum verbs, classify,
         # simulate and the Monte Carlo statistic load none of it,
-        # martingale-check only scipy.sparse, and the first factorization
-        # LAPACK's tridiagonal solver and SuperLU
+        # martingale-check loads only scipy.sparse, and price's first
+        # factorization adds LAPACK's tridiagonal solver and SuperLU
         code = f"""
 import sys
 import qflab, qflab.cli
