@@ -122,6 +122,10 @@ def _runs() -> list[list[str]]:
         ["price", *BS, "--payoff", "asset", "--t", "1", "--x-min", "709", "--x-max", "709.7",
          "--n-points", "5"],
     ]
+    # exit 2: a target step or a maturity the pricers refuse
+    call = ["price", *BS, "--payoff", "call", "--strike", "100", *PRICE_GRID]
+    runs += [[*call, "--t", "1", "--dt", dt] for dt in ("0", "-0.01", "nan", "inf", "1e-320")]
+    runs.append([*call, "--t", "0"])
     return runs
 
 
