@@ -301,19 +301,18 @@ def _run_price(args) -> None:
     if args.payoff in ("call", "put") and args.strike is None:
         raise ValueError("--strike is required for call and put payoffs")
     payoff = Payoff(PAYOFF_ASSET if args.payoff == "asset" else args.payoff, args.strike)
-    # the pricers read only the target step; the count is derived from --t, so a
-    # bad --t is named before the default step derived from it is checked
+    # the pricers take a target step and derive the count from --t, so a bad
+    # --t is named before the default step derived from it is checked
     dt = args.dt if args.dt is not None else _positive(args.t, "maturity") / 400.0
-    cfg_run = EvolutionConfig(dt=dt, n_steps=1)
     barrier = None
     if args.barrier_level is not None:
         barrier = Potential.down_and_out(args.barrier_level)
     elif args.corridor is not None:
         barrier = Potential.double_knockout(*args.corridor)
     if barrier is None:
-        curve = price_option(p, payoff, args.t, g, cfg_run)
+        curve = price_option(p, payoff, args.t, g, dt)
     else:
-        curve = price_barrier(p, payoff, barrier, args.t, g, cfg_run)
+        curve = price_barrier(p, payoff, barrier, args.t, g, dt)
     Path(args.out).write_text(_curve_csv(g.points, curve.values))
 
 

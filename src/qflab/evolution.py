@@ -12,8 +12,9 @@ factored by LAPACK over the span of rows that can change, from one row
 before the first unpinned node to one after the last; any other by a
 sparse LU. One stepper serves ``evolve``, the pricers and
 ``kernel_row``, and forms each step in place in one buffer. The pricers
-read only the target step ``cfg.dt`` of their config, and start rough
-(kinked or knocked) data with two damped Rannacher steps.
+take a target step ``dt`` and derive the count that lands on the
+maturity; ``EvolutionConfig`` configures ``evolve`` alone. They start
+rough (kinked or knocked) data with two damped Rannacher steps.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class SingularSolveError(ArithmeticError):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Crank-Nicolson stepping parameters. dt should not exceed the
+    """The stepping parameters of ``evolve``. dt should not exceed the
     lattice spacing for accuracy (unconditional stability
     notwithstanding)."""
 
@@ -434,15 +435,15 @@ def _monotone(p: MarketParams, g: Grid1D) -> None:
 
 
 def _price(
-    p: MarketParams, payoff: Payoff, T: float, cfg: EvolutionConfig, op: OperatorMatrix
+    p: MarketParams, payoff: Payoff, T: float, dt: float, op: OperatorMatrix
 ) -> StateVector:
     """Present value over T under ``op``: knocked nodes (its Dirichlet
-    mask) held at zero, each free edge at its far field. Only cfg.dt is
-    read, as a target step; the count is derived so the steps land
-    exactly on T. A grid whose cell Peclet number exceeds 1 is refused."""
+    mask) held at zero, each free edge at its far field. ``dt`` is a
+    target step; the count is derived so the steps land exactly on T. A
+    grid whose cell Peclet number exceeds 1 is refused."""
     g = op.grid
     _monotone(p, g)
-    n_steps = _step_count(T, cfg.dt, "maturity")
+    n_steps = _step_count(T, dt, "maturity")
     dt = T / n_steps
     vals = payoff.values_on(g)
     pairs = _edge_pairs(payoff, vals)
@@ -476,17 +477,14 @@ def _price(
     return StateVector(price, g)
 
 
-def price_option(
-    p: MarketParams, payoff: Payoff, T: float, g: Grid1D, cfg: EvolutionConfig
-) -> StateVector:
+def price_option(p: MarketParams, payoff: Payoff, T: float, g: Grid1D, dt: float) -> StateVector:
     """Present-value curve of a vanilla payoff at every grid node.
 
     Euclidean Crank-Nicolson under the one-factor generator with
-    far-field Dirichlet values at both edges. Only cfg.dt is read, as a
-    target step (its n_steps and mode are unused); the count is derived
-    so the steps land exactly on T.
+    far-field Dirichlet values at both edges. ``dt`` is a target step;
+    the count is derived so the steps land exactly on T.
     """
-    return _price(p, payoff, T, cfg, build_bs_hamiltonian(p, g))
+    return _price(p, payoff, T, dt, build_bs_hamiltonian(p, g))
 
 
 def price_barrier(
@@ -495,11 +493,11 @@ def price_barrier(
     barrier: Potential,
     T: float,
     g: Grid1D,
-    cfg: EvolutionConfig,
+    dt: float,
 ) -> StateVector:
     """Knock-out price curve: zero in the knocked regions, far-field
-    values at any free domain edge. Only cfg.dt is read, as a target
-    step, as in price_option."""
+    values at any free domain edge. ``dt`` is a target step, as in
+    price_option."""
     if barrier.kind not in (KIND_DOWN_AND_OUT, KIND_DOUBLE_KNOCKOUT):
         raise ValueError(
             f"barrier must be a knock-out potential, got kind {barrier.kind!r}"
@@ -509,7 +507,7 @@ def price_barrier(
         if barrier.kind == KIND_DOWN_AND_OUT:
             raise ValueError(f"down-and-out level {barrier.level} knocks out every node")
         raise ValueError("corridor is empty: every node is knocked out")
-    return _price(p, payoff, T, cfg, op)
+    return _price(p, payoff, T, dt, op)
 
 
 def kernel_row(p: MarketParams, x: float, tau: float, g: Grid1D) -> StateVector:

@@ -329,7 +329,7 @@ def test_criterion_07_pricing(capsys):
     r, sig2, s0, strike, T = 0.05, 0.04, 100.0, 100.0, 1.0
     sig = float(np.sqrt(sig2))
     p = MarketParams(r=r, sigma_sq=sig2)
-    cfg = EvolutionConfig(dt=1.0 / 400.0, n_steps=1)
+    price_dt = 1.0 / 400.0
 
     def closed_call(s, k):
         d1 = (np.log(s / k) + (r + sig2 / 2.0) * T) / (sig * np.sqrt(T))
@@ -338,9 +338,9 @@ def test_criterion_07_pricing(capsys):
 
     g = Grid1D(float(np.log(s0)) - 4.0, float(np.log(s0)) + 4.0, 801)
     spot = 400  # log(s0) sits exactly on this node
-    call = float(price_option(p, Payoff.call(strike), T, g, cfg).values[spot])
-    put = float(price_option(p, Payoff.put(strike), T, g, cfg).values[spot])
-    bond = float(price_option(p, Payoff.bond(), T, g, cfg).values[spot])
+    call = float(price_option(p, Payoff.call(strike), T, g, price_dt).values[spot])
+    put = float(price_option(p, Payoff.put(strike), T, g, price_dt).values[spot])
+    bond = float(price_option(p, Payoff.bond(), T, g, price_dt).values[spot])
 
     call_ref = float(closed_call(s0, strike))
     call_rel = abs(call - call_ref) / call_ref
@@ -354,7 +354,7 @@ def test_criterion_07_pricing(capsys):
     b = float(np.log(barrier_level))
     h = float(np.log(s0 / barrier_level)) / 45.0
     gb = Grid1D(b - 50.0 * h, b + 450.0 * h, 501)
-    curve = price_barrier(p, Payoff.call(strike), Potential.down_and_out(b), T, gb, cfg)
+    curve = price_barrier(p, Payoff.call(strike), Potential.down_and_out(b), T, gb, price_dt)
     dao = float(curve.values[95])
 
     # oracle: exact lognormal skeleton with per-step bridge survival

@@ -362,8 +362,7 @@ class TestStepper:
 
     def test_pricing_pins_tridiagonal(self, splu_calls):
         g, k = self.G, 1.0
-        cfg = EvolutionConfig(dt=self.DT, n_steps=1)
-        got = price_option(P, Payoff.call(k), self.STEPS * self.DT, g, cfg).values
+        got = price_option(P, Payoff.call(k), self.STEPS * self.DT, g, self.DT).values
         pinned = np.zeros(g.n_points, dtype=bool)
         pinned[[0, -1]] = True
         # a call starts with two damped steps; its top edge is discounted
@@ -379,8 +378,7 @@ class TestStepper:
     def test_knocked_pins_tridiagonal(self, splu_calls):
         g = self.G
         barrier = Potential.down_and_out(-0.5)
-        cfg = EvolutionConfig(dt=self.DT, n_steps=1)
-        got = price_barrier(P, Payoff.bond(), barrier, self.STEPS * self.DT, g, cfg).values
+        got = price_barrier(P, Payoff.bond(), barrier, self.STEPS * self.DT, g, self.DT).values
         op = build_effective_bs(P, barrier, g)
         pinned = op.dirichlet_mask.copy()
         pinned[-1] = True
@@ -618,11 +616,10 @@ class TestStepBuffers:
 
     @pytest.mark.parametrize("barrier", [None, Potential.double_knockout(-0.5, 0.5)])
     def test_payoff_table_untouched(self, stepper_runs, barrier):
-        cfg = EvolutionConfig(dt=0.01, n_steps=1)
         if barrier is None:
-            price_option(P, Payoff.call(1.0), 0.5, self.G, cfg)
+            price_option(P, Payoff.call(1.0), 0.5, self.G, 0.01)
         else:
-            price_barrier(P, Payoff.call(1.0), barrier, 0.5, self.G, cfg)
+            price_barrier(P, Payoff.call(1.0), barrier, 0.5, self.G, 0.01)
         self.assert_untouched(stepper_runs)
 
     @pytest.mark.parametrize("mode", ["euclidean", "unitary"])
@@ -686,39 +683,57 @@ class TestPricing:
     K = 100.0
     T = 1.0
     G = Grid1D(np.log(100.0) - 4.0, np.log(100.0) + 4.0, 601)
-    CFG = EvolutionConfig(dt=1.0 / 300, n_steps=300)
+    DT = 1.0 / 300
 
     def spot_index(self, g):
         return int(np.argmin(np.abs(g.points - np.log(100.0))))
 
     def test_call_against_closed_form(self):
-        curve = price_option(P, Payoff.call(self.K), self.T, self.G, self.CFG)
+        curve = price_option(P, Payoff.call(self.K), self.T, self.G, self.DT)
         got = curve.values[self.spot_index(self.G)].real
         want = closed_form_call(100.0, self.K, 0.05, 0.2, self.T)
         assert abs(got / want - 1.0) < PRICE_REL_TOL, f"{got:.6f} vs {want:.6f}"
 
     def test_bond_curve_is_discount_factor(self):
-        curve = price_option(P, Payoff.bond(), self.T, self.G, self.CFG)
+        curve = price_option(P, Payoff.bond(), self.T, self.G, self.DT)
         assert np.max(np.abs(curve.values.real - np.exp(-0.05))) < 1e-6
 
     def test_put_call_parity(self):
         i = self.spot_index(self.G)
-        call = price_option(P, Payoff.call(self.K), self.T, self.G, self.CFG).values[i].real
-        put = price_option(P, Payoff.put(self.K), self.T, self.G, self.CFG).values[i].real
+        call = price_option(P, Payoff.call(self.K), self.T, self.G, self.DT).values[i].real
+        put = price_option(P, Payoff.put(self.K), self.T, self.G, self.DT).values[i].real
         lhs = call - put
         rhs = 100.0 - self.K * np.exp(-0.05)
         assert abs(lhs - rhs) / self.K < PARITY_REL_TOL, f"parity gap {lhs - rhs:.5f}"
 
     def test_maturity_must_be_positive(self):
         with pytest.raises(ValueError):
-            price_option(P, Payoff.call(self.K), 0.0, self.G, self.CFG)
+            price_option(P, Payoff.call(self.K), 0.0, self.G, self.DT)
 
     @pytest.mark.parametrize("T", [float("nan"), float("inf")])
     def test_non_finite_maturity_named(self, T):
         with pytest.raises(ValueError, match="maturity must be finite"):
-            price_option(P, Payoff.bond(), T, self.G, self.CFG)
+            price_option(P, Payoff.bond(), T, self.G, self.DT)
         with pytest.raises(ValueError, match="maturity must be finite"):
-            price_barrier(P, Payoff.bond(), Potential.down_and_out(4.0), T, self.G, self.CFG)
+            price_barrier(P, Payoff.bond(), Potential.down_and_out(4.0), T, self.G, self.DT)
+
+    # the target step is a plain float; a config, a bool or a string is refused
+    @pytest.mark.parametrize(
+        "dt,message",
+        [
+            (EvolutionConfig(0.01, 1), r"dt must be a real number, got EvolutionConfig\("),
+            (True, "dt must be a real number, got True"),
+            ("0.01", "dt must be a real number, got '0.01'"),
+            (0, "dt must be positive, got 0"),
+            (float("nan"), "dt must be finite, not NaN or infinite, got nan"),
+        ],
+        ids=["config", "bool", "string", "zero", "nan"],
+    )
+    def test_bad_step_named(self, dt, message):
+        with pytest.raises(ValueError, match=message):
+            price_option(P, Payoff.bond(), self.T, self.G, dt)
+        with pytest.raises(ValueError, match=message):
+            price_barrier(P, Payoff.bond(), Potential.down_and_out(4.0), self.T, self.G, dt)
 
     @pytest.mark.parametrize(
         "payoff", [Payoff.call(K), Payoff.put(K), Payoff.bond(), Payoff.martingale_asset(),
@@ -728,7 +743,7 @@ class TestPricing:
     def test_edges_hold_far_field(self, payoff):
         # 300 steps of T/300 land exactly on T; the last pins use the
         # scheme's discount over them, with a damped start for kinked data
-        curve = price_option(P, payoff, self.T, self.G, self.CFG).values
+        curve = price_option(P, payoff, self.T, self.G, self.DT).values
         lo, hi = np.exp(self.G.x_min), np.exp(self.G.x_max)
         n_startup = 0 if payoff.kind in ("bond", "martingale-asset") else 2
         d = scheme_discounts(0.05, self.T / 300, 300, n_startup)[1][-1]
@@ -748,16 +763,16 @@ class TestPricing:
         g = Grid1D(710.0, 720.0, 51)
         with pytest.raises(ValueError, match="far-field price at the grid edge x = 710.0"):
             if barrier is None:
-                price_option(P, Payoff.put(self.K), self.T, g, self.CFG)
+                price_option(P, Payoff.put(self.K), self.T, g, self.DT)
             else:
-                price_barrier(P, Payoff.put(self.K), barrier, self.T, g, self.CFG)
+                price_barrier(P, Payoff.put(self.K), barrier, self.T, g, self.DT)
         assert stepper_runs == []
 
     @pytest.mark.parametrize("payoff", [Payoff.call(K), Payoff.martingale_asset()],
                              ids=lambda pf: pf.kind)
     def test_overflowing_payoff_refused(self, payoff):
         with pytest.raises(ValueError, match="payoff is not finite on the grid"):
-            price_option(P, payoff, self.T, Grid1D(700.0, 720.0, 51), self.CFG)
+            price_option(P, payoff, self.T, Grid1D(700.0, 720.0, 51), self.DT)
 
     def test_spatial_convergence_is_second_order(self):
         # dt = 1/2000 keeps the time error well below the spatial one
@@ -768,11 +783,11 @@ class TestPricing:
         vol_t = math.sqrt(0.04 * self.T)
         d1 = (0.05 + 0.04 / 2) * self.T / vol_t  # at the money: ln(S0 / K) = 0
         want = 100.0 * cdf(d1) - self.K * math.exp(-0.05 * self.T) * cdf(d1 - vol_t)
-        cfg = EvolutionConfig(dt=1.0 / 2000, n_steps=1)
+        dt = 1.0 / 2000
         errors = []
         for n in (101, 201, 401, 801, 1601):
             g = Grid1D(np.log(100.0) - 4.0, np.log(100.0) + 4.0, n)
-            curve = price_option(P, Payoff.call(self.K), self.T, g, cfg)
+            curve = price_option(P, Payoff.call(self.K), self.T, g, dt)
             errors.append(abs(curve.values[n // 2] - want))
         ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
         assert all(3.5 <= q <= 4.5 for q in ratios), ratios
@@ -787,7 +802,7 @@ class TestDampedStart:
     SPOT = 400  # x = 4.605, the node nearest ln 100
 
     def price(self, payoff, dt):
-        return price_option(P, payoff, 1.0, self.G, EvolutionConfig(dt=dt, n_steps=1)).values
+        return price_option(P, payoff, 1.0, self.G, dt).values
 
     @pytest.mark.parametrize("payoff", [Payoff.call(100.0), Payoff.put(100.0)],
                              ids=lambda pf: pf.kind)
@@ -821,50 +836,50 @@ class TestBarrierPricing:
 
     def test_down_and_out_zero_below_barrier(self):
         g = self.make_grid()
-        cfg = EvolutionConfig(dt=1.0 / 200, n_steps=200)
-        curve = price_barrier(P, Payoff.call(100.0), Potential.down_and_out(np.log(self.B)), self.T, g, cfg)
+        dt = 1.0 / 200
+        curve = price_barrier(P, Payoff.call(100.0), Potential.down_and_out(np.log(self.B)), self.T, g, dt)
         below = g.points <= np.log(self.B) + 1e-12
         assert np.max(np.abs(curve.values[below])) == 0.0
         assert curve.values[~below].real.max() > 0.0
 
     def test_knocked_low_edge_and_far_field_top(self):
         g = self.make_grid()
-        cfg = EvolutionConfig(dt=1.0 / 200, n_steps=200)
-        curve = price_barrier(P, Payoff.call(100.0), Potential.down_and_out(np.log(self.B)), self.T, g, cfg)
+        dt = 1.0 / 200
+        curve = price_barrier(P, Payoff.call(100.0), Potential.down_and_out(np.log(self.B)), self.T, g, dt)
         assert curve.values[0] == 0.0
         d = scheme_discounts(0.05, self.T / 200, 200, 2)[1][-1]
         assert curve.values[-1] == np.exp(g.x_max) - 100.0 * d
 
     def test_knocked_price_below_vanilla(self):
         g = self.make_grid()
-        cfg = EvolutionConfig(dt=1.0 / 200, n_steps=200)
-        barrier = price_barrier(P, Payoff.call(100.0), Potential.down_and_out(np.log(self.B)), self.T, g, cfg)
-        vanilla = price_option(P, Payoff.call(100.0), self.T, g, cfg)
+        dt = 1.0 / 200
+        barrier = price_barrier(P, Payoff.call(100.0), Potential.down_and_out(np.log(self.B)), self.T, g, dt)
+        vanilla = price_option(P, Payoff.call(100.0), self.T, g, dt)
         i = int(np.argmin(np.abs(g.points - np.log(100.0))))
         assert barrier.values[i].real < vanilla.values[i].real
 
     def test_vacuous_barrier_matches_vanilla(self):
         g = Grid1D(np.log(90.0), np.log(120.0), 201)
-        cfg = EvolutionConfig(dt=1.0 / 100, n_steps=100)
+        dt = 1.0 / 100
         with_barrier = price_barrier(
-            P, Payoff.call(100.0), Potential.down_and_out(np.log(10.0)), self.T, g, cfg
+            P, Payoff.call(100.0), Potential.down_and_out(np.log(10.0)), self.T, g, dt
         )
-        vanilla = price_option(P, Payoff.call(100.0), self.T, g, cfg)
+        vanilla = price_option(P, Payoff.call(100.0), self.T, g, dt)
         assert np.allclose(with_barrier.values, vanilla.values, rtol=0, atol=1e-12)
 
     def test_double_knockout_zero_outside_corridor(self):
         g = Grid1D(np.log(60.0), np.log(160.0), 301)
-        cfg = EvolutionConfig(dt=1.0 / 100, n_steps=100)
+        dt = 1.0 / 100
         lo, hi = np.log(80.0), np.log(130.0)
-        curve = price_barrier(P, Payoff.call(100.0), Potential.double_knockout(lo, hi), self.T, g, cfg)
+        curve = price_barrier(P, Payoff.call(100.0), Potential.double_knockout(lo, hi), self.T, g, dt)
         outside = (g.points <= lo + 1e-12) | (g.points >= hi - 1e-12)
         assert np.max(np.abs(curve.values[outside])) == 0.0
 
     def test_empty_corridor_rejected(self):
         g = Grid1D(0.0, 1.0, 11)
-        cfg = EvolutionConfig(dt=0.01, n_steps=10)
+        dt = 0.01
         with pytest.raises(ValueError):
-            price_barrier(P, Payoff.call(1.0), Potential.double_knockout(-5.0, 5.0), self.T, g, cfg)
+            price_barrier(P, Payoff.call(1.0), Potential.double_knockout(-5.0, 5.0), self.T, g, dt)
 
     @pytest.mark.parametrize(
         "barrier,message",
@@ -878,15 +893,15 @@ class TestBarrierPricing:
     )
     def test_barrier_knocking_every_node_is_named(self, barrier, message):
         g = Grid1D(0.0, 1.0, 11)
-        cfg = EvolutionConfig(dt=0.01, n_steps=10)
+        dt = 0.01
         with pytest.raises(ValueError, match=message):
-            price_barrier(P, Payoff.bond(), barrier, self.T, g, cfg)
+            price_barrier(P, Payoff.bond(), barrier, self.T, g, dt)
 
     def test_vanilla_potential_rejected(self):
         g = Grid1D(0.0, 1.0, 11)
-        cfg = EvolutionConfig(dt=0.01, n_steps=10)
+        dt = 0.01
         with pytest.raises(ValueError):
-            price_barrier(P, Payoff.call(1.0), Potential.constant(0.05), self.T, g, cfg)
+            price_barrier(P, Payoff.call(1.0), Potential.constant(0.05), self.T, g, dt)
 
 
 class TestMonotoneGuard:
@@ -899,26 +914,21 @@ class TestMonotoneGuard:
 
     def test_price_refused_with_pe_and_node_count(self):
         with pytest.raises(ValueError, match=r"Pe = .* = 4\.995 exceeds 1 .* 3998 nodes or more"):
-            price_option(self.LOW_VOL, Payoff.put(100.0), 1.0, self.G, EvolutionConfig(0.01, 1))
+            price_option(self.LOW_VOL, Payoff.put(100.0), 1.0, self.G, 0.01)
 
     def test_named_node_count_prices_without_negative_values(self):
         g = Grid1D(0.605, 8.605, 3998)
-        curve = price_option(self.LOW_VOL, Payoff.put(100.0), 1.0, g, EvolutionConfig(0.01, 1))
+        curve = price_option(self.LOW_VOL, Payoff.put(100.0), 1.0, g, 0.01)
         assert curve.values.min() >= 0.0
 
     def test_barrier_price_refused(self):
         barrier = Potential.down_and_out(3.0)
         with pytest.raises(ValueError, match="Peclet"):
-            price_barrier(
-                self.LOW_VOL, Payoff.put(100.0), barrier, 1.0, self.G, EvolutionConfig(0.01, 1)
-            )
+            price_barrier(self.LOW_VOL, Payoff.put(100.0), barrier, 1.0, self.G, 0.01)
 
     def test_zero_volatility_refused(self):
         with pytest.raises(ValueError, match="Pe = .* = inf .* positive sigma_sq"):
-            price_option(
-                MarketParams(r=0.05, sigma_sq=0.0), Payoff.bond(), 1.0, self.G,
-                EvolutionConfig(0.01, 1),
-            )
+            price_option(MarketParams(r=0.05, sigma_sq=0.0), Payoff.bond(), 1.0, self.G, 0.01)
 
     def test_kernel_refused(self):
         with pytest.raises(ValueError, match="Peclet"):
