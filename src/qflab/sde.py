@@ -85,11 +85,11 @@ def _check_sizes(s0: float, T: float, dt: float, n_paths: int, seed: int) -> int
     return _step_count(T, dt)
 
 
-def _check_rows(rows: int, max_rows: int = CSV_ROW_GUARD, force: bool = False) -> None:
-    """Refuse a CSV export of more than ``max_rows`` rows unless forced."""
-    if rows > max_rows and not force:
+def _check_rows(rows: int, force: bool = False) -> None:
+    """Refuse a CSV export of more than ``CSV_ROW_GUARD`` rows unless forced."""
+    if rows > CSV_ROW_GUARD and not force:
         raise ValueError(
-            f"export of {rows} rows exceeds the guard of {max_rows}; "
+            f"export of {rows} rows exceeds the guard of {CSV_ROW_GUARD}; "
             "pass force=True to override"
         )
 
@@ -199,18 +199,16 @@ def simulate_mg(
     return PathEnsemble(paths=s_paths, dt=dt_eff, seed=int(seed), v_paths=v_paths)
 
 
-def export_csv(
-    ens: PathEnsemble, path, max_rows: int = CSV_ROW_GUARD, force: bool = False
-) -> int:
+def export_csv(ens: PathEnsemble, path, force: bool = False) -> int:
     """Long-format CSV export (path_id, t, S[, V]); returns rows written.
 
-    Refuses ensembles larger than ``max_rows`` rows unless forced, so a
+    Refuses ensembles larger than ``CSV_ROW_GUARD`` rows unless forced, so a
     sweep script cannot silently fill a disk. The file is streamed one
     path per write, so memory stays at one path's text however many
     rows are written.
     """
     rows = ens.n_paths * (ens.n_steps + 1)
-    _check_rows(rows, max_rows, force)
+    _check_rows(rows, force)
     with_v = ens.v_paths is not None
     # the ",t," cell of each step is the same on every path: format it once
     times = [f",{k * ens.dt!r}," for k in range(ens.n_steps + 1)]

@@ -414,10 +414,11 @@ class TestExport:
             back[int(pid), int(round(float(t) / ens.dt))] = float(s)
         assert np.array_equal(back, ens.paths), "repr round trip lost bits"
 
-    def test_size_guard(self, tmp_path):
+    def test_size_guard(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(qflab.sde, "CSV_ROW_GUARD", 1000)
         ens = simulate_gbm(SP, 100.0, 1.0, 0.01, 200, seed=1)
         out = tmp_path / "big.csv"
-        with pytest.raises(ValueError, match="guard"):
-            export_csv(ens, out, max_rows=1000)
-        rows = export_csv(ens, out, max_rows=1000, force=True)
+        with pytest.raises(ValueError, match="guard of 1000"):
+            export_csv(ens, out)
+        rows = export_csv(ens, out, force=True)
         assert rows == 200 * 101 and out.exists()
