@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    IDENTITY_TOL,
     MGParams,
     SDEParams,
     StateVector,
@@ -27,8 +28,6 @@ from .model import (
 )
 from .operators import OperatorMatrix
 from .sde import simulate_gbm
-
-CONSTRAINT_TOL = 1e-12
 
 
 class NoRootError(ArithmeticError):
@@ -166,8 +165,8 @@ def cross_parameter_identity(p: MGParams) -> dict:
     parameter identity zeta = -rho (requiring rho <= 0). Reported as an
     identity record, never as a y-root.
     """
-    y_independent = abs(p.alpha - 1.5) <= CONSTRAINT_TOL
-    holds = y_independent and abs(p.zeta + p.rho) <= CONSTRAINT_TOL
+    y_independent = abs(p.alpha - 1.5) <= IDENTITY_TOL
+    holds = y_independent and abs(p.zeta + p.rho) <= IDENTITY_TOL
     return {
         "y_independent": y_independent,
         "zeta": p.zeta,

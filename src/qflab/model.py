@@ -17,7 +17,9 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-12
+# a parameter identity (sigma_sq = 2 r, alpha = 3/2, zeta = -rho, e^y = 2 r,
+# C(y) = 0) counts as holding when its two sides differ by at most this
+IDENTITY_TOL = 1e-12
 
 CONFIG_INT_KEYS = frozenset({"n_points", "m_points"})
 CONFIG_KEYS = frozenset(
@@ -64,7 +66,7 @@ class MarketParams:
 
         The comparison is absolute, |sigma_sq - 2 r| <= 1e-12.
         """
-        return abs(self.sigma_sq - 2.0 * self.r) <= HERMITIAN_TOL
+        return abs(self.sigma_sq - 2.0 * self.r) <= IDENTITY_TOL
 
 
 @dataclass(frozen=True)

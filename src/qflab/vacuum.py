@@ -23,11 +23,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .model import (
-    MarketParams, MGParams, _computed, _finite, _integer, _record, mg_cross_coef, mg_y_drift,
-    mg_yy_coef,
+    IDENTITY_TOL, MarketParams, MGParams, _computed, _finite, _integer, _record, mg_cross_coef,
+    mg_y_drift, mg_yy_coef,
 )
-
-FLAG_TOL = 1e-12
 
 REGIME_EXACT = "exact"
 REGIME_WEAK = "weak-field"
@@ -404,7 +402,7 @@ def mg_polynomial_residual(p: MGParams, point: FieldPoint, y: float) -> float:
 
 def _two_field_point(p: MGParams, y: float) -> tuple[float, float, float, dict]:
     """The checked log-variance y with e^y, C(y) and the Hermiticity flags
-    of the two-field point: C(y) = 0 and e^y = 2r, each to FLAG_TOL.
+    of the two-field point: C(y) = 0 and e^y = 2r, each to IDENTITY_TOL.
 
     Refuses a y at which e^y or C(y) is not a finite float.
     """
@@ -414,8 +412,8 @@ def _two_field_point(p: MGParams, y: float) -> tuple[float, float, float, dict]:
         f"log-variance y = {y!r} leaves e^y or C(y) non-finite",
     )
     flags = {
-        "y_drift_zero": abs(cy) <= FLAG_TOL,
-        "ey_equals_2r": abs(ey - 2.0 * p.r) <= FLAG_TOL,
+        "y_drift_zero": abs(cy) <= IDENTITY_TOL,
+        "ey_equals_2r": abs(ey - 2.0 * p.r) <= IDENTITY_TOL,
     }
     return y, ey, cy, flags
 
@@ -524,7 +522,7 @@ def mg_regime_solver(
 
     # weak-x / strong-y
     denom = p.r - 0.5 * ey
-    if abs(denom) <= FLAG_TOL:
+    if abs(denom) <= IDENTITY_TOL:
         raise SingularRegimeError("weak-x/strong-y denominator r - e^y/2 vanishes")
     val, limit = _computed(lambda: ((1 - n) * (0.5 * ey) / denom, float(n - 1)), overflow)
     return solution(
