@@ -866,6 +866,9 @@ class TestOverflowRule:
                 ("--alpha", "1.0"), ("--rho", "-0.5")]
     BS_FLAGS = [("--r", "0.05"), ("--sigma-sq", "0.04")]
     X_FLAGS = [("--x-min", "-1"), ("--x-max", "1")]
+    PRICES = [["price", "--payoff", payoff, "--n-points", "5"]
+              for payoff in ("call", "put", "bond", "asset")]
+    PRICE_FLAGS = [*BS_FLAGS, *X_FLAGS, ("--strike", "1"), ("--t", "1")]
     VERBS = [
         ([["martingale-check", "--model", "bs", "--n-points", "5"]],
          [*BS_FLAGS, *X_FLAGS, ("--tol", None)]),
@@ -885,6 +888,16 @@ class TestOverflowRule:
            "5", "--n-steps", "2"] for mode in ("euclidean", "unitary")
           for boundary in ("one-sided", "dirichlet") for state in ("asset", "bond", "gaussian")],
          [*BS_FLAGS, *X_FLAGS, ("--center", None), ("--width", None), ("--dt", "0.01")]),
+        # no knock-out, a down-and-out level or a corridor; --dt left out
+        # (the default step t/400) or extreme
+        (PRICES, [*PRICE_FLAGS, ("--dt", None)]),
+        (PRICES, [*PRICE_FLAGS, ("--barrier-level", "-0.6"), ("--dt", None)]),
+        (PRICES, [*PRICE_FLAGS, ("--corridor", "-0.6", "0.6"), ("--dt", None)]),
+        ([["simulate", "--model", "gbm", "--n-paths", "3"]],
+         [*BS_FLAGS, ("--drift", "0.05"), ("--s0", "100"), ("--t", "1"), ("--dt", "0.1")]),
+        ([["simulate", "--model", "mg", "--n-paths", "3"]],
+         [*MG_FLAGS, ("--v0", "0.04"), ("--drift", "0.05"), ("--s0", "100"), ("--t", "1"),
+          ("--dt", "0.1")]),
     ]
     EXTREMES = ["0", "-0", "5e-324", "-5e-324", "1e-170", "-1e-170", "700", "-700", "709.7",
                 "1e150", "-1e150", "1e200", "-1e200"]
