@@ -126,6 +126,16 @@ def _runs() -> list[list[str]]:
     call = ["price", *BS, "--payoff", "call", "--strike", "100", *PRICE_GRID]
     runs += [[*call, "--t", "1", "--dt", dt] for dt in ("0", "-0.01", "nan", "inf", "1e-320")]
     runs.append([*call, "--t", "0"])
+    # the generator at sizes past the other runs': the ladder's top rung, a
+    # corridor and the Dirichlet closure
+    big_grid = ["--x-min", "0.605", "--x-max", "8.605", "--n-points"]
+    runs += [
+        ["martingale-check", "--model", "bs", *BS, *big_grid, "25601"],
+        ["price", *BS, "--payoff", "call", "--strike", "100", "--t", "1", *big_grid, "6401",
+         "--corridor", "4.0", "5.2"],
+        ["evolve", *BS, "--boundary", "dirichlet", "--state", "asset", *big_grid, "6401",
+         "--dt", "0.01", "--n-steps", "20"],
+    ]
     return runs
 
 
