@@ -329,7 +329,7 @@ def test_builders_sorted_and_pinned(n):
 
 
 @pytest.mark.parametrize("sigma_sq", [0.04, 0.0])
-@pytest.mark.parametrize("n", [3, 4, 5, 21])
+@pytest.mark.parametrize("n", [3, 4, 5, 21, 801])
 def test_effective_bs_matches_sparse_expression(n, sigma_sq):
     # the CSR arrays are the bytes of the sparse-algebra form of the generator
     p = MarketParams(r=0.05, sigma_sq=sigma_sq)
