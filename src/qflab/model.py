@@ -349,12 +349,12 @@ def _step_count(T: float, dt: float, horizon: str = "horizon") -> int:
 
 @contextmanager
 def _affordable(n_steps: int, what: str) -> Iterator[None]:
-    """Refuse a step count whose arrays cannot be allocated: a MemoryError
-    raised inside becomes a ValueError that names the count and ``what``
-    it needs."""
+    """Refuse a step count whose arrays cannot be allocated: a MemoryError,
+    or numpy's ValueError for a shape past its size limit, raised inside
+    becomes a ValueError that names the count and ``what`` it needs."""
     try:
         yield
-    except MemoryError:
+    except (MemoryError, ValueError):
         raise ValueError(f"{n_steps} steps need {what}, which cannot be allocated") from None
 
 

@@ -650,6 +650,13 @@ class TestExitCodes:
             (["price", "--payoff", "bond", "--r", "0.05", "--sigma-sq", "0.04", "--t", "1e6",
               "--dt", "1e-9", "--x-min", "-1", "--x-max", "1", "--n-points", "51"],
              "1000000000000000 steps need a pin table"),
+            # past numpy's size and dimension limits: a ValueError, not a MemoryError
+            (["price", "--r", "0.05", "--sigma-sq", "0.04", "--payoff", "call", "--strike", "1",
+              "--x-min", "-1", "--x-max", "1", "--n-points", "5", "--t", "700", "--dt", "1e-170"],
+             f"{round(700 / 1e-170)} steps need a pin table"),
+            (["price", "--r", "0.05", "--sigma-sq", "0.04", "--payoff", "call", "--strike", "1",
+              "--x-min", "-1", "--x-max", "1", "--n-points", "5", "--t", "1e200", "--dt", "1e150"],
+             f"{round(1e200 / 1e150)} steps need a pin table"),
             (["evolve", "--r", "0.05", "--sigma-sq", "0.04", "--state", "bond", "--boundary",
               "dirichlet", "--x-min", "-1", "--x-max", "1", "--n-points", "21", "--dt", "0.01",
               "--n-steps", "1000000000000000"],
@@ -667,13 +674,25 @@ class TestExitCodes:
               "--v0", "0.04", "--t", "1e6", "--dt", "1e-9", "--n-paths", "1", "--force-big"],
              "1000000000000000 steps need two path tables"),
         ],
-        ids=["price_overflow", "simulate_overflow", "price_pin_table", "evolve_pin_table",
+        ids=["price_overflow", "simulate_overflow", "price_pin_table",
+             "price_past_dimension_limit", "price_past_size_limit", "evolve_pin_table",
              "evolve_flow_series", "simulate_gbm_paths", "simulate_mg_paths"],
     )
     def test_unaffordable_step_count_is_validation_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x.out"
         assert main([*argv, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_step_underflow_names_maturity(self, tmp_path, capsys):
+        # t/400 of the smallest subnormal is 0: the refusal names --t, not a --dt never passed
+        out = tmp_path / "x.out"
+        assert main(["price", "--r", "0.05", "--sigma-sq", "0.04", "--payoff", "call",
+                     "--strike", "1", "--x-min", "-1", "--x-max", "1", "--n-points", "5",
+                     "--t", "5e-324", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--t 5e-324 is so small that the default step t/400 is 0" in err
+        assert "dt must be positive" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-1", "9223372036854775808", "99999999999999999999999"])
