@@ -303,9 +303,8 @@ def _run_price(args) -> None:
     payoff = Payoff(PAYOFF_ASSET if args.payoff == "asset" else args.payoff, args.strike)
     # the pricers take a target step and derive the count from --t, so a bad
     # --t is named before the default step derived from it is checked
-    dt = args.dt if args.dt is not None else _positive(args.t, "maturity") / 400.0
-    if dt == 0.0 and args.dt is None:
-        raise ValueError(f"--t {args.t!r} is so small that the default step t/400 is 0")
+    dt = args.dt if args.dt is not None else _positive(
+        _positive(args.t, "maturity") / 400.0, f"default step t/400 of --t {args.t!r}")
     barrier = None
     if args.barrier_level is not None:
         barrier = Potential.down_and_out(args.barrier_level)

@@ -691,7 +691,7 @@ class TestExitCodes:
                      "--strike", "1", "--x-min", "-1", "--x-max", "1", "--n-points", "5",
                      "--t", "5e-324", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "--t 5e-324 is so small that the default step t/400 is 0" in err
+        assert "default step t/400 of --t 5e-324 must be positive, got 0.0" in err
         assert "dt must be positive" not in err
         assert not out.exists()
 
