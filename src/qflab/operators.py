@@ -402,8 +402,6 @@ def hermiticity_defect(op: OperatorMatrix) -> float:
     discretization. Zero means the interior stencil is symmetric.
     """
     keep = np.where(op.interior_mask())[0]
-    if keep.size == 0:
-        return 0.0
     d = (op.matrix - op.matrix.T).tocsr()
     sub = d[keep][:, keep]
     if sub.nnz == 0:
