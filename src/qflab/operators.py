@@ -195,28 +195,38 @@ _INTERIOR_WEIGHTS = {1: (-1.0, 0.0, 1.0), 2: (1.0, -2.0, 1.0)}
 _FIRST_ROW_WEIGHTS = {1: (-3.0, 4.0, -1.0, 0.0), 2: (2.0, -5.0, 4.0, -1.0)}
 
 
-def _stencil_pattern(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row pointers and sorted column indices of the D2 pattern."""
+def _bands(n: int, first, interior, last, dtype=float) -> np.ndarray:
+    """Values on the D2 pattern: the first row's, the interior rows' one
+    stencil column at a time (``interior[j]``, a scalar or n - 2 values, on
+    column i - 1 + j of row i), and the last row's."""
     k = min(n, 4)
-    counts = np.full(n, 3)
-    counts[0] = counts[-1] = k
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    interior = (np.arange(1, n - 1)[:, None] + np.arange(-1, 2)).ravel()
-    cols = np.concatenate((np.arange(k), interior, np.arange(n - k, n)))
+    out = np.empty(2 * k + 3 * (n - 2), dtype=dtype)
+    out[:k], out[out.size - k:] = first, last
+    body = out[k:out.size - k].reshape(n - 2, 3)
+    for j in range(3):
+        body[:, j] = interior[j]
+    return out
+
+
+def _stencil_pattern(n: int, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
+    """Row pointers and sorted column indices of the D2 pattern: rows of
+    k, 3, ..., 3, k entries, k = min(n, 4)."""
+    k = min(n, 4)
+    cols = _bands(n, np.arange(k), [np.arange(j, j + n - 2) for j in range(3)],
+                  np.arange(n - k, n), dtype)
+    indptr = np.arange(k - 3, 3 * n + k - 2, 3, dtype=dtype)
+    indptr[0], indptr[-1] = 0, cols.size
     return indptr, cols
 
 
-def _stencil_weights(n: int, h: float, order: int) -> np.ndarray:
-    """Weights of the order-1 or order-2 central difference over
-    ``_stencil_pattern(n)``, zeros included."""
+def _stencil_weights(n: int, h: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First-row, interior-row and last-row weights of the order-1 or
+    order-2 central difference, zeros included, for ``_bands`` to lay out."""
     inv = 1.0 / (2.0 * h) if order == 1 else 1.0 / h**2
-    interior = np.tile(np.array(_INTERIOR_WEIGHTS[order]) * inv, n - 2)
-    if order == 2 and n < 4:
-        first = np.array(_INTERIOR_WEIGHTS[2]) * inv
-    else:
-        first = np.array(_FIRST_ROW_WEIGHTS[order][:n]) * inv
+    interior = np.array(_INTERIOR_WEIGHTS[order]) * inv
+    first = interior if order == 2 and n < 4 else np.array(_FIRST_ROW_WEIGHTS[order][:n]) * inv
     last = -first[::-1] if order == 1 else first[::-1]
-    return np.concatenate((first, interior, last))
+    return first, interior, last
 
 
 def _stencil(n: int, h: float, order: int) -> sparse.csr_matrix:
@@ -226,7 +236,7 @@ def _stencil(n: int, h: float, order: int) -> sparse.csr_matrix:
     from scipy import sparse
 
     indptr, cols = _stencil_pattern(n)
-    m = sparse.csr_matrix((_stencil_weights(n, h, order), cols, indptr), shape=(n, n))
+    m = sparse.csr_matrix((_bands(n, *_stencil_weights(n, h, order)), cols, indptr), shape=(n, n))
     m.eliminate_zeros()
     return m
 
@@ -250,7 +260,7 @@ def build_effective_bs(
 
     The drift/potential pairing keeps e^x annihilated for every bounded
     V. Barrier kinds evaluate to the vanilla rate inside the admissible
-    region and pin every knocked node's row to zero (Dirichlet); a bound
+    region and pin every mask node's row to zero (Dirichlet); a bound
     at or beyond a domain edge knocks nothing.
     """
     from scipy import sparse
@@ -259,10 +269,10 @@ def build_effective_bs(
     x = g.points
     vals = v.values_on(g, inside_value=p.r)
 
-    knocked = np.zeros(n, dtype=bool)
+    mask = np.zeros(n, dtype=bool)
     if v.kind == KIND_DOWN_AND_OUT:
         if v.level > g.x_min + _EDGE_TOL:
-            knocked = x <= v.level + _EDGE_TOL
+            mask = x <= v.level + _EDGE_TOL
     elif v.kind == KIND_DOUBLE_KNOCKOUT:
         if v.lo < g.x_min - _EDGE_TOL or v.hi > g.x_max + _EDGE_TOL:
             raise ValueError(
@@ -270,35 +280,38 @@ def build_effective_bs(
                 f"[{g.x_min}, {g.x_max}]"
             )
         if v.lo > g.x_min + _EDGE_TOL:
-            knocked |= x <= v.lo + _EDGE_TOL
+            mask |= x <= v.lo + _EDGE_TOL
         if v.hi < g.x_max - _EDGE_TOL:
-            knocked |= x >= v.hi - _EDGE_TOL
+            mask |= x >= v.hi - _EDGE_TOL
 
-    mask = knocked.copy()
     if boundary == BOUNDARY_DIRICHLET:
         mask[0] = mask[-1] = True
 
-    # Each entry is (c2 D2 + drift D1) + V I, summed in the order of the
-    # sparse expression it replaces, so every bit matches it. Pinned rows
-    # and exact zeros are dropped, as sparse sums and products drop them.
-    indptr, cols = _stencil_pattern(n)
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    d1 = _stencil_weights(n, g.h, 1)
-    d2 = _stencil_weights(n, g.h, 2)
+    # Each entry is (c2 D2 + drift D1) + V I, summed band by band in the
+    # order of the sparse expression it replaces, so every bit matches it.
+    # Pinned rows and exact zeros are dropped, as sparse sums drop them.
+    idx = np.int32 if 3 * n + 2 <= np.iinfo(np.int32).max else np.int64
+    indptr, cols = _stencil_pattern(n, idx)
+    (f1, m1, l1), (f2, m2, l2) = _stencil_weights(n, g.h, 1), _stencil_weights(n, g.h, 2)
+    c2 = -0.5 * p.sigma_sq
 
     def entries() -> np.ndarray:
         drift = 0.5 * p.sigma_sq - vals
-        data = (-0.5 * p.sigma_sq) * d2 + drift[rows] * d1
-        data[cols == rows] += vals
-        return data
+        first, last = c2 * f2 + drift[0] * f1, c2 * l2 + drift[-1] * l1
+        mid = [c2 * m2[j] + drift[1:-1] * m1[j] for j in range(3)]
+        first[0], last[-1] = first[0] + vals[0], last[-1] + vals[-1]
+        mid[1] += vals[1:-1]
+        return _bands(n, first, mid, last)
 
     data = _computed(
         entries, f"the generator's entries overflow a float on spacing h = {g.h!r} "
         f"at sigma_sq = {p.sigma_sq!r}"
     )
-    keep = (data != 0.0) & ~mask[rows]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=n))))
-    a = sparse.csr_matrix((data[keep], cols[keep], indptr), shape=(n, n))
+    keep = data != 0.0
+    if mask.any() or not keep.all():
+        keep &= ~_bands(n, mask[0], (mask[1:-1],) * 3, mask[-1], bool)
+        indptr, cols, data = np.cumsum(np.r_[0, keep], dtype=idx)[indptr], cols[keep], data[keep]
+    a = sparse.csr_matrix((data, cols, indptr), shape=(n, n))
     return OperatorMatrix(matrix=a, grid=g, dirichlet_mask=mask)
 
 
@@ -338,8 +351,7 @@ def build_mg_hamiltonian(p: MGParams, g: Grid2D) -> OperatorMatrix:
     yptr, ycols = _stencil_pattern(ny)
     yrows = np.repeat(np.arange(ny), np.diff(yptr))
     on_diag = ycols == yrows
-    w1y = _stencil_weights(ny, g.y_axis.h, 1)
-    w2y = _stencil_weights(ny, g.y_axis.h, 2)
+    w1y, w2y = (_bands(ny, *_stencil_weights(ny, g.y_axis.h, k)) for k in (1, 2))
     # the coefficients and every entry built from them are refused where
     # they leave the float range
     refusal = (
@@ -358,8 +370,7 @@ def build_mg_hamiltonian(p: MGParams, g: Grid2D) -> OperatorMatrix:
     b2, b1, b0 = _computed(y_factors, refusal)
 
     xptr, xcols = _stencil_pattern(nx)
-    w1x = _stencil_weights(nx, g.x_axis.h, 1)
-    w2x = _stencil_weights(nx, g.x_axis.h, 2)
+    w1x, w2x = (_bands(nx, *_stencil_weights(nx, g.x_axis.h, k)) for k in (1, 2))
 
     def block(i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entries, columns and per-y-row counts of x row i's ny rows."""
