@@ -260,7 +260,7 @@ def build_effective_bs(
 
     The drift/potential pairing keeps e^x annihilated for every bounded
     V. Barrier kinds evaluate to the vanilla rate inside the admissible
-    region and pin every mask node's row to zero (Dirichlet); a bound
+    region and pin every knocked node's row to zero (Dirichlet); a bound
     at or beyond a domain edge knocks nothing.
     """
     from scipy import sparse
