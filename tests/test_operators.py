@@ -513,7 +513,7 @@ class TestMGOperator:
         err = np.abs(got.data - ref.data) / np.repeat(row_max, np.diff(ref.indptr))
         assert err.max() <= 1e-13, f"entries moved by {err.max():.2e} of their row's largest"
 
-    @pytest.mark.parametrize("nx,ny", [(3, 3), (3, 7), (7, 3), (4, 5), (21, 11)])
+    @pytest.mark.parametrize("nx,ny", [(3, 3), (3, 7), (7, 3), (4, 5), (21, 11), (201, 81)])
     @pytest.mark.parametrize("case", ["P", "alpha_1.5", "rho_0", "zeta_0_dx_coef_0_at_node"])
     def test_matches_three_kron_form_exactly(self, nx, ny, case):
         # the three Kronecker products, one per x factor, summed as sparse

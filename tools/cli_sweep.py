@@ -136,6 +136,14 @@ def _runs() -> list[list[str]]:
         ["evolve", *BS, "--boundary", "dirichlet", "--state", "asset", *big_grid, "6401",
          "--dt", "0.01", "--n-steps", "20"],
     ]
+    # the two-factor generator at the ladder's top rung, and with no cross
+    # term on a grid whose y edge rows are four wide
+    runs += [
+        ["martingale-check", "--model", "mg", *MG, "--rho", "-0.5", "--x-min", "-1.0", "--x-max",
+         "1.0", "--n-points", "401", "--y-min", "-4.0", "--y-max", "-2.0", "--m-points", "161"],
+        ["martingale-check", "--model", "mg", *MG, "--rho", "0", "--x-min", "-1", "--x-max", "1",
+         "--n-points", "21", "--y-min", "-4", "--y-max", "-2", "--m-points", "4"],
+    ]
     return runs
 
 
