@@ -219,14 +219,24 @@ def _stencil_pattern(n: int, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
     return indptr, cols
 
 
-def _stencil_weights(n: int, h: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First-row, interior-row and last-row weights of the order-1 or
-    order-2 central difference, zeros included, for ``_bands`` to lay out."""
-    inv = 1.0 / (2.0 * h) if order == 1 else 1.0 / h**2
-    interior = np.array(_INTERIOR_WEIGHTS[order]) * inv
-    first = interior if order == 2 and n < 4 else np.array(_FIRST_ROW_WEIGHTS[order][:n]) * inv
-    last = -first[::-1] if order == 1 else first[::-1]
-    return first, interior, last
+def _entries(n: int, h: float, c2, c1, c0) -> np.ndarray:
+    """(c2 D2 + c1 D1) + c0 I on the D2 pattern, summed in that order; each
+    coefficient is a scalar or one value per row."""
+    inv1, inv2 = 1.0 / (2.0 * h), 1.0 / h**2
+    m1, m2 = ([w * inv for w in _INTERIOR_WEIGHTS[k]] for k, inv in ((1, inv1), (2, inv2)))
+    f1 = np.array(_FIRST_ROW_WEIGHTS[1][:n]) * inv1
+    f2 = np.array(m2) if n < 4 else np.array(_FIRST_ROW_WEIGHTS[2]) * inv2
+
+    def at(c, rows):
+        return c[rows] if isinstance(c, np.ndarray) else c
+
+    inner = slice(1, -1)
+    first = at(c2, 0) * f2 + at(c1, 0) * f1
+    last = at(c2, -1) * f2[::-1] + at(c1, -1) * -f1[::-1]
+    mid = [at(c2, inner) * m2[j] + at(c1, inner) * m1[j] for j in range(3)]
+    first[0], last[-1] = first[0] + at(c0, 0), last[-1] + at(c0, -1)
+    mid[1] = mid[1] + at(c0, inner)
+    return _bands(n, first, mid, last)
 
 
 def _stencil(n: int, h: float, order: int) -> sparse.csr_matrix:
@@ -236,7 +246,8 @@ def _stencil(n: int, h: float, order: int) -> sparse.csr_matrix:
     from scipy import sparse
 
     indptr, cols = _stencil_pattern(n)
-    m = sparse.csr_matrix((_bands(n, *_stencil_weights(n, h, order)), cols, indptr), shape=(n, n))
+    data = _entries(n, h, float(order == 2), float(order == 1), 0.0)
+    m = sparse.csr_matrix((data, cols, indptr), shape=(n, n))
     m.eliminate_zeros()
     return m
 
@@ -287,24 +298,13 @@ def build_effective_bs(
     if boundary == BOUNDARY_DIRICHLET:
         mask[0] = mask[-1] = True
 
-    # Each entry is (c2 D2 + drift D1) + V I, summed band by band in the
-    # order of the sparse expression it replaces, so every bit matches it.
-    # Pinned rows and exact zeros are dropped, as sparse sums drop them.
+    # Entries summed as the sparse expression sums them, so every bit matches
+    # it; pinned rows and exact zeros are dropped, as sparse sums drop them.
     idx = np.int32 if 3 * n + 2 <= np.iinfo(np.int32).max else np.int64
     indptr, cols = _stencil_pattern(n, idx)
-    (f1, m1, l1), (f2, m2, l2) = _stencil_weights(n, g.h, 1), _stencil_weights(n, g.h, 2)
-    c2 = -0.5 * p.sigma_sq
-
-    def entries() -> np.ndarray:
-        drift = 0.5 * p.sigma_sq - vals
-        first, last = c2 * f2 + drift[0] * f1, c2 * l2 + drift[-1] * l1
-        mid = [c2 * m2[j] + drift[1:-1] * m1[j] for j in range(3)]
-        first[0], last[-1] = first[0] + vals[0], last[-1] + vals[-1]
-        mid[1] += vals[1:-1]
-        return _bands(n, first, mid, last)
-
     data = _computed(
-        entries, f"the generator's entries overflow a float on spacing h = {g.h!r} "
+        lambda: _entries(n, g.h, -0.5 * p.sigma_sq, 0.5 * p.sigma_sq - vals, vals),
+        f"the generator's entries overflow a float on spacing h = {g.h!r} "
         f"at sigma_sq = {p.sigma_sq!r}"
     )
     keep = data != 0.0
@@ -348,10 +348,6 @@ def build_mg_hamiltonian(p: MGParams, g: Grid2D) -> OperatorMatrix:
     # order of those three Kronecker products, so every bit matches them.
     # An absent term is +-0.0 here, which leaves a nonzero sum unchanged,
     # and exact zeros are dropped, as sparse sums and products drop them.
-    yptr, ycols = _stencil_pattern(ny)
-    yrows = np.repeat(np.arange(ny), np.diff(yptr))
-    on_diag = ycols == yrows
-    w1y, w2y = (_bands(ny, *_stencil_weights(ny, g.y_axis.h, k)) for k in (1, 2))
     # the coefficients and every entry built from them are refused where
     # they leave the float range
     refusal = (
@@ -360,46 +356,48 @@ def build_mg_hamiltonian(p: MGParams, g: Grid2D) -> OperatorMatrix:
     )
 
     def y_factors() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ey = np.exp(y)[yrows]
-        b2 = np.where(on_diag, -0.5 * ey, 0.0)
-        b1 = np.where(on_diag, -(p.r - 0.5 * ey), 0.0) - mg_cross_coef(p, y)[yrows] * w1y
-        b0 = (-mg_y_drift(p, y))[yrows] * w1y - mg_yy_coef(p, y)[yrows] * w2y
-        b0[on_diag] += p.r
-        return b2, b1, b0
+        ey, hy = np.exp(y), g.y_axis.h
+        return (
+            _entries(ny, hy, 0.0, 0.0, -0.5 * ey),
+            _entries(ny, hy, 0.0, -mg_cross_coef(p, y), -(p.r - 0.5 * ey)),
+            _entries(ny, hy, -mg_yy_coef(p, y), -mg_y_drift(p, y), p.r),
+        )
 
     b2, b1, b0 = _computed(y_factors, refusal)
-
-    xptr, xcols = _stencil_pattern(nx)
-    w1x, w2x = (_bands(nx, *_stencil_weights(nx, g.x_axis.h, k)) for k in (1, 2))
+    w2x, w1x = (_entries(nx, g.x_axis.h, *c) for c in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
+    (xptr, xcols), (yptr, ycols) = _stencil_pattern(nx), _stencil_pattern(ny)
+    ky = yptr[1]  # the first row's width
 
     def block(i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Entries, columns and per-y-row counts of x row i's ny rows."""
+        """Entries, columns and row pointers of x row i's ny rows, ordered
+        by y row, x column and y column (sorted CSR rows): the y pattern's
+        first row, (ny - 2, 3) interior and last row, each x column's in turn."""
         s = slice(xptr[i], xptr[i + 1])
-        cx = xcols[s, None]
+        kx, cx = s.stop - s.start, xcols[s, None]
+        pos = np.arange(kx * ycols.size).reshape(kx, ycols.size)
+        order = np.concatenate((pos[:, :ky].ravel(),
+                                pos[:, ky:-ky].reshape(kx, ny - 2, 3).swapaxes(0, 1).ravel(),
+                                pos[:, -ky:].ravel()))
         vals = _computed(lambda: (w2x[s, None] * b2 + w1x[s, None] * b1) + (cx == i) * b0, refusal)
-        cols = cx * ny + ycols
-        rows = np.broadcast_to(yrows, vals.shape)
-        # ordered by (y row, x column, y column): sorted CSR rows
-        order = np.argsort((rows * cx.size + np.arange(cx.size)[:, None]).ravel(), kind="stable")
-        vals, cols, rows = (v.ravel()[order] for v in (vals, cols, rows))
+        vals = vals.ravel()[order]
         keep = vals != 0.0
-        return vals[keep], cols[keep], np.bincount(rows[keep], minlength=ny)
+        ptr = np.cumsum(np.r_[0, keep])[kx * yptr]
+        return vals[keep], (cx * ny + ycols).ravel()[order[keep]], ptr
 
     # Every x row but the two edges holds x row 1's block, its columns
     # shifted by ny per row: three blocks make the whole matrix.
-    (d0, c0, n0), (d1, c1, n1), (dl, cl, nl) = block(0), block(1), block(nx - 1)
+    (d0, c0, p0), (d1, c1, p1), (dl, cl, pl) = block(0), block(1), block(nx - 1)
     reps = nx - 2
     lo, hi = d0.size, d0.size + reps * d1.size
     nnz = hi + dl.size
     idx = np.int32 if max(nx * ny, nnz) <= np.iinfo(np.int32).max else np.int64
-    data = np.empty(nnz)
-    indices = np.empty(nnz, dtype=idx)
-    data[:lo], indices[:lo] = d0, c0
+    data, indices, indptr = np.empty(nnz), np.empty(nnz, idx), np.empty(nx * ny + 1, idx)
+    data[:lo], indices[:lo], indptr[:ny] = d0, c0, p0[:-1]
     data[lo:hi].reshape(reps, d1.size)[:] = d1
-    np.add(c1, (ny * np.arange(reps))[:, None], out=indices[lo:hi].reshape(reps, d1.size))
-    data[hi:], indices[hi:] = dl, cl
-    indptr = np.zeros(nx * ny + 1, dtype=idx)
-    np.cumsum(np.concatenate((n0, np.tile(n1, reps), nl)), out=indptr[1:])
+    shift = np.arange(reps, dtype=idx)[:, None]
+    np.add(c1.astype(idx), ny * shift, out=indices[lo:hi].reshape(reps, d1.size))
+    np.add(p1[:-1], lo + d1.size * shift, out=indptr[ny:-ny - 1].reshape(reps, ny))
+    data[hi:], indices[hi:], indptr[-ny - 1:] = dl, cl, pl + hi
     a = sparse.csr_matrix((data, indices, indptr), shape=(nx * ny, nx * ny))
     return OperatorMatrix(matrix=a, grid=g)
 
@@ -412,7 +410,7 @@ def hermiticity_defect(op: OperatorMatrix) -> float:
     both axes, so the measure reflects model content, not the boundary
     discretization. Zero means the interior stencil is symmetric.
     """
-    keep = np.where(op.interior_mask())[0]
+    keep = np.flatnonzero(op.interior_mask())
     d = (op.matrix - op.matrix.T).tocsr()
     sub = d[keep][:, keep]
     if sub.nnz == 0:
