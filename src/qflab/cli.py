@@ -25,6 +25,7 @@ from .evolution import (
     PAYOFF_ASSET,
     EvolutionConfig,
     Payoff,
+    _discounting,
     _monotone,
     evolve,
     price_barrier,
@@ -339,6 +340,8 @@ def _run_evolve(args) -> None:
             f"the gaussian state of --width {width!r} at --center {center!r} is not finite",
         ), g)
     cfg_run = EvolutionConfig(dt=args.dt, n_steps=args.n_steps, mode=args.mode)
+    if args.mode == "euclidean":
+        _discounting(p, cfg_run.dt)
     out, flow = evolve(op, state, cfg_run)
     vals = np.abs(out.values) if args.mode == "unitary" else np.real(out.values)
     header = "x,modulus" if args.mode == "unitary" else "x,value"

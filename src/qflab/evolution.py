@@ -434,13 +434,25 @@ def _monotone(p: MarketParams, g: Grid1D) -> None:
         )
 
 
+def _discounting(p: MarketParams, dt: float) -> None:
+    """Refuse a Euclidean Crank-Nicolson step with r dt >= 2: the scheme's
+    discount of a constant per step, (1 - r dt/2)/(1 + r dt/2), is then
+    zero or negative. The message names the bound dt < 2/r."""
+    if not p.r * dt < 2.0:
+        raise ValueError(
+            f"the step dt = {dt!r} at r = {p.r!r} turns the Crank-Nicolson discount "
+            f"(1 - r dt/2)/(1 + r dt/2) zero or negative; use dt < 2/r = {2.0 / p.r!r}"
+        )
+
+
 def _price(
     p: MarketParams, payoff: Payoff, T: float, dt: float, op: OperatorMatrix
 ) -> StateVector:
     """Present value over T under ``op``: knocked nodes (its Dirichlet
     mask) held at zero, each free edge at its far field. ``dt`` is a
     target step; the count is derived so the steps land exactly on T. A
-    grid whose cell Peclet number exceeds 1 is refused."""
+    grid whose cell Peclet number exceeds 1 is refused, and so is a
+    derived step with r dt >= 2."""
     g = op.grid
     _monotone(p, g)
     n_steps = _step_count(T, dt, "maturity")
@@ -454,6 +466,7 @@ def _price(
     damped = 0 if smooth else min(_DAMPED_STEPS, n_steps)
     pinned_idx = np.union1d(np.flatnonzero(knocked), [0, g.n_points - 1])
     targets = _pin_table(n_steps, pinned_idx.size, damped=damped)
+    _discounting(p, dt)
     # the scheme's own discount of a constant, which H maps to r times
     # itself after each solve: 1/(1 + a) per half-step of the damped
     # start, (1 - a)/(1 + a) per Crank-Nicolson step

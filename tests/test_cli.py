@@ -684,6 +684,34 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv,bound",
+        [
+            (["price", "--r", "1", "--sigma-sq", "0.04", "--payoff", "bond", "--t", "3", "--dt",
+              "3", "--x-min", "-4", "--x-max", "4", "--n-points", "801"], "dt < 2/r = 2.0"),
+            (["price", "--r", "0.05", "--sigma-sq", "0.04", "--payoff", "bond", "--t", "60",
+              "--dt", "60", "--x-min", "-4", "--x-max", "4", "--n-points", "801"],
+             "dt < 2/r = 40.0"),
+            (["evolve", "--r", "1", "--sigma-sq", "0.04", "--state", "bond", "--x-min", "-2",
+              "--x-max", "2", "--n-points", "101", "--dt", "3", "--n-steps", "1", "--boundary",
+              "dirichlet"], "dt < 2/r = 2.0"),
+        ],
+        ids=["price_bond_r1", "price_bond_t60", "evolve_dirichlet_bond"],
+    )
+    def test_negative_discount_step_is_validation_error(self, tmp_path, capsys, argv, bound):
+        # each of these wrote about -0.2 at every node and exited 0
+        out = tmp_path / "x.out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert bound in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unitary_step_past_two_over_r_runs(self, tmp_path):
+        # a unitary step's factor (1 - i r dt/2)/(1 + i r dt/2) has modulus 1
+        out = tmp_path / "x.out"
+        assert main(["evolve", "--r", "1", "--sigma-sq", "0.04", "--state", "bond", "--mode",
+                     "unitary", "--x-min", "-2", "--x-max", "2", "--n-points", "101", "--dt", "3",
+                     "--n-steps", "1", "--boundary", "dirichlet", "--out", str(out)]) == 0
+
     def test_default_step_underflow_names_maturity(self, tmp_path, capsys):
         # t/400 of the smallest subnormal is 0: the refusal names --t, not a --dt never passed
         out = tmp_path / "x.out"

@@ -942,6 +942,28 @@ class TestMonotoneGuard:
         assert np.all(np.isfinite(out.values))
 
 
+class TestDiscountGuard:
+    """A pricing step with r dt >= 2 is refused: Crank-Nicolson's discount
+    of a constant per step, (1 - r dt/2)/(1 + r dt/2), is then zero or
+    negative, and the bond would price at -0.2 where e^{-rT} is positive."""
+
+    P = MarketParams(r=1.0, sigma_sq=0.04)
+    G = Grid1D(-4.0, 4.0, 801)
+
+    def test_bond_refused_with_the_bound(self):
+        with pytest.raises(ValueError, match=r"dt = 3\.0 at r = 1\.0 .* dt < 2/r = 2\.0"):
+            price_option(self.P, Payoff.bond(), 3.0, self.G, 3.0)
+
+    def test_barrier_price_refused(self):
+        with pytest.raises(ValueError, match="dt < 2/r"):
+            price_barrier(self.P, Payoff.call(1.0), Potential.down_and_out(-1.0), 9.0, self.G, 3.0)
+
+    def test_step_below_the_bound_prices_a_positive_bond(self):
+        # two steps of 1.5: each discounts by (1 - 0.75)/(1 + 0.75) = 1/7
+        curve = price_option(self.P, Payoff.bond(), 3.0, self.G, 1.5)
+        assert np.allclose(curve.values, 1.0 / 49.0, rtol=1e-12)
+
+
 class TestKernel:
     def test_row_integrates_to_discount_factor(self):
         g = Grid1D(-1.0, 1.0, 201)
