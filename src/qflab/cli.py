@@ -340,7 +340,7 @@ def _run_evolve(args) -> None:
             f"the gaussian state of --width {width!r} at --center {center!r} is not finite",
         ), g)
     cfg_run = EvolutionConfig(dt=args.dt, n_steps=args.n_steps, mode=args.mode)
-    if args.mode == "euclidean":
+    if args.mode == "euclidean":  # after the config, which names an overflowing horizon
         _discounting(p, cfg_run.dt)
     out, flow = evolve(op, state, cfg_run)
     vals = np.abs(out.values) if args.mode == "unitary" else np.real(out.values)

@@ -466,7 +466,7 @@ def _price(
     damped = 0 if smooth else min(_DAMPED_STEPS, n_steps)
     pinned_idx = np.union1d(np.flatnonzero(knocked), [0, g.n_points - 1])
     targets = _pin_table(n_steps, pinned_idx.size, damped=damped)
-    _discounting(p, dt)
+    _discounting(p, dt)  # after the pin table, which names an unaffordable step count
     # the scheme's own discount of a constant, which H maps to r times
     # itself after each solve: 1/(1 + a) per half-step of the damped
     # start, (1 - a)/(1 + a) per Crank-Nicolson step

@@ -223,7 +223,7 @@ def _entries(n: int, h: float, c2, c1, c0) -> np.ndarray:
     """(c2 D2 + c1 D1) + c0 I on the D2 pattern, summed in that order; each
     coefficient is a scalar or one value per row."""
     inv1, inv2 = 1.0 / (2.0 * h), 1.0 / h**2
-    m1, m2 = ([w * inv for w in _INTERIOR_WEIGHTS[k]] for k, inv in ((1, inv1), (2, inv2)))
+    m1, m2 = [w * inv1 for w in _INTERIOR_WEIGHTS[1]], [w * inv2 for w in _INTERIOR_WEIGHTS[2]]
     f1 = np.array(_FIRST_ROW_WEIGHTS[1][:n]) * inv1
     f2 = np.array(m2) if n < 4 else np.array(_FIRST_ROW_WEIGHTS[2]) * inv2
 
