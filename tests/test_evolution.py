@@ -622,6 +622,23 @@ class TestStepBuffers:
             price_barrier(P, Payoff.call(1.0), barrier, 0.5, self.G, 0.01)
         self.assert_untouched(stepper_runs)
 
+    @pytest.mark.parametrize("dt, n_yields", [(0.01, 50), (0.25, 2), (0.5, 1)])
+    @pytest.mark.parametrize("kind", ["call", "corridor", "bond"])
+    def test_one_state_per_step_damped_or_not(self, stepper_runs, kind, dt, n_yields):
+        # the call and the corridor start with damped steps, two solves
+        # each; the bond has none
+        if kind == "corridor":
+            price_barrier(P, Payoff.call(1.0), Potential.double_knockout(-0.5, 0.5), 0.5,
+                          self.G, dt)
+        else:
+            price_option(P, Payoff.call(1.0) if kind == "call" else Payoff.bond(), 0.5,
+                         self.G, dt)
+        assert len(stepper_runs[0]["yielded"]) == n_yields
+
+    def test_kernel_yields_one_state_per_step(self, stepper_runs):
+        kernel_row(P, 0.3, 0.05, self.G)
+        assert len(stepper_runs[0]["yielded"]) == 50
+
     @pytest.mark.parametrize("mode", ["euclidean", "unitary"])
     def test_evolve_state_untouched_and_not_aliased(self, stepper_runs, mode):
         op = build_bs_hamiltonian(P, self.G, boundary=BOUNDARY_DIRICHLET)

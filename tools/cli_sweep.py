@@ -144,6 +144,11 @@ def _runs() -> list[list[str]]:
         ["martingale-check", "--model", "mg", *MG, "--rho", "0", "--x-min", "-1", "--x-max", "1",
          "--n-points", "21", "--y-min", "-4", "--y-max", "-2", "--m-points", "4"],
     ]
+    # schedules with no Crank-Nicolson step: two damped steps (half-steps
+    # only) and one, on the whole grid and on a corridor
+    for dt in ("0.5", "1"):
+        for knock in ([], ["--corridor", "4.0", "5.2"]):
+            runs.append([*call, "--t", "1", "--dt", dt, *knock])
     return runs
 
 
