@@ -282,36 +282,31 @@ def _cn_run(
     # their places in the span
     cols = slice(*np.searchsorted(pinned_idx, [span.start, span.stop]))
     local = pinned_idx[cols] - span.start
-    halves = targets[: 2 * damped].reshape(damped, 2, targets.shape[1])
-    ends = targets[2 * damped :, cols]
+    half = 2 * damped  # the solves of the damped start
 
-    # each solve leaves every pinned node at its target, so the mean a
-    # step's pinned rows solve for is that of the previous target (psi0
-    # before the first solve) and its own
-    means = np.empty_like(ends)
-    means[:1] = targets[2 * damped - 1, cols] if damped else psi0[pinned_idx[cols]]
-    means[1:] = ends[:-1]
-    means += ends
-    means /= 2.0
+    # each solve's pinned right-hand side: a half-step's is its target; a
+    # step's is the mean of the previous target (psi0 before the first
+    # solve) and its own, so that the extrapolation lands on the target
+    pins = targets[:, cols].copy()
+    pins[half + 1 :] += targets[half:-1, cols]
+    pins[half : half + 1] += targets[half - 1, cols] if damped else psi0[pinned_idx[cols]]
+    pins[half:] /= 2.0
 
     psi = psi0.copy()
     free = psi[span]
     rhs = np.empty_like(free)
-    for pair in halves:
-        for values in pair:
-            rhs[:] = free
-            rhs[local] = values[cols]
-            free[:] = solve(rhs)
-            psi[pinned_idx] = values
-        yield psi
-    for values, mean in zip(targets[2 * damped :], means):
+    for k, (values, pin) in enumerate(zip(targets, pins)):
         rhs[:] = free
-        rhs[local] = mean
+        rhs[local] = pin
         y = solve(rhs)
-        np.subtract(np.multiply(y, 2.0, out=y), free, out=free)
+        if k < half:
+            free[:] = y
+        else:
+            np.subtract(np.multiply(y, 2.0, out=y), free, out=free)
         # the extrapolation reaches the targets only up to roundoff
         psi[pinned_idx] = values
-        yield psi
+        if k >= half or k % 2:  # a step ends here
+            yield psi
 
 
 def _final(steps: Iterator[np.ndarray]) -> np.ndarray:
