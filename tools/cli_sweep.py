@@ -149,6 +149,12 @@ def _runs() -> list[list[str]]:
     for dt in ("0.5", "1"):
         for knock in ([], ["--corridor", "4.0", "5.2"]):
             runs.append([*call, "--t", "1", "--dt", dt, *knock])
+    # knock-outs whose knocked region borders the span differently: only
+    # node 0 knocked, a corridor open at the high edge, a corridor of two
+    # free nodes, and a down-and-out of 2,000 steps
+    for knock in (["--barrier-level", "0.61"], ["--corridor", "4.0", "8.605"],
+                  ["--corridor", "4.0", "4.02"], ["--dt", "0.0005", "--barrier-level", "4.382"]):
+        runs.append([*call, "--t", "1", *knock])
     return runs
 
 
