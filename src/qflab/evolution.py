@@ -8,9 +8,10 @@ factors one matrix and makes one solve per step. Pinned nodes (Dirichlet
 rows of the operator, or caller-supplied boundary values) are held at
 prescribed values by making their rows identity rows of that matrix. A
 tridiagonal one is read straight from the generator's diagonals and
-factored by LAPACK over the span of rows that can change, from one row
-before the first unpinned node to one after the last; any other by a
-sparse LU. One stepper serves ``evolve``, the pricers and
+factored by LAPACK over the span of rows that can change (unpinned rows
+where the generator stores a nonzero), from one row before the first to
+one after the last; any other by a sparse LU. A knock-out pins only the
+knocked nodes that border that span. One stepper serves ``evolve``, the pricers and
 ``kernel_row``, and forms each step in place in one buffer. The pricers
 take a target step ``dt`` and derive the count that lands on the
 maturity; ``EvolutionConfig`` configures ``evolve`` alone. They start
@@ -193,29 +194,30 @@ def _factor(
     made identity rows, factored once. Returns ``(span, solve)``:
     ``solve(b)`` takes the right-hand side of the rows in ``span`` only,
     may overwrite ``b``, and returns those rows of x; every row outside
-    the span is a pinned row, where x = b.
+    the span is a pinned row or a row where H stores no nonzero, so an
+    identity row either way, where x = b.
 
-    If every nonzero H stores in an unpinned row lies within one place of
-    the diagonal, LAPACK's ?gttrf/?gttrs factor the three diagonals read
-    from H over the span from one row before the first unpinned row to
-    one row after the last. The pinned rows outside it are identity rows
-    with zero multipliers, so the span does the same arithmetic as the
-    whole grid. Any wider band (a free one-sided closure row, a 2D
-    operator) gets a sparse LU of the whole grid.
+    A row can change when it is unpinned and stores a nonzero of H. If
+    every such nonzero lies within one place of the diagonal, LAPACK's
+    ?gttrf/?gttrs factor the three diagonals read from H over the span
+    from one row before the first row that can change to one row after
+    the last. The rows outside it are identity rows with zero
+    multipliers, so the span does the same arithmetic as the whole grid.
+    Any wider band (a free one-sided closure row, a 2D operator) gets a
+    sparse LU of the whole grid, and only that branch loads SuperLU.
     """
-    # imported here, so that a run that never steps loads neither solver
-    from scipy import sparse
+    # imported here, so that a run that never steps loads no solver
     from scipy.linalg import get_lapack_funcs
-    from scipy.sparse.linalg import splu
 
     _computed(lambda: scale * h.data, f"the generator times z dt/2 = {scale} overflows a float")
     n = h.shape[0]
     rows = np.repeat(np.arange(n), np.diff(h.indptr))
-    if np.all(np.abs(h.indices - rows)[(h.data != 0) & ~pinned[rows]] <= 1):
-        free = np.flatnonzero(~pinned)
-        if free.size == 0:
+    moving = (h.data != 0) & ~pinned[rows]  # the nonzeros of the rows that can change
+    if np.all(np.abs(h.indices - rows)[moving] <= 1):
+        changing = rows[moving]  # ascending, as CSR stores its rows
+        if changing.size == 0:
             return slice(0, 0), lambda b: b
-        lo, hi = max(free[0] - 1, 0), min(free[-1] + 2, n)
+        lo, hi = max(changing[0] - 1, 0), min(changing[-1] + 2, n)
         d = 1 + scale * h.diagonal()[lo:hi]
         dl, du = scale * h.diagonal(-1)[lo:hi - 1], scale * h.diagonal(1)[lo:hi - 1]
         pinned = pinned[lo:hi]
@@ -227,6 +229,9 @@ def _factor(
         if info != 0:
             raise SingularSolveError(f"singular linear solve: zero pivot at row {info + lo}")
         return slice(lo, hi), lambda b: gttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     m = sparse.identity(n, format="csr") + sparse.diags((~pinned).astype(float)) @ (scale * h)
     try:
         return slice(0, n), splu(m.tocsc()).solve
@@ -447,7 +452,13 @@ def _price(
     mask) held at zero, each free edge at its far field. ``dt`` is a
     target step; the count is derived so the steps land exactly on T. A
     grid whose cell Peclet number exceeds 1 is refused, and so is a
-    derived step with r dt >= 2."""
+    derived step with r dt >= 2.
+
+    H stores nothing in a knocked row, so a knocked node keeps its zero
+    payoff off the span, untouched. Only the knocked nodes next to a free
+    node are pinned, with each free edge: they border the span, where
+    the pivoting solve leaves roundoff that the write-back of the zero
+    target clears. The pin table so holds at most four columns."""
     g = op.grid
     _monotone(p, g)
     n_steps = _step_count(T, dt, "maturity")
@@ -459,7 +470,10 @@ def _price(
     # a kink or a knock-out makes the data rough; the bond and the asset are smooth
     smooth = payoff.kind in (PAYOFF_BOND, PAYOFF_ASSET) and not knocked.any()
     damped = 0 if smooth else min(_DAMPED_STEPS, n_steps)
-    pinned_idx = np.union1d(np.flatnonzero(knocked), [0, g.n_points - 1])
+    free = ~knocked
+    pinned = knocked & (np.r_[free[1:], False] | np.r_[False, free[:-1]])
+    pinned[[0, -1]] |= free[[0, -1]]
+    pinned_idx = np.flatnonzero(pinned)
     targets = _pin_table(n_steps, pinned_idx.size, damped=damped)
     _discounting(p, dt)  # after the pin table, which names an unaffordable step count
     # the scheme's own discount of a constant, which H maps to r times
@@ -469,7 +483,7 @@ def _price(
     factors = np.full(n_steps + damped, (1.0 - a_half) / (1.0 + a_half))
     factors[: 2 * damped] = 1.0 / (1.0 + a_half)
     discount = np.cumprod(factors)
-    # node 0 and node -1 are also the first and the last pinned column
+    # a free node 0 or node -1 is also the first or the last pinned column
     for (a, b), end, x_edge in zip(pairs, (0, -1), (g.x_min, g.x_max)):
         if not knocked[end]:
             far = b * discount

@@ -252,8 +252,9 @@ class TestConstraintSolve:
     def test_runs_that_never_step_leave_solvers_unloaded(self, tmp_path):
         # scipy loads where it is called: the vacuum verbs, classify,
         # simulate and the Monte Carlo statistic load none of it,
-        # martingale-check loads only scipy.sparse, and price's first
-        # factorization adds LAPACK's tridiagonal solver and SuperLU
+        # martingale-check loads only scipy.sparse, price's tridiagonal
+        # factorization adds LAPACK's solver, and only a sparse LU (here
+        # evolve's free one-sided edges) adds SuperLU
         code = f"""
 import sys
 import qflab, qflab.cli
@@ -288,6 +289,9 @@ print(loaded())
 run("price", "--payoff", "call", "--strike", "100", "--r", "0.05", "--sigma-sq", "0.04",
     "--t", "1", "--x-min", "3.6", "--x-max", "5.6", "--n-points", "41")
 print(loaded())
+run("evolve", "--r", "0.05", "--sigma-sq", "0.04", "--boundary", "one-sided", "--state", "bond",
+    "--x-min", "-2", "--x-max", "2", "--n-points", "101", "--dt", "0.01", "--n-steps", "5")
+print(loaded())
 """
         env = {"PYTHONPATH": str(Path(qflab.cli.__file__).parents[1])}
         run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
@@ -298,6 +302,7 @@ print(loaded())
             "loaded: no scipy",
             "loaded: no scipy",
             "loaded: scipy.sparse",
+            "loaded: scipy.sparse scipy.linalg",
             "loaded: scipy.sparse scipy.linalg scipy.sparse.linalg",
         ]
 

@@ -545,17 +545,22 @@ class TestSpanSolve:
     CORRIDOR = build_effective_bs(P, Potential.double_knockout(-0.3, 0.4), G)
     EDGES = np.isin(np.arange(41), [0, 40])
 
+    # H stores nothing in a knocked row, so pinning only the knocked
+    # nodes next to a free one gives the span that pinning all gives
     @pytest.mark.parametrize("h,pinned,scale,span", [
         (ONE_SIDED, EDGES, 0.005, (0, 41)),
         (DOWN_AND_OUT.matrix, DOWN_AND_OUT.dirichlet_mask | EDGES, 0.005, (10, 41)),
+        (DOWN_AND_OUT.matrix, np.isin(np.arange(41), [10, 40]), 0.005, (10, 41)),
         (CORRIDOR.matrix, CORRIDOR.dirichlet_mask, 0.005, (14, 29)),
+        (CORRIDOR.matrix, np.isin(np.arange(41), [14, 28]), 0.005, (14, 29)),
         (DIRICHLET, EDGES | np.isin(np.arange(41), [20]), 0.005, (0, 41)),
         (DIRICHLET, _one_free(41, 17), 0.005, (16, 19)),
         (DIRICHLET, np.ones(41, dtype=bool), 0.005, (0, 0)),
         (DIRICHLET, EDGES, 0.005j, (0, 41)),
         (CORRIDOR.matrix, CORRIDOR.dirichlet_mask, 0.005j, (14, 29)),
-    ], ids=["vanilla", "down_and_out", "corridor", "interior_pin", "one_free_node",
-            "every_node_pinned", "complex_scale", "complex_corridor"])
+    ], ids=["vanilla", "down_and_out", "down_and_out_border_pinned", "corridor",
+            "corridor_borders_pinned", "interior_pin", "one_free_node", "every_node_pinned",
+            "complex_scale", "complex_corridor"])
     def test_span_solve_is_whole_grid_solve(self, h, pinned, scale, span):
         b = np.cos(np.arange(41.0)) * (1.0 + 0.5j if isinstance(scale, complex) else 1.0)
         got_span, solve = qflab.evolution._factor(h, scale, pinned)
@@ -583,15 +588,17 @@ class TestSpanSolve:
 @pytest.fixture
 def stepper_runs(monkeypatch):
     """Records each stepper run: the initial state it was passed, a copy
-    of that state, and every array it yields."""
+    of that state, every array it yields, and a copy of each as it was
+    yielded."""
     runs = []
     cn_run = qflab.evolution._cn_run
 
     def recording(matrix, psi0, *args, **kwargs):
-        run = {"psi0": psi0, "before": psi0.copy(), "yielded": []}
+        run = {"psi0": psi0, "before": psi0.copy(), "yielded": [], "states": []}
         runs.append(run)
         for psi in cn_run(matrix, psi0, *args, **kwargs):
             run["yielded"].append(psi)
+            run["states"].append(psi.copy())
             yield psi
 
     monkeypatch.setattr(qflab.evolution, "_cn_run", recording)
@@ -621,6 +628,37 @@ class TestStepBuffers:
         else:
             price_barrier(P, Payoff.call(1.0), barrier, 0.5, self.G, 0.01)
         self.assert_untouched(stepper_runs)
+
+    @pytest.mark.parametrize("dt", [0.01, 0.25])
+    def test_knocked_nodes_zero_after_every_step(self, stepper_runs, dt):
+        # at dt = 0.25 the pivoting solve moves a border row, and only the
+        # write-back of its zero target clears it
+        corridor = Potential.double_knockout(-0.5, 0.5)
+        price_barrier(P, Payoff.call(1.0), corridor, 0.5, self.G, dt)
+        knocked = build_effective_bs(P, corridor, self.G).dirichlet_mask
+        states = stepper_runs[0]["states"]
+        assert len(states) == round(0.5 / dt)
+        for psi in states:
+            assert np.all(psi[knocked] == 0.0)
+
+    @pytest.mark.parametrize("barrier", [Potential.down_and_out(4.382),
+                                         Potential.double_knockout(4.0, 5.2)],
+                             ids=["down_and_out", "corridor"])
+    def test_knock_out_holds_no_table_per_knocked_node(self, barrier):
+        # a pin table of one column per knocked node would hold 400 x 3,000
+        # or more values here, against the vanilla run's two columns
+        g = Grid1D(0.605, 8.605, 6401)
+        peaks = []
+        for price in (lambda: price_option(P, Payoff.call(100.0), 1.0, g, 1.0 / 400),
+                      lambda: price_barrier(P, Payoff.call(100.0), barrier, 1.0, g, 1.0 / 400)):
+            tracemalloc.start()
+            try:
+                price()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        vanilla, knock_out = peaks
+        assert knock_out <= 1.5 * vanilla, f"{knock_out / 1e6:.2f} MB against {vanilla / 1e6:.2f} MB"
 
     @pytest.mark.parametrize("dt, n_yields", [(0.01, 50), (0.25, 2), (0.5, 1)])
     @pytest.mark.parametrize("kind", ["call", "corridor", "bond"])
