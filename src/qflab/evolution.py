@@ -11,11 +11,11 @@ tridiagonal one is read straight from the generator's diagonals and
 factored by LAPACK over the span of rows that can change (unpinned rows
 where the generator stores a nonzero), from one row before the first to
 one after the last; any other by a sparse LU. A knock-out pins only the
-knocked nodes that border that span. One stepper serves ``evolve``, the pricers and
-``kernel_row``, and forms each step in place in one buffer. The pricers
-take a target step ``dt`` and derive the count that lands on the
-maturity; ``EvolutionConfig`` configures ``evolve`` alone. They start
-rough (kinked or knocked) data with two damped Rannacher steps.
+knocked nodes that border that span. One stepper serves ``evolve``, the
+pricers and ``kernel_row``, and forms each step in place in one buffer.
+The pricers take a target step ``dt`` and derive the count that lands on
+the maturity; ``EvolutionConfig`` configures ``evolve`` alone. They
+start rough (kinked or knocked) data with two damped Rannacher steps.
 """
 
 from __future__ import annotations
@@ -214,10 +214,11 @@ def _factor(
     rows = np.repeat(np.arange(n), np.diff(h.indptr))
     moving = (h.data != 0) & ~pinned[rows]  # the nonzeros of the rows that can change
     if np.all(np.abs(h.indices - rows)[moving] <= 1):
-        changing = rows[moving]  # ascending, as CSR stores its rows
-        if changing.size == 0:
+        if not moving.any():
             return slice(0, 0), lambda b: b
-        lo, hi = max(changing[0] - 1, 0), min(changing[-1] + 2, n)
+        # CSR stores its rows in order: the first and the last row that can change
+        first, last = rows[moving.argmax()], rows[moving.size - 1 - moving[::-1].argmax()]
+        lo, hi = max(first - 1, 0), min(last + 2, n)
         d = 1 + scale * h.diagonal()[lo:hi]
         dl, du = scale * h.diagonal(-1)[lo:hi - 1], scale * h.diagonal(1)[lo:hi - 1]
         pinned = pinned[lo:hi]
