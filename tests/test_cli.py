@@ -247,7 +247,8 @@ class TestConstraintSolve:
         # only constraint-solve needs scipy.optimize; it costs every other verb to load it
         code = "import sys, qflab.cli; sys.exit(int('scipy.optimize' in sys.modules))"
         env = {"PYTHONPATH": str(Path(qflab.cli.__file__).parents[1])}
-        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+        assert subprocess.run([sys.executable, "-B", "-c", code], env=env,
+                              timeout=120).returncode == 0
 
     def test_runs_that_never_step_leave_solvers_unloaded(self, tmp_path):
         # scipy loads where it is called: the vacuum verbs, classify,
@@ -294,7 +295,7 @@ run("evolve", "--r", "0.05", "--sigma-sq", "0.04", "--boundary", "one-sided", "-
 print(loaded())
 """
         env = {"PYTHONPATH": str(Path(qflab.cli.__file__).parents[1])}
-        run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+        run = subprocess.run([sys.executable, "-B", "-c", code], env=env, timeout=120,
                              capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         # martingale-check also prints its verdict line: keep the module lists
