@@ -10,12 +10,13 @@ prescribed values by making their rows identity rows of that matrix. A
 tridiagonal one is read straight from the generator's diagonals and
 factored by LAPACK over the span of rows that can change (unpinned rows
 where the generator stores a nonzero), from one row before the first to
-one after the last; any other by a sparse LU. A knock-out pins only the
-knocked nodes that border that span. One stepper serves ``evolve``, the
-pricers and ``kernel_row``, and forms each step in place in one buffer.
-The pricers take a target step ``dt`` and derive the count that lands on
-the maturity; ``EvolutionConfig`` configures ``evolve`` alone. They
-start rough (kinked or knocked) data with two damped Rannacher steps.
+one after the last; any other by a sparse LU. Each solve re-pins the
+prescribed nodes and only those zero-held ones that an unpinned row
+reads. One stepper serves ``evolve``, the pricers and ``kernel_row``,
+and forms each step in place in one buffer. The pricers take a target
+step ``dt`` and derive the count that lands on the maturity;
+``EvolutionConfig`` configures ``evolve`` alone. They start rough
+(kinked or knocked) data with two damped Rannacher steps.
 """
 
 from __future__ import annotations
@@ -254,7 +255,8 @@ def _cn_run(
     psi0: np.ndarray,
     dt: float,
     unitary: bool,
-    pinned_idx: np.ndarray,
+    mask: np.ndarray,
+    held: np.ndarray,
     targets: np.ndarray,
     damped: int = 0,
 ) -> Iterator[np.ndarray]:
@@ -263,27 +265,34 @@ def _cn_run(
     Each step solves (I + z dt/2 H) psi' = (I - z dt/2 H) psi, with
     z = 1 (Euclidean) or i (unitary), in implicit-midpoint form: one
     implicit half-step y = (I + z dt/2 H)^{-1} psi, then the
-    extrapolation psi' = 2 y - psi. The rows of the nodes in
-    ``pinned_idx`` (ascending) are identity rows of the matrix, which
-    ``_factor`` forms from H and factors once; their right-hand side is
-    the mean of the old value and the target, so the extrapolation lands
-    on the target. Only the span of rows ``_factor`` solves is stepped.
+    extrapolation psi' = 2 y - psi. The nodes flagged in ``mask`` are
+    held at zero, those in ``held`` (ascending) at their ``targets``;
+    their rows are identity rows of the matrix, which ``_factor`` forms
+    from H and factors once, and only the span of rows it solves is
+    stepped. A held node, or a masked node that an unpinned row of H
+    reads, is pinned in every solve and written back after it; any other
+    masked node is zeroed before the first step, and no solve reads it.
 
     A damped (Rannacher) start, for rough initial data, replaces the
     first ``damped`` steps by pairs of implicit half-steps through the
-    same factor. ``targets`` holds one row of pinned values per solve, in
-    time order: one after each of the 2 * ``damped`` half-steps, then one
-    after each Crank-Nicolson step. A run of n steps so reads n + ``damped``
-    rows.
+    same factor. ``targets`` holds one column per held node and one row
+    per solve, in time order: one after each of the 2 * ``damped``
+    half-steps, then one after each Crank-Nicolson step. A run of n steps
+    so reads n + ``damped`` rows.
 
     ``psi0`` is copied once and never written. Every step is formed in
     place in that copy, so the stepper yields the same array each time:
     a caller that keeps a state past the next step must copy it.
     """
-    pinned = np.zeros(psi0.size, dtype=bool)
-    pinned[pinned_idx] = True
+    pinned = mask.copy()
+    pinned[held] = True
     z = 1j if unitary else 1.0
     span, solve = _factor(matrix, z * dt / 2.0, pinned)
+    kept = pinned & (abs(matrix).T @ ~pinned != 0)
+    kept[held] = True
+    pinned_idx = np.flatnonzero(kept)
+    values = _pin_table(targets.shape[0] - damped, pinned_idx.size, targets.dtype, damped)
+    values[:, np.searchsorted(pinned_idx, held)] = targets
     # the pinned nodes inside the span: their columns of the targets, and
     # their places in the span
     cols = slice(*np.searchsorted(pinned_idx, [span.start, span.stop]))
@@ -293,15 +302,15 @@ def _cn_run(
     # each solve's pinned right-hand side: a half-step's is its target; a
     # step's is the mean of the previous target (psi0 before the first
     # solve) and its own, so that the extrapolation lands on the target
-    pins = targets[:, cols].copy()
-    pins[half + 1 :] += targets[half:-1, cols]
-    pins[half : half + 1] += targets[half - 1, cols] if damped else psi0[pinned_idx[cols]]
+    pins = values[:, cols].copy()
+    pins[half + 1 :] += values[half:-1, cols]
+    pins[half : half + 1] += values[half - 1, cols] if damped else psi0[pinned_idx[cols]]
     pins[half:] /= 2.0
 
-    psi = psi0.copy()
+    psi = np.where(pinned & ~kept, 0.0, psi0)
     free = psi[span]
     rhs = np.empty_like(free)
-    for k, (values, pin) in enumerate(zip(targets, pins)):
+    for k, (target, pin) in enumerate(zip(values, pins)):
         rhs[:] = free
         rhs[local] = pin
         y = solve(rhs)
@@ -310,7 +319,7 @@ def _cn_run(
         else:
             np.subtract(np.multiply(y, 2.0, out=y), free, out=free)
         # the extrapolation reaches the targets only up to roundoff
-        psi[pinned_idx] = values
+        psi[pinned_idx] = target
         if k >= half or k % 2:  # a step ends here
             yield psi
 
@@ -330,12 +339,12 @@ def evolve(
 ) -> tuple[StateVector, FlowReport]:
     """Step the state by Crank-Nicolson under the operator's generator.
 
-    Nodes in the operator's Dirichlet mask are pinned; their values
-    default to zero and can be prescribed per node through
-    ``boundary_values`` (a constant or a function of elapsed time). Each
-    value must be a finite real number, or a number with finite real and
-    imaginary parts in unitary mode. Nodes named in ``boundary_values``
-    are pinned even when unmasked.
+    Nodes in the operator's Dirichlet mask are held at zero, unless
+    ``boundary_values`` prescribes their values per node (a constant or
+    a function of elapsed time). Each value must be a finite real number,
+    or a number with finite real and imaginary parts in unitary mode.
+    Nodes named in ``boundary_values`` are held even when unmasked; only
+    they take a column of targets.
     The mass and norm of the state are recorded before the first step
     and after each step.
     """
@@ -346,24 +355,20 @@ def evolve(
     ):
         raise ValueError("euclidean evolution requires a real state")
     unitary = cfg.mode == MODE_UNITARY
-    pinned = op.dirichlet_mask.copy()
     prescribed: dict = {}
     for i, value in (boundary_values or {}).items():
         idx = _integer(i, "boundary node")
         if not 0 <= idx < op.grid.size:
             raise ValueError(f"boundary node {idx} outside grid")
-        pinned[idx] = True
         prescribed[idx] = value
-    pinned_idx = np.flatnonzero(pinned)
-    pin_values = _pin_table(cfg.n_steps, pinned_idx.size, complex if unitary else float)
-    # only prescribed pins read the step times, and their table column
-    # already holds one value per step
+    held = np.array(sorted(prescribed), dtype=int)
+    targets = _pin_table(cfg.n_steps, held.size, complex if unitary else float)
+    # step times only for prescribed nodes, whose columns hold one value per step
     taus = (np.arange(1, cfg.n_steps + 1) * cfg.dt).tolist() if prescribed else []
     number = _finite_complex if unitary else _finite
     for idx, value in prescribed.items():
         name = f"boundary value at node {idx}"
-        column = np.searchsorted(pinned_idx, idx)
-        pin_values[:, column] = (
+        targets[:, np.searchsorted(held, idx)] = (
             [number(value(tau), name) for tau in taus] if callable(value) else number(value, name)
         )
     with _affordable(cfg.n_steps, f"a flow series of 2 x {cfg.n_steps + 1} values"):
@@ -371,7 +376,7 @@ def evolve(
 
     cell = op.grid.cell
     psi0 = state.values.astype(complex if unitary else float, copy=False)
-    steps = _cn_run(op.matrix, psi0, cfg.dt, unitary, pinned_idx, pin_values)
+    steps = _cn_run(op.matrix, psi0, cfg.dt, unitary, op.dirichlet_mask, held, targets)
 
     def run() -> tuple:
         # states are copied into a block and reduced a block at a time;
@@ -455,11 +460,9 @@ def _price(
     grid whose cell Peclet number exceeds 1 is refused, and so is a
     derived step with r dt >= 2.
 
-    H stores nothing in a knocked row, so a knocked node keeps its zero
-    payoff off the span, untouched. Only the knocked nodes next to a free
-    node are pinned, with each free edge: they border the span, where
-    the pivoting solve leaves roundoff that the write-back of the zero
-    target clears. The pin table so holds at most four columns."""
+    Only the free edges take a column of targets; the stepper holds the
+    knocked nodes at zero. A knock-out starts damped, so no solve reads
+    the payoff at a knocked node."""
     g = op.grid
     _monotone(p, g)
     n_steps = _step_count(T, dt, "maturity")
@@ -467,24 +470,21 @@ def _price(
     vals = payoff.values_on(g)
     pairs = _edge_pairs(payoff, vals)
     knocked = op.dirichlet_mask
-    vals[knocked] = 0.0
     # a kink or a knock-out makes the data rough; the bond and the asset are smooth
     smooth = payoff.kind in (PAYOFF_BOND, PAYOFF_ASSET) and not knocked.any()
     damped = 0 if smooth else min(_DAMPED_STEPS, n_steps)
-    free = ~knocked
-    pinned = knocked & (np.r_[free[1:], False] | np.r_[False, free[:-1]])
-    pinned[[0, -1]] |= free[[0, -1]]
-    pinned_idx = np.flatnonzero(pinned)
-    targets = _pin_table(n_steps, pinned_idx.size, damped=damped)
+    held = np.array([0, g.n_points - 1])[~knocked[[0, -1]]]
+    targets = _pin_table(n_steps, held.size, damped=damped)
     _discounting(p, dt)  # after the pin table, which names an unaffordable step count
-    # the scheme's own discount of a constant, which H maps to r times
-    # itself after each solve: 1/(1 + a) per half-step of the damped
-    # start, (1 - a)/(1 + a) per Crank-Nicolson step
-    a_half = p.r * dt / 2.0
-    factors = np.full(n_steps + damped, (1.0 - a_half) / (1.0 + a_half))
-    factors[: 2 * damped] = 1.0 / (1.0 + a_half)
-    discount = np.cumprod(factors)
-    # a free node 0 or node -1 is also the first or the last pinned column
+    if held.size:  # knocked edges read no discount, and allocate none
+        # the scheme's own discount of a constant, which H maps to r times
+        # itself after each solve: 1/(1 + a) per half-step of the damped
+        # start, (1 - a)/(1 + a) per Crank-Nicolson step
+        a_half = p.r * dt / 2.0
+        factors = np.full(n_steps + damped, (1.0 - a_half) / (1.0 + a_half))
+        factors[: 2 * damped] = 1.0 / (1.0 + a_half)
+        discount = np.cumprod(factors)
+    # a free node 0 or node -1 is also the first or the last held column
     for (a, b), end, x_edge in zip(pairs, (0, -1), (g.x_min, g.x_max)):
         if not knocked[end]:
             far = b * discount
@@ -495,7 +495,7 @@ def _price(
                     f"e^{x_edge} overflows a float",
                 )
             targets[:, end] = far
-    steps = _cn_run(op.matrix, vals, dt, False, pinned_idx, targets, damped)
+    steps = _cn_run(op.matrix, vals, dt, False, knocked, held, targets, damped)
     price = _computed(lambda: _final(steps), f"the price over T = {T} overflows a float")
     return StateVector(price, g)
 
@@ -559,7 +559,7 @@ def kernel_row(p: MarketParams, x: float, tau: float, g: Grid1D) -> StateVector:
         )
     n_steps = max(50, int(np.ceil(steps_needed)))
     steps = _cn_run(
-        op.matrix.T.tocsr(), delta, tau / n_steps, False, np.zeros(0, dtype=int),
-        np.zeros((n_steps + _DAMPED_STEPS, 0)), _DAMPED_STEPS,
+        op.matrix.T.tocsr(), delta, tau / n_steps, False, np.zeros(g.n_points, dtype=bool),
+        np.zeros(0, dtype=int), np.zeros((n_steps + _DAMPED_STEPS, 0)), _DAMPED_STEPS,
     )
     return StateVector(np.real(_final(steps)), g)

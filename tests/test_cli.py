@@ -663,10 +663,11 @@ class TestExitCodes:
             (["price", "--r", "0.05", "--sigma-sq", "0.04", "--payoff", "call", "--strike", "1",
               "--x-min", "-1", "--x-max", "1", "--n-points", "5", "--t", "1e200", "--dt", "1e150"],
              f"{round(1e200 / 1e150)} steps need a pin table"),
+            # only prescribed nodes take a column of targets: the flow series fails first
             (["evolve", "--r", "0.05", "--sigma-sq", "0.04", "--state", "bond", "--boundary",
               "dirichlet", "--x-min", "-1", "--x-max", "1", "--n-points", "21", "--dt", "0.01",
               "--n-steps", "1000000000000000"],
-             "1000000000000000 steps need a pin table"),
+             "1000000000000000 steps need a flow series"),
             # the one-sided boundary pins nothing: the flow series fails first
             (["evolve", "--r", "0.05", "--sigma-sq", "0.04", "--state", "bond", "--x-min", "-1",
               "--x-max", "1", "--n-points", "21", "--dt", "0.01",
@@ -681,8 +682,9 @@ class TestExitCodes:
              "1000000000000000 steps need two path tables"),
         ],
         ids=["price_overflow", "simulate_overflow", "price_pin_table",
-             "price_past_dimension_limit", "price_past_size_limit", "evolve_pin_table",
-             "evolve_flow_series", "simulate_gbm_paths", "simulate_mg_paths"],
+             "price_past_dimension_limit", "price_past_size_limit",
+             "evolve_dirichlet_flow_series", "evolve_flow_series", "simulate_gbm_paths",
+             "simulate_mg_paths"],
     )
     def test_unaffordable_step_count_is_validation_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x.out"

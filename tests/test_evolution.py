@@ -417,6 +417,27 @@ class TestStepper:
         self.assert_close(got.values, want)
         assert splu_calls == []
 
+    @pytest.mark.parametrize("barrier,nodes,lu_calls", [
+        (Potential.double_knockout(-0.3, 0.4), (3, 14), []),
+        (Potential.down_and_out(-0.5), (3, 10), [(41, 41)]),
+    ], ids=["corridor_tridiagonal", "down_and_out_sparse_lu"])
+    def test_prescribed_masked_nodes(self, splu_calls, barrier, nodes, lu_calls):
+        # a knocked node deep inside and one on the border that a free row
+        # reads are prescribed; every other knocked node holds zero
+        g = self.G
+        op = build_effective_bs(P, barrier, g)
+        deep, border = nodes
+        psi0 = np.exp(-g.points**2 / 0.08)
+        cfg = EvolutionConfig(dt=self.DT, n_steps=self.STEPS)
+        got, _ = evolve(op, StateVector(psi0, g), cfg,
+                        boundary_values={deep: lambda tau: 0.5 + tau, border: 0.25})
+        knocked = np.flatnonzero(op.dirichlet_mask)
+        pins = [np.select([knocked == deep, knocked == border], [0.5 + self.DT * s, 0.25])
+                for s in range(1, self.STEPS + 1)]
+        want = dense_cn(op.matrix, psi0, self.DT, 1.0, op.dirichlet_mask, pins)
+        self.assert_close(got.values, want)
+        assert splu_calls == lu_calls
+
     @pytest.mark.parametrize("mode,z", [("euclidean", 1.0), ("unitary", 1j)])
     def test_unpinned_one_sided_sparse_lu(self, splu_calls, mode, z):
         g = self.G
@@ -660,6 +681,46 @@ class TestStepBuffers:
         vanilla, knock_out = peaks
         assert knock_out <= 1.5 * vanilla, f"{knock_out / 1e6:.2f} MB against {vanilla / 1e6:.2f} MB"
 
+    @pytest.mark.parametrize("mode", ["euclidean", "unitary"])
+    @pytest.mark.parametrize("barrier", [Potential.down_and_out(4.382),
+                                         Potential.double_knockout(4.0, 5.2)],
+                             ids=["down_and_out", "corridor"])
+    def test_evolve_holds_no_table_per_masked_node(self, barrier, mode):
+        # a table of one column per masked node would hold 400 x 3,000 or
+        # more values here, against the Dirichlet vanilla run's two columns
+        g = Grid1D(0.605, 8.605, 6401)
+        state = StateVector(np.exp(-(g.points - 4.6) ** 2), g)
+        cfg = EvolutionConfig(dt=1.0 / 400, n_steps=400, mode=mode)
+        peaks = []
+        for op in (build_bs_hamiltonian(P, g, boundary=BOUNDARY_DIRICHLET),
+                   build_effective_bs(P, barrier, g)):
+            tracemalloc.start()
+            try:
+                evolve(op, state, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        vanilla, knock_out = peaks
+        assert knock_out <= 1.5 * vanilla, f"{knock_out / 1e6:.2f} MB against {vanilla / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("dt", [0.01, 0.25])
+    @pytest.mark.parametrize("mode", ["euclidean", "unitary"])
+    def test_unprescribed_masked_nodes_zero_after_every_step(self, stepper_runs, mode, dt):
+        # the state is nonzero on the knocked region; a deep and a border
+        # node are prescribed, and every other knocked node reads zero
+        op = build_effective_bs(P, Potential.double_knockout(-0.5, 0.5), self.G)
+        knocked = op.dirichlet_mask.copy()
+        deep, border = 10, np.flatnonzero(knocked[:100])[-1]
+        knocked[[deep, border]] = False
+        evolve(op, StateVector(np.cos(self.G.points) + 2.0, self.G),
+               EvolutionConfig(dt=dt, n_steps=8, mode=mode),
+               boundary_values={deep: 0.5, border: lambda tau: tau})
+        states = stepper_runs[0]["states"]
+        assert len(states) == 8
+        for k, psi in enumerate(states, 1):
+            assert np.all(psi[knocked] == 0.0)
+            assert psi[deep] == 0.5 and psi[border] == k * dt
+
     @pytest.mark.parametrize("dt, n_yields", [(0.01, 50), (0.25, 2), (0.5, 1)])
     @pytest.mark.parametrize("kind", ["call", "corridor", "bond"])
     def test_one_state_per_step_damped_or_not(self, stepper_runs, kind, dt, n_yields):
@@ -705,9 +766,9 @@ class TestStepBuffers:
         _, flow = evolve(op, state, cfg)
         unitary = mode == "unitary"
         psi0 = state.values.astype(complex if unitary else float)
-        pins = np.zeros((n_steps, 2), dtype=psi0.dtype)
-        steps = qflab.evolution._cn_run(op.matrix, psi0, cfg.dt, unitary,
-                                        np.flatnonzero(op.dirichlet_mask), pins)
+        targets = np.zeros((n_steps, 0), dtype=psi0.dtype)
+        steps = qflab.evolution._cn_run(op.matrix, psi0, cfg.dt, unitary, op.dirichlet_mask,
+                                        np.zeros(0, dtype=int), targets)
         states = [psi0, *(psi.copy() for psi in steps)]
         mass = np.array([np.real(psi.sum()) * g.cell for psi in states])
         norm = np.array([np.sqrt(np.sum(np.abs(psi) ** 2) * g.cell) for psi in states])
@@ -929,6 +990,15 @@ class TestBarrierPricing:
         curve = price_barrier(P, Payoff.call(100.0), Potential.double_knockout(lo, hi), self.T, g, dt)
         outside = (g.points <= lo + 1e-12) | (g.points >= hi - 1e-12)
         assert np.max(np.abs(curve.values[outside])) == 0.0
+
+    def test_unaffordable_corridor_names_its_pin_table(self):
+        # the knocked edges take no column of targets and read no discount:
+        # the stepper's own table of the two border pins fails first
+        g = Grid1D(np.log(60.0), np.log(160.0), 301)
+        corridor = Potential.double_knockout(np.log(80.0), np.log(130.0))
+        with pytest.raises(ValueError, match="1000000000000000 steps need a pin table of "
+                                             "1000000000000002 x 2 values"):
+            price_barrier(P, Payoff.call(100.0), corridor, 1e6, g, 1e-9)
 
     def test_empty_corridor_rejected(self):
         g = Grid1D(0.0, 1.0, 11)
