@@ -10,13 +10,19 @@ prescribed values by making their rows identity rows of that matrix. A
 tridiagonal one is read straight from the generator's diagonals and
 factored by LAPACK over the span of rows that can change (unpinned rows
 where the generator stores a nonzero), from one row before the first to
-one after the last; any other by a sparse LU. Each solve re-pins the
-prescribed nodes and only those zero-held ones that an unpinned row
-reads. One stepper serves ``evolve``, the pricers and ``kernel_row``,
-and forms each step in place in one buffer. The pricers take a target
-step ``dt`` and derive the count that lands on the maturity;
-``EvolutionConfig`` configures ``evolve`` alone. They start rough
-(kinked or knocked) data with two damped Rannacher steps.
+one after the last; any other by a sparse LU. A long real span whose
+rows form one chain of same-sign off-diagonal pairs (a cell Peclet
+number below 1) is solved in its Hermitian gauge: the diagonal
+similarity that ``operators.similarity_transform`` applies to the
+generator makes it symmetric, and ?pttrf/?pttrs solve it with no
+division on the back substitution's dependency chain, where ?gttrs has
+one. Every other tridiagonal span keeps ?gttrf/?gttrs. Each solve
+re-pins the prescribed nodes and only those zero-held ones that an
+unpinned row reads. One stepper serves ``evolve``, the pricers and
+``kernel_row``, and forms each step in place in one buffer. The pricers
+take a target step ``dt`` and derive the count that lands on the
+maturity; ``EvolutionConfig`` configures ``evolve`` alone. They start
+rough (kinked or knocked) data with two damped Rannacher steps.
 """
 
 from __future__ import annotations
@@ -70,6 +76,15 @@ _EPS = 1e-300
 _CSV_BLOCK = 8192  # flow CSV rows formatted per write
 _FLOW_BLOCK = 16  # states per mass and norm reduction in evolve
 _DAMPED_STEPS = 2  # Rannacher steps that start a run from rough data
+# A balanced solve's two scalings and edge eliminations cost a fixed
+# ~1-1.5 us, against the ~5 ns per row that ?pttrs saves over ?gttrs.
+# Per solve, balanced against ?gttrs: 12 rows 2.2 against 1.0 us; 102
+# rows 2.8 against 2.2; 202 rows 3.5 against 3.6; 252 rows 3.8 against
+# 4.4; 402 rows 5.1 against 6.3; 801 rows 7.9 against 11.8. The tie
+# moved between 175 and 270 rows over three runs (numpy 2.4.6, scipy
+# 1.17.1, 2 vCPUs).
+_BALANCED_MIN_ROWS = 256  # tridiagonal spans at least this long solve in the Hermitian gauge
+_GAUGE_RANGE = 2.0**64  # the widest max D / min D a balanced solve accepts
 
 
 class SingularSolveError(ArithmeticError):
@@ -188,6 +203,58 @@ class FlowReport:
 BoundarySpec = Mapping[int, Union[float, Callable[[float], float]]]
 
 
+def _balanced(
+    d: np.ndarray, dl: np.ndarray, du: np.ndarray, c0: int, c1: int
+) -> Callable[[np.ndarray], np.ndarray] | None:
+    """Solver of the real tridiagonal system (diagonal ``d``, sub- and
+    superdiagonal ``dl``, ``du``) in its Hermitian gauge, or None where
+    that gauge does not apply. Rows ``c0:c1`` are the chain of rows that
+    can change; every other row is an identity row.
+
+    Where every bond of the chain pairs two off-diagonals l, u of one
+    sign, D with D_{i+1}/D_i = sqrt(l/u) makes S = D^{-1} T D symmetric,
+    with bond sign(l) sqrt(l u) (the balancing ``similarity_transform``
+    applies to the generator). S is factored once by ?pttrf; a solve
+    moves the identity rows' columns onto the right-hand side, scales by
+    1/D, calls ?pttrs and scales by D. min D is 1, so 1/D only shrinks a
+    value. None when a bond fails the sign test (a pinned or empty row in
+    the chain, sigma_sq = 0, or a cell Peclet number of 1 or more), when
+    D spans more than ``_GAUGE_RANGE``, or when S is not positive
+    definite."""
+    from scipy.linalg import get_lapack_funcs
+
+    l, u = dl[c0 : c1 - 1], du[c0 : c1 - 1]
+    with np.errstate(all="ignore"):  # an overflow, underflow or NaN fails a test below
+        lu = l * u
+        gauge = np.cumprod(np.concatenate(([1.0], np.sqrt(l / u))))
+    low = gauge.min()  # at most gauge[0] = 1, so the bound times it is finite
+    if not (np.all(lu > 0) and gauge.max() <= _GAUGE_RANGE * low):
+        return None
+    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (d,))
+    s_d, s_e, info = pttrf(d[c0:c1], np.copysign(np.sqrt(lu), l))
+    if info != 0:
+        return None
+    gauge /= low
+    inverse = 1.0 / gauge
+    # the chain's first row's entry in the column of the row before it, and
+    # its last row's entry in the column of the row after it
+    before = dl[c0 - 1] if c0 else None
+    after = du[c1 - 1] if c1 < d.size else None
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = b[c0:c1]
+        if before is not None:
+            x[0] -= before * b[c0 - 1]
+        if after is not None:
+            x[-1] -= after * b[c1]
+        x *= inverse
+        pttrs(s_d, s_e, x, overwrite_b=1)  # in place: x is a contiguous float64 view
+        x *= gauge
+        return b
+
+    return solve
+
+
 def _factor(
     h: sparse.csr_matrix, scale: complex, pinned: np.ndarray
 ) -> tuple[slice, Callable[[np.ndarray], np.ndarray]]:
@@ -199,13 +266,21 @@ def _factor(
     identity row either way, where x = b.
 
     A row can change when it is unpinned and stores a nonzero of H. If
-    every such nonzero lies within one place of the diagonal, LAPACK's
-    ?gttrf/?gttrs factor the three diagonals read from H over the span
-    from one row before the first row that can change to one row after
-    the last. The rows outside it are identity rows with zero
-    multipliers, so the span does the same arithmetic as the whole grid.
-    Any wider band (a free one-sided closure row, a 2D operator) gets a
-    sparse LU of the whole grid, and only that branch loads SuperLU.
+    every such nonzero lies within one place of the diagonal, the three
+    diagonals read from H are factored over the span from one row before
+    the first row that can change to one row after the last. A real span
+    of at least ``_BALANCED_MIN_ROWS`` rows is solved in its Hermitian
+    gauge by ``_balanced`` (?pttrf/?pttrs) where that gauge applies.
+    Otherwise, or where it does not (a complex scale, a pinned or empty
+    row between the first and the last row that can change, an
+    off-diagonal pair of opposite signs or with a zero, a gauge wider
+    than ``_GAUGE_RANGE``, a matrix that is not positive definite),
+    LAPACK's ?gttrf/?gttrs factor the span, and a zero pivot raises
+    SingularSolveError. The rows outside the span are identity rows with
+    zero multipliers, so either solve does the same arithmetic as over
+    the whole grid. Any wider band (a free one-sided closure row, a 2D
+    operator) gets a sparse LU of the whole grid, and only that branch
+    loads SuperLU.
     """
     # imported here, so that a run that never steps loads no solver
     from scipy.linalg import get_lapack_funcs
@@ -226,6 +301,10 @@ def _factor(
         d[pinned] = 1
         dl[pinned[1:]] = 0
         du[pinned[:-1]] = 0
+        if hi - lo >= _BALANCED_MIN_ROWS and not np.iscomplexobj(d):
+            solve = _balanced(d, dl, du, first - lo, last + 1 - lo)
+            if solve is not None:
+                return slice(lo, hi), solve
         gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (d,))
         dl, d, du, du2, ipiv, info = gttrf(dl, d, du)
         if info != 0:
@@ -540,9 +619,13 @@ def kernel_row(p: MarketParams, x: float, tau: float, g: Grid1D) -> StateVector:
     is snapped to the nearest node. Evolves a discrete delta (unit mass
     at that node, 1/h tall) under the transposed generator with a short
     implicit startup to damp the delta's high modes. The row integrates
-    to the discount factor, reproduces e^x against the asset state, and
-    is nonnegative on fine grids once the kernel width clears a few
-    cells. A grid whose cell Peclet number exceeds 1 is refused.
+    to the discount factor and reproduces e^x against the asset state.
+    It is nonnegative to roundoff only while the kernel's tail stays
+    clear of both grid edges: once it reaches one (the source plus its
+    drift within a few sigma sqrt(tau) of x_min or x_max), a +, -, +
+    sawtooth on the last nodes at that edge can go negative, and it grows
+    as the grid is refined. A grid whose cell Peclet number exceeds 1 is
+    refused.
     """
     _positive(tau, "kernel time")
     if not g.x_min <= _finite(x, "kernel source x") <= g.x_max:

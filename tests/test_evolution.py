@@ -33,6 +33,7 @@ from qflab.operators import (
     build_effective_bs,
     build_mg_hamiltonian,
 )
+import scipy.linalg
 import scipy.sparse.linalg
 from scipy import sparse
 from scipy.sparse.linalg import splu
@@ -347,6 +348,30 @@ def splu_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def lapack_factors(monkeypatch):
+    """Records each tridiagonal factorization the stepper asks LAPACK for:
+    ("pttrf", rows) for the Hermitian-gauge factor, ("gttrf", rows) for
+    the general one."""
+    calls = []
+    get_lapack_funcs = scipy.linalg.get_lapack_funcs
+
+    def recording(names, arrays=(), *args, **kwargs):
+        funcs = get_lapack_funcs(names, arrays, *args, **kwargs)
+
+        def counted(name, func):
+            def factor(*f_args, **f_kwargs):
+                # gttrf(dl, d, du), pttrf(d, e): the diagonal gives the rows
+                calls.append((name, f_args[1 if name == "gttrf" else 0].size))
+                return func(*f_args, **f_kwargs)
+            return factor
+
+        return [counted(n, f) if n in ("gttrf", "pttrf") else f for n, f in zip(names, funcs)]
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", recording)
+    return calls
+
+
 class TestStepper:
     """One stepper, two factorizations: a tridiagonal stepping matrix is
     solved by LAPACK, any wider band by a sparse LU. Both must give the
@@ -533,6 +558,114 @@ class TestStepper:
             evolve(op, StateVector(np.ones(7), g), EvolutionConfig(dt=dt, n_steps=2))
         assert splu_calls == []
 
+    # spans of 301 and more rows, past the crossover, solve in the Hermitian
+    # gauge: 399 chain rows between the pinned edges, 299 under a knock-out
+    WIDE = Grid1D(-2.0, 2.0, 401)
+
+    def test_balanced_vanilla_price(self, splu_calls, lapack_factors):
+        g, k = self.WIDE, 1.0
+        got = price_option(P, Payoff.call(k), self.STEPS * self.DT, g, self.DT).values
+        pinned = np.isin(np.arange(g.n_points), [0, g.n_points - 1])
+        mid, ends = scheme_discounts(P.r, self.DT, self.STEPS, 2)
+        pins = [(0.0, np.exp(g.x_max) - k * d) for d in mid + ends]
+        op = build_bs_hamiltonian(P, g)
+        want = dense_cn(op.matrix, Payoff.call(k).values_on(g), self.DT, 1.0, pinned, pins[4:],
+                        startup=[(pins[0], pins[2]), (pins[1], pins[3])])
+        self.assert_close(got, want)
+        assert (splu_calls, lapack_factors) == ([], [("pttrf", 399)])
+
+    @pytest.mark.parametrize("barrier,payoff,chain", [
+        (Potential.down_and_out(-1.0), Payoff.bond(), 299),
+        (Potential.double_knockout(-1.5, 1.5), Payoff.call(1.0), 299),
+    ], ids=["down_and_out", "wide_corridor"])
+    def test_balanced_knock_out_price(self, splu_calls, lapack_factors, barrier, payoff, chain):
+        g = self.WIDE
+        got = price_barrier(P, payoff, barrier, self.STEPS * self.DT, g, self.DT).values
+        op = build_effective_bs(P, barrier, g)
+        pinned = op.dirichlet_mask | np.isin(np.arange(g.n_points), [0, g.n_points - 1])
+        # knocked nodes hold zero, a free top edge the far field discounted
+        # by the scheme's own factors; a knock-out starts with two damped steps
+        mid, ends = scheme_discounts(P.r, self.DT, self.STEPS, 2)
+        top = {"bond": lambda d: d, "call": lambda d: np.exp(g.x_max) - d}[payoff.kind]
+        free_top = not op.dirichlet_mask[-1]
+        pins = [np.append(np.zeros(pinned.sum() - 1), top(d) if free_top else 0.0)
+                for d in mid + ends]
+        psi0 = np.where(op.dirichlet_mask, 0.0, payoff.values_on(g))
+        want = dense_cn(op.matrix, psi0, self.DT, 1.0, pinned, pins[4:],
+                        startup=[(pins[0], pins[2]), (pins[1], pins[3])])
+        self.assert_close(got, want)
+        assert (splu_calls, lapack_factors) == ([], [("pttrf", chain)])
+
+    def test_balanced_dirichlet_evolve(self, splu_calls, lapack_factors):
+        g = self.WIDE
+        op = build_bs_hamiltonian(P, g, boundary=BOUNDARY_DIRICHLET)
+        psi0 = np.exp(-g.points**2 / 0.08)
+        got, _ = evolve(op, StateVector(psi0, g), EvolutionConfig(dt=self.DT, n_steps=self.STEPS))
+        want = dense_cn(op.matrix, psi0, self.DT, 1.0, op.dirichlet_mask,
+                        [np.zeros(2)] * self.STEPS)
+        self.assert_close(got.values, want)
+        assert (splu_calls, lapack_factors) == ([], [("pttrf", 399)])
+
+    @staticmethod
+    def deep_well(g, depth):
+        """-(1/2) D2 times 0.02 plus a well of ``depth`` on |x| < 0.5, no
+        drift term, edge rows zero: I + dt/2 H is symmetric, and not
+        positive definite once dt/2 times the well outweighs the rest."""
+        c = 0.01 / g.h**2
+        well = np.where(np.abs(g.points) < 0.5, -depth, 0.0)
+        h = sparse.diags([np.full(g.n_points - 1, -c), 2.0 * c + well,
+                          np.full(g.n_points - 1, -c)], [-1, 0, 1]).tolil()
+        h[[0, -1], :] = 0.0
+        mask = np.isin(np.arange(g.n_points), [0, g.n_points - 1])
+        return OperatorMatrix(matrix=sparse.csr_matrix(h), grid=g, dirichlet_mask=mask)
+
+    # every way out of the Hermitian gauge takes ?gttrf, and still steps
+    # by Crank-Nicolson: (operator, dt, mode, boundary values, factors)
+    @pytest.mark.parametrize("case", [
+        "unitary", "interior_pin", "sigma_sq_0", "peclet_1", "not_positive_definite",
+        "gauge_past_bound", "narrow_span",
+    ])
+    def test_fallback_to_gttrf(self, splu_calls, lapack_factors, case):
+        wide, dirichlet = self.WIDE, BOUNDARY_DIRICHLET
+        h64 = Grid1D(0.0, 8.0, 513)  # h = 1/64: sigma_sq/h = 1 exactly
+        op, dt, mode, values, factors = {
+            "unitary": (build_bs_hamiltonian(P, wide, dirichlet), self.DT, "unitary", None,
+                        [("gttrf", 401)]),
+            "interior_pin": (build_bs_hamiltonian(P, wide, dirichlet), self.DT, "euclidean",
+                             {200: 0.3}, [("gttrf", 401)]),
+            "sigma_sq_0": (build_bs_hamiltonian(MarketParams(r=0.05, sigma_sq=0.0), wide,
+                                                dirichlet), self.DT, "euclidean", None,
+                           [("gttrf", 401)]),
+            # |sigma_sq/2 - r| = sigma_sq/h: every subdiagonal entry is 0
+            "peclet_1": (build_bs_hamiltonian(MarketParams(r=1.0078125, sigma_sq=0.015625), h64,
+                                              dirichlet), self.DT, "euclidean", None,
+                         [("gttrf", 513)]),
+            "not_positive_definite": (self.deep_well(wide, 300.0), 0.1, "euclidean", None,
+                                      [("pttrf", 399), ("gttrf", 401)]),
+            # a cell Peclet number of 0.5 over 400 cells: D spans about e^220
+            "gauge_past_bound": (build_bs_hamiltonian(MarketParams(r=2.02, sigma_sq=0.04), wide,
+                                                      dirichlet), self.DT, "euclidean", None,
+                                 [("gttrf", 401)]),
+            "narrow_span": (build_bs_hamiltonian(P, self.G, dirichlet), self.DT, "euclidean", None,
+                            [("gttrf", 41)]),
+        }[case]
+        g = op.grid
+        z = 1j if mode == "unitary" else 1.0
+        psi0 = np.exp(-(g.points - g.points.mean()) ** 2 / 0.08).astype(type(z))
+        got, _ = evolve(op, StateVector(psi0, g), EvolutionConfig(dt=dt, n_steps=self.STEPS,
+                                                                  mode=mode), values)
+        pinned = op.dirichlet_mask.copy()
+        pinned[list(values or ())] = True
+        pins = [np.where(np.flatnonzero(pinned) == 200, 0.3, 0.0)] * self.STEPS
+        want = dense_cn(op.matrix, psi0, dt, z, pinned, pins)
+        self.assert_close(got.values, want)
+        assert (splu_calls, lapack_factors) == ([], factors)
+
+    def test_well_is_not_positive_definite(self):
+        op = self.deep_well(self.WIDE, 300.0)
+        m = np.eye(399) + 0.05 * op.matrix.toarray()[1:-1, 1:-1]
+        assert np.allclose(m, m.T) and np.linalg.eigvalsh(m).min() < 0.0
+
 
 def whole_grid_factor(h, scale, pinned):
     """LAPACK's tridiagonal factor of I + scale H over every row, pinned
@@ -546,6 +679,37 @@ def whole_grid_factor(h, scale, pinned):
     du[pinned[:-1]] = 0
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (d,))
     return gttrs, gttrf(dl, d, du)
+
+
+def whole_grid_balanced(h, scale, pinned, b):
+    """The Hermitian-gauge solve of I + scale H over every row, pinned
+    rows made identity rows: the chain from the first to the last row that
+    can change (unpinned, storing a nonzero) balanced by D with
+    D_{i+1}/D_i = sqrt(l/u), min D = 1, its end rows' outside columns
+    moved to the right-hand side, then 1/D, ?pttrs and D."""
+    from scipy.linalg import get_lapack_funcs
+
+    d = 1 + scale * h.diagonal()
+    dl, du = scale * h.diagonal(-1), scale * h.diagonal(1)
+    d[pinned] = 1
+    dl[pinned[1:]] = 0
+    du[pinned[:-1]] = 0
+    changing = np.flatnonzero(~pinned & (np.diff(h.indptr) > 0))
+    c0, c1 = changing[0], changing[-1] + 1
+    l, u = dl[c0:c1 - 1], du[c0:c1 - 1]
+    gauge = np.cumprod(np.concatenate(([1.0], np.sqrt(l / u))))
+    gauge /= gauge.min()
+    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (d,))
+    s_d, s_e, info = pttrf(d[c0:c1], np.copysign(np.sqrt(l * u), l))
+    assert info == 0
+    x = b.copy()
+    y = x[c0:c1].copy()
+    if c0:
+        y[0] -= dl[c0 - 1] * b[c0 - 1]
+    if c1 < b.size:
+        y[-1] -= du[c1 - 1] * b[c1]
+    x[c0:c1] = pttrs(s_d, s_e, y * (1.0 / gauge))[0] * gauge
+    return x
 
 
 def _one_free(n, i):
@@ -590,6 +754,47 @@ class TestSpanSolve:
         got[got_span] = solve(b[got_span].copy())
         gttrs, lu = whole_grid_factor(h, scale, pinned)
         want = gttrs(*lu[:5], b)[0]
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    # past the crossover a real span solves in the Hermitian gauge, bit for
+    # bit the whole-grid balanced solve; a complex scale or an interior pin
+    # keeps ?gttrs, bit for bit the whole-grid ?gttrs solve
+    N = 401
+    WIDE = Grid1D(-2.0, 2.0, N)
+    WIDE_ONE_SIDED = build_bs_hamiltonian(P, WIDE).matrix
+    WIDE_DIRICHLET = build_bs_hamiltonian(P, WIDE, boundary=BOUNDARY_DIRICHLET).matrix
+    WIDE_DOWN_AND_OUT = build_effective_bs(P, Potential.down_and_out(-1.0), WIDE)
+    WIDE_CORRIDOR = build_effective_bs(P, Potential.double_knockout(-1.5, 1.5), WIDE)
+    WIDE_EDGES = np.isin(np.arange(N), [0, N - 1])
+
+    @pytest.mark.parametrize("h,pinned,scale,span,route", [
+        (WIDE_ONE_SIDED, WIDE_EDGES, 0.005, (0, 401), "pttrf"),
+        (WIDE_DOWN_AND_OUT.matrix, WIDE_DOWN_AND_OUT.dirichlet_mask | WIDE_EDGES, 0.005,
+         (100, 401), "pttrf"),
+        (WIDE_DOWN_AND_OUT.matrix, np.isin(np.arange(N), [100, 400]), 0.005, (100, 401), "pttrf"),
+        (WIDE_CORRIDOR.matrix, WIDE_CORRIDOR.dirichlet_mask, 0.005, (50, 351), "pttrf"),
+        (WIDE_CORRIDOR.matrix, np.isin(np.arange(N), [50, 350]), 0.005, (50, 351), "pttrf"),
+        (WIDE_DIRICHLET, WIDE_EDGES, 0.005, (0, 401), "pttrf"),
+        (WIDE_DIRICHLET, WIDE_EDGES | np.isin(np.arange(N), [200]), 0.005, (0, 401), "gttrf"),
+        (WIDE_DIRICHLET, WIDE_EDGES, 0.005j, (0, 401), "gttrf"),
+        (WIDE_CORRIDOR.matrix, WIDE_CORRIDOR.dirichlet_mask, 0.005j, (50, 351), "gttrf"),
+    ], ids=["vanilla", "down_and_out", "down_and_out_border_pinned", "corridor",
+            "corridor_borders_pinned", "dirichlet", "interior_pin", "complex_scale",
+            "complex_corridor"])
+    def test_wide_span_solve_is_whole_grid_solve(self, lapack_factors, h, pinned, scale, span,
+                                                 route):
+        b = np.cos(np.arange(float(self.N))) * (1.0 + 0.5j if isinstance(scale, complex) else 1.0)
+        got_span, solve = qflab.evolution._factor(h, scale, pinned)
+        assert (got_span.start, got_span.stop) == span
+        assert [name for name, _ in lapack_factors] == [route]
+        got = b.copy()
+        got[got_span] = solve(b[got_span].copy())
+        if route == "pttrf":
+            want = whole_grid_balanced(h, scale, pinned, b)
+        else:
+            gttrs, lu = whole_grid_factor(h, scale, pinned)
+            want = gttrs(*lu[:5], b)[0]
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
