@@ -39,7 +39,6 @@ from .model import (
     Grid1D,
     MarketParams,
     StateVector,
-    _affordable,
     _computed,
     _finite,
     _finite_complex,
@@ -49,6 +48,7 @@ from .model import (
     _nonnegative,
     _positive,
     _step_count,
+    _within_budget,
 )
 from .operators import (
     KIND_DOUBLE_KNOCKOUT,
@@ -95,7 +95,7 @@ class SingularSolveError(ArithmeticError):
 class EvolutionConfig:
     """The stepping parameters of ``evolve``. dt should not exceed the
     lattice spacing for accuracy (unconditional stability
-    notwithstanding)."""
+    notwithstanding); n_steps may not exceed ``model.MAX_STEPS``."""
 
     dt: float
     n_steps: int
@@ -105,6 +105,7 @@ class EvolutionConfig:
         _positive(self.dt, "dt")
         if _integer(self.n_steps, "n_steps") < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        _within_budget(self.n_steps, "evolve's n_steps")
         _computed(
             lambda: self.n_steps * self.dt,
             f"the horizon n_steps * dt = {self.n_steps} * {self.dt} overflows a float",
@@ -320,15 +321,6 @@ def _factor(
         raise SingularSolveError(f"singular linear solve: {exc}") from exc
 
 
-def _pin_table(n_steps: int, n_pins: int, dtype=float, damped: int = 0) -> np.ndarray:
-    """Zeroed pinned targets, one row per solve of a run of ``n_steps``
-    whose first ``damped`` steps are damped; a step count whose table
-    cannot be allocated is refused as a ValueError that names it."""
-    rows = n_steps + damped
-    with _affordable(n_steps, f"a pin table of {rows} x {n_pins} values"):
-        return np.zeros((rows, n_pins), dtype=dtype)
-
-
 def _cn_run(
     matrix: sparse.csr_matrix,
     psi0: np.ndarray,
@@ -370,7 +362,7 @@ def _cn_run(
     kept = pinned & (abs(matrix).T @ ~pinned != 0)
     kept[held] = True
     pinned_idx = np.flatnonzero(kept)
-    values = _pin_table(targets.shape[0] - damped, pinned_idx.size, targets.dtype, damped)
+    values = np.zeros((targets.shape[0], pinned_idx.size), targets.dtype)
     values[:, np.searchsorted(pinned_idx, held)] = targets
     # the pinned nodes inside the span: their columns of the targets, and
     # their places in the span
@@ -441,7 +433,7 @@ def evolve(
             raise ValueError(f"boundary node {idx} outside grid")
         prescribed[idx] = value
     held = np.array(sorted(prescribed), dtype=int)
-    targets = _pin_table(cfg.n_steps, held.size, complex if unitary else float)
+    targets = np.zeros((cfg.n_steps, held.size), complex if unitary else float)
     # step times only for prescribed nodes, whose columns hold one value per step
     taus = (np.arange(1, cfg.n_steps + 1) * cfg.dt).tolist() if prescribed else []
     number = _finite_complex if unitary else _finite
@@ -450,8 +442,7 @@ def evolve(
         targets[:, np.searchsorted(held, idx)] = (
             [number(value(tau), name) for tau in taus] if callable(value) else number(value, name)
         )
-    with _affordable(cfg.n_steps, f"a flow series of 2 x {cfg.n_steps + 1} values"):
-        mass_arr, norm_arr = np.empty((2, cfg.n_steps + 1))
+    mass_arr, norm_arr = np.empty((2, cfg.n_steps + 1))
 
     cell = op.grid.cell
     psi0 = state.values.astype(complex if unitary else float, copy=False)
@@ -553,8 +544,8 @@ def _price(
     smooth = payoff.kind in (PAYOFF_BOND, PAYOFF_ASSET) and not knocked.any()
     damped = 0 if smooth else min(_DAMPED_STEPS, n_steps)
     held = np.array([0, g.n_points - 1])[~knocked[[0, -1]]]
-    targets = _pin_table(n_steps, held.size, damped=damped)
-    _discounting(p, dt)  # after the pin table, which names an unaffordable step count
+    targets = np.zeros((n_steps + damped, held.size))
+    _discounting(p, dt)
     if held.size:  # knocked edges read no discount, and allocate none
         # the scheme's own discount of a constant, which H maps to r times
         # itself after each solve: 1/(1 + a) per half-step of the damped
@@ -625,7 +616,8 @@ def kernel_row(p: MarketParams, x: float, tau: float, g: Grid1D) -> StateVector:
     drift within a few sigma sqrt(tau) of x_min or x_max), a +, -, +
     sawtooth on the last nodes at that edge can go negative, and it grows
     as the grid is refined. A grid whose cell Peclet number exceeds 1 is
-    refused.
+    refused, and so is a tau that needs more than ``model.MAX_STEPS``
+    steps of h/8.
     """
     _positive(tau, "kernel time")
     if not g.x_min <= _finite(x, "kernel source x") <= g.x_max:
@@ -635,12 +627,8 @@ def kernel_row(p: MarketParams, x: float, tau: float, g: Grid1D) -> StateVector:
     op = build_bs_hamiltonian(p, g)
     delta = np.zeros(g.n_points)
     delta[idx] = 1.0 / g.h
-    steps_needed = 8.0 * tau / g.h
-    if not np.isfinite(steps_needed):
-        raise ValueError(
-            f"kernel time {tau} over the step h/8 = {g.h / 8.0} gives no finite step count"
-        )
-    n_steps = max(50, int(np.ceil(steps_needed)))
+    what = f"kernel time {tau} over the step h/8 = {g.h / 8.0}"
+    n_steps = max(50, int(np.ceil(_within_budget(8.0 * tau / g.h, what))))
     steps = _cn_run(
         op.matrix.T.tocsr(), delta, tau / n_steps, False, np.zeros(g.n_points, dtype=bool),
         np.zeros(0, dtype=int), np.zeros((n_steps + _DAMPED_STEPS, 0)), _DAMPED_STEPS,

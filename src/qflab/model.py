@@ -9,17 +9,18 @@ from __future__ import annotations
 
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from numbers import Complex, Integral, Real
 from pathlib import Path
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 import numpy as np
 
 # a parameter identity (sigma_sq = 2 r, alpha = 3/2, zeta = -rho, e^y = 2 r,
 # C(y) = 0) counts as holding when its two sides differ by at most this
 IDENTITY_TOL = 1e-12
+
+MAX_STEPS = 10**7  # the most steps a run takes: 0.72 GB at a price's 72 bytes per step
 
 CONFIG_INT_KEYS = frozenset({"n_points", "m_points"})
 CONFIG_KEYS = frozenset(
@@ -335,27 +336,23 @@ def _finite_table(values, what: str) -> np.ndarray:
     return table
 
 
+def _within_budget(n_steps, what: str):
+    """``n_steps`` if at most ``MAX_STEPS``; refuses a larger or NaN count, naming ``what``."""
+    if not n_steps <= MAX_STEPS:
+        raise ValueError(f"{n_steps} steps ({what}) exceed the step budget MAX_STEPS = {MAX_STEPS}")
+    return n_steps
+
+
 def _step_count(T: float, dt: float, horizon: str = "horizon") -> int:
     """Steps of about ``dt`` that land exactly on ``T``: max(1, round(T / dt)).
 
-    Refuses a T or a dt that is not positive and finite, and a ratio
-    that overflows; ``horizon`` names T in the message.
+    Refuses a T or a dt that is not positive and finite, a ratio that
+    overflows and a count past ``MAX_STEPS``; ``horizon`` names T.
     """
     ratio = _positive(T, horizon) / _positive(dt, "dt")
     if not np.isfinite(ratio):
         raise ValueError(f"{horizon} {T} over dt {dt} gives no finite step count")
-    return max(1, int(round(ratio)))
-
-
-@contextmanager
-def _affordable(n_steps: int, what: str) -> Iterator[None]:
-    """Refuse a step count whose arrays cannot be allocated: a MemoryError,
-    or numpy's ValueError for a shape past its size limit, raised inside
-    becomes a ValueError that names the count and ``what`` it needs."""
-    try:
-        yield
-    except (MemoryError, ValueError):
-        raise ValueError(f"{n_steps} steps need {what}, which cannot be allocated") from None
+    return _within_budget(max(1, int(round(ratio))), f"{horizon} {T} over dt {dt}")
 
 
 def _float_reprs(a: np.ndarray) -> list[str]:

@@ -10,6 +10,7 @@ bit-identical no matter how the work is distributed.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -20,7 +21,6 @@ from .model import (
     MarketParams,
     MGParams,
     SDEParams,
-    _affordable,
     _finite,
     _float_reprs,
     _integer,
@@ -31,6 +31,17 @@ from .model import (
 PATH_BLOCK = 8192
 _CHUNK_VALUES = 2**17  # normals drawn per call: 1 MiB of float64
 CSV_ROW_GUARD = 2_000_000
+
+
+@contextmanager
+def _affordable(what: str) -> Iterator[None]:
+    """Refuse path tables, as wide as the caller's path count, that cannot
+    be allocated: a MemoryError, or numpy's ValueError for a shape past its
+    size limit, raised inside becomes a ValueError that names ``what``."""
+    try:
+        yield
+    except (MemoryError, ValueError):
+        raise ValueError(f"{what} cannot be allocated") from None
 
 
 @dataclass(frozen=True)
@@ -127,7 +138,7 @@ def simulate_gbm(
     drift = (sp.expected_return - 0.5 * base.sigma_sq) * dt_eff
     scale = sig * np.sqrt(dt_eff)
 
-    with _affordable(n_steps, f"a path table of {n_paths} x {n_steps + 1} values"):
+    with _affordable(f"a path table of {n_paths} x {n_steps + 1} values"):
         paths = np.empty((n_paths, n_steps + 1))
     paths[:, 0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -169,7 +180,7 @@ def simulate_mg(
     sq_dt = np.sqrt(dt_eff)
     rho_perp = np.sqrt(1.0 - p.rho**2)
 
-    with _affordable(n_steps, f"two path tables of {n_paths} x {n_steps + 1} values"):
+    with _affordable(f"two path tables of {n_paths} x {n_steps + 1} values"):
         s_paths = np.empty((n_paths, n_steps + 1))
         v_paths = np.empty((n_paths, n_steps + 1))
     s_paths[:, 0] = s0

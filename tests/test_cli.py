@@ -652,34 +652,35 @@ class TestExitCodes:
             (["simulate", "--model", "gbm", "--r", "0.05", "--sigma-sq", "0.04", "--drift", "0.05",
               "--s0", "100", "--t", "1e308", "--dt", "1e-10", "--n-paths", "2"],
              "horizon 1e+308 over dt 1e-10 gives no finite step count"),
-            # 1e15 steps: the pin table would need 16 PB
+            # 1e15 steps, past the step budget
             (["price", "--payoff", "bond", "--r", "0.05", "--sigma-sq", "0.04", "--t", "1e6",
               "--dt", "1e-9", "--x-min", "-1", "--x-max", "1", "--n-points", "51"],
-             "1000000000000000 steps need a pin table"),
-            # past numpy's size and dimension limits: a ValueError, not a MemoryError
+             "1000000000000000 steps (maturity 1000000.0 over dt 1e-09) exceed the step budget"),
+            # counts past numpy's size and dimension limits: refused before any allocation
             (["price", "--r", "0.05", "--sigma-sq", "0.04", "--payoff", "call", "--strike", "1",
               "--x-min", "-1", "--x-max", "1", "--n-points", "5", "--t", "700", "--dt", "1e-170"],
-             f"{round(700 / 1e-170)} steps need a pin table"),
+             f"{round(700 / 1e-170)} steps (maturity 700.0 over dt 1e-170) exceed the step "
+             "budget"),
             (["price", "--r", "0.05", "--sigma-sq", "0.04", "--payoff", "call", "--strike", "1",
               "--x-min", "-1", "--x-max", "1", "--n-points", "5", "--t", "1e200", "--dt", "1e150"],
-             f"{round(1e200 / 1e150)} steps need a pin table"),
-            # only prescribed nodes take a column of targets: the flow series fails first
+             f"{round(1e200 / 1e150)} steps (maturity 1e+200 over dt 1e+150) exceed the step "
+             "budget"),
+            # evolve's n_steps is refused by its config, whatever the closure
             (["evolve", "--r", "0.05", "--sigma-sq", "0.04", "--state", "bond", "--boundary",
               "dirichlet", "--x-min", "-1", "--x-max", "1", "--n-points", "21", "--dt", "0.01",
               "--n-steps", "1000000000000000"],
-             "1000000000000000 steps need a flow series"),
-            # the one-sided boundary pins nothing: the flow series fails first
+             "1000000000000000 steps (evolve's n_steps) exceed the step budget"),
             (["evolve", "--r", "0.05", "--sigma-sq", "0.04", "--state", "bond", "--x-min", "-1",
               "--x-max", "1", "--n-points", "21", "--dt", "0.01",
               "--n-steps", "1000000000000000"],
-             "1000000000000000 steps need a flow series"),
+             "1000000000000000 steps (evolve's n_steps) exceed the step budget"),
             (["simulate", "--model", "gbm", "--r", "0.05", "--sigma-sq", "0.04", "--drift", "0.05",
               "--s0", "100", "--t", "1e6", "--dt", "1e-9", "--n-paths", "1", "--force-big"],
-             "1000000000000000 steps need a path table"),
+             "1000000000000000 steps (horizon 1000000.0 over dt 1e-09) exceed the step budget"),
             (["simulate", "--model", "mg", "--r", "0.05", "--lambda", "0.01", "--mu", "-0.5",
               "--zeta", "0.1", "--alpha", "1.0", "--rho", "0.7", "--drift", "0.05", "--s0", "100",
               "--v0", "0.04", "--t", "1e6", "--dt", "1e-9", "--n-paths", "1", "--force-big"],
-             "1000000000000000 steps need two path tables"),
+             "1000000000000000 steps (horizon 1000000.0 over dt 1e-09) exceed the step budget"),
         ],
         ids=["price_overflow", "simulate_overflow", "price_pin_table",
              "price_past_dimension_limit", "price_past_size_limit",

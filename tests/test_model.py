@@ -1,6 +1,8 @@
 """Parameter containers, grids, states, config parsing, and the record writer."""
 
+import re
 import struct
+import time
 import warnings
 from dataclasses import fields
 
@@ -9,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflab.evolution import EvolutionConfig, Payoff, kernel_row
+from qflab.cli import main
+from qflab.evolution import EvolutionConfig, Payoff, kernel_row, price_barrier, price_option
 from qflab.martingale import martingale_residual, solve_extended_constraint
 from qflab.model import (
+    MAX_STEPS,
     Grid1D,
     Grid2D,
     MarketParams,
@@ -21,6 +25,7 @@ from qflab.model import (
     _computed,
     _finite_complex,
     _record,
+    _within_budget,
     load_config,
     mg_cross_coef,
     mg_y_drift,
@@ -29,7 +34,7 @@ from qflab.model import (
     sample_martingale_state,
 )
 from qflab.operators import Potential, build_bs_hamiltonian
-from qflab.sde import simulate_mg
+from qflab.sde import simulate_gbm, simulate_mg
 from qflab.vacuum import (
     FieldPoint,
     classify_information_flow,
@@ -551,6 +556,60 @@ def test_entry_points_refuse_bools_strings_complex_and_nan(name, value):
 def test_entry_points_accept_a_finite_scalar(name):
     # 0.0 is a valid y, phi_x, drift, tol and kernel source; MG has a root in (-5, 1)
     ENTRY_SCALARS[name]({"y_lo": -5.0, "y_hi": 1.0}.get(name.split()[-1], 0.0))
+
+
+PAST = MAX_STEPS + 1
+BUDGET_P = MarketParams(r=0.05, sigma_sq=0.04)
+# every stepped entry point, asked for one step past the budget; a count
+# at the bound is never run, since it steps for minutes
+PAST_BUDGET = {
+    "price_option": lambda: price_option(BUDGET_P, Payoff.call(1.0), 1.0, KERNEL_GRID, 1 / PAST),
+    "price_barrier": lambda: price_barrier(
+        BUDGET_P, Payoff.call(1.0), Potential.double_knockout(-0.5, 0.5), 1.0, KERNEL_GRID,
+        1 / PAST),
+    "EvolutionConfig": lambda: EvolutionConfig(dt=0.01, n_steps=PAST),
+    # h = 1/8, so 8 tau / h = 64 tau is exactly PAST
+    "kernel_row": lambda: kernel_row(BUDGET_P, 0.0, PAST / 64, Grid1D(-1.0, 1.0, 17)),
+    "simulate_gbm": lambda: simulate_gbm(SDEParams(0.05, BUDGET_P), 1.0, 1.0, 1 / PAST, 1, 0),
+    "simulate_mg": lambda: simulate_mg(MG, 0.05, 1.0, 0.04, 1.0, 1 / PAST, 1, 0),
+}
+PAST_BUDGET_ARGV = {
+    "price": ["price", "--payoff", "call", "--strike", "1", "--r", "0.05", "--sigma-sq", "0.04",
+              "--t", "1", "--dt", repr(1 / PAST), "--x-min", "-1", "--x-max", "1",
+              "--n-points", "21"],
+    "evolve": ["evolve", "--r", "0.05", "--sigma-sq", "0.04", "--state", "bond", "--x-min", "-1",
+               "--x-max", "1", "--n-points", "21", "--dt", "0.01", "--n-steps", str(PAST)],
+    "simulate": ["simulate", "--model", "gbm", "--r", "0.05", "--sigma-sq", "0.04", "--drift",
+                 "0.05", "--s0", "1", "--t", "1", "--dt", repr(1 / PAST), "--n-paths", "1"],
+}
+BUDGET_MESSAGE = rf"{PAST}(\.0)? steps \(.+\) exceed the step budget MAX_STEPS = {MAX_STEPS}"
+
+
+class TestStepBudget:
+    def test_bound_itself_is_accepted(self):
+        assert _within_budget(MAX_STEPS, "a run") == MAX_STEPS
+        with pytest.raises(ValueError, match=re.escape(
+                f"{PAST} steps (a run) exceed the step budget MAX_STEPS = {MAX_STEPS}")):
+            _within_budget(PAST, "a run")
+
+    @pytest.mark.parametrize("name", sorted(PAST_BUDGET))
+    def test_entry_point_refuses_one_step_past(self, name):
+        with pytest.raises(ValueError, match=f"^{BUDGET_MESSAGE}$"):
+            PAST_BUDGET[name]()
+
+    @pytest.mark.parametrize("verb", sorted(PAST_BUDGET_ARGV))
+    def test_verb_refuses_one_step_past(self, verb, tmp_path, capsys):
+        out = tmp_path / "x.out"
+        assert main([*PAST_BUDGET_ARGV[verb], "--out", str(out)]) == 2
+        assert re.search(f"message = {BUDGET_MESSAGE}\n", capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_long_kernel_time_refused_at_once(self):
+        # 8 tau / h asks for 4e14 steps, which used to step until killed
+        start = time.process_time()
+        with pytest.raises(ValueError, match=f"400000000000000.0 steps .* {MAX_STEPS}"):
+            kernel_row(BUDGET_P, 0.0, 1e12, Grid1D(-2.0, 2.0, 201))
+        assert time.process_time() - start < 1.0
 
 
 RECORD_VALUES = st.one_of(

@@ -317,6 +317,21 @@ MG_CSV = (
 )
 
 
+@pytest.mark.parametrize(
+    "run,tables",
+    [(lambda n: simulate_gbm(SP, 100.0, 1.0, 0.5, n, 0), "a path table"),
+     (lambda n: simulate_mg(MG, 0.05, 100.0, 0.04, 1.0, 0.5, n, 0), "two path tables")],
+    ids=["gbm", "mg"],
+)
+def test_unallocatable_path_count_refused(run, tables):
+    # the step budget leaves the path count free: 1e15 paths of 2 steps
+    # are refused by the allocation itself
+    with pytest.raises(
+        ValueError, match=f"^{tables} of 1000000000000000 x 3 values cannot be allocated$"
+    ):
+        run(10**15)
+
+
 class TestNonFinitePaths:
     """A path table that leaves the finite range is refused, naming its
     first bad path and step; the suite turns any numpy warning into an
