@@ -272,8 +272,12 @@ def build_effective_bs(
     The drift/potential pairing keeps e^x annihilated for every bounded
     V. Barrier kinds evaluate to the vanilla rate inside the admissible
     region and pin every knocked node's row to zero (Dirichlet); a bound
-    at or beyond a domain edge knocks nothing.
+    at or beyond a domain edge knocks nothing. Any ``boundary`` but the
+    two closures is refused.
     """
+    if boundary not in (BOUNDARY_ONE_SIDED, BOUNDARY_DIRICHLET):
+        closures = f"{BOUNDARY_ONE_SIDED!r} or {BOUNDARY_DIRICHLET!r}"
+        raise ValueError(f"unknown boundary {boundary!r}: use {closures}")
     from scipy import sparse
 
     n = g.n_points

@@ -69,6 +69,15 @@ class TestBSStencil:
         assert op.dirichlet_mask[0] and op.dirichlet_mask[-1]
         assert not op.dirichlet_mask[1:-1].any()
 
+    @pytest.mark.parametrize("boundary", ["dirichlet", "no-such-closure", None])
+    def test_unknown_boundary_refused(self, boundary):
+        # "dirichlet" is the command line's spelling, not the builders'
+        g = Grid1D(-1.0, 1.0, 21)
+        with pytest.raises(ValueError, match="use 'one-sided' or 'dirichlet-zero'"):
+            build_bs_hamiltonian(self.P, g, boundary=boundary)
+        with pytest.raises(ValueError, match="use 'one-sided' or 'dirichlet-zero'"):
+            build_effective_bs(self.P, Potential.down_and_out(0.0), g, boundary)
+
     def test_annihilates_exponential_state(self):
         g = Grid1D(-4.0, 4.0, 801)
         op = build_bs_hamiltonian(self.P, g)
