@@ -21,7 +21,8 @@ with them.
 The cases reach the paths no command line reaches: ``kernel_row``,
 ``evolve`` under a barrier operator's mask with constant, callable and
 complex boundary values, two-factor ``evolve``, and tabulated payoffs
-under knock-outs, beside vanilla and knock-out prices of every payoff.
+under knock-outs, beside vanilla and knock-out prices of every payoff,
+and the refusals of the step budget and of an unknown closure.
 
 ``tests/lib_sweep_golden.txt`` holds this printout, and
 ``tests/test_lib_sweep.py`` runs ``sweep`` against it.
@@ -69,6 +70,7 @@ def _cases() -> list[tuple[str, object]]:
         price_barrier,
         price_option,
     )
+    from qflab.model import MAX_STEPS
     from qflab.operators import BOUNDARY_DIRICHLET
     from scipy import sparse
 
@@ -199,6 +201,15 @@ def _cases() -> list[tuple[str, object]]:
         "evolve singular": lambda: evolve(singular, StateVector(np.ones(7), g7),
                                           EvolutionConfig(dt=0.1, n_steps=2)),
         "kernel_row source outside": lambda: kernel_row(p, 9.0, 0.1, grids[201]),
+        # the step budget, and a closure the builders do not know
+        "kernel_row tau=1e12 n=201": lambda: kernel_row(p, 0.0, 1e12, Grid1D(-2.0, 2.0, 201)),
+        "price one step past the budget": lambda: price_option(
+            p, Payoff.call(100.0), 1.0, grids[201], 1.0 / (MAX_STEPS + 1)),
+        "evolve one step past the budget": lambda: evolve(
+            build_bs_hamiltonian(p, grids[201]), StateVector(np.ones(201), grids[201]),
+            EvolutionConfig(dt=0.01, n_steps=MAX_STEPS + 1)),
+        "build_bs_hamiltonian boundary dirichlet": lambda: build_bs_hamiltonian(
+            p, grids[201], boundary="dirichlet"),
     }
     cases += [(f"refused {name}", run) for name, run in refusals.items()]
     return cases
