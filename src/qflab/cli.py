@@ -25,8 +25,7 @@ from .evolution import (
     PAYOFF_ASSET,
     EvolutionConfig,
     Payoff,
-    _discounting,
-    _monotone,
+    _euclidean,
     evolve,
     price_barrier,
     price_option,
@@ -321,8 +320,6 @@ def _run_price(args) -> None:
 def _run_evolve(args) -> None:
     p = _market_params(args)
     g = _grid_1d(args)
-    if args.mode == "euclidean":
-        _monotone(p, g)
     boundary = BOUNDARY_DIRICHLET if args.boundary == "dirichlet" else BOUNDARY_ONE_SIDED
     op = build_bs_hamiltonian(p, g, boundary=boundary)
     if args.state == "asset":
@@ -340,8 +337,8 @@ def _run_evolve(args) -> None:
             f"the gaussian state of --width {width!r} at --center {center!r} is not finite",
         ), g)
     cfg_run = EvolutionConfig(dt=args.dt, n_steps=args.n_steps, mode=args.mode)
-    if args.mode == "euclidean":  # after the config, which names an overflowing horizon
-        _discounting(p, cfg_run.dt)
+    if args.mode == "euclidean":
+        _euclidean(p, g, cfg_run.dt)
     out, flow = evolve(op, state, cfg_run)
     vals = np.abs(out.values) if args.mode == "unitary" else np.real(out.values)
     header = "x,modulus" if args.mode == "unitary" else "x,value"

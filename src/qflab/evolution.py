@@ -491,11 +491,15 @@ def _edge_pairs(payoff: Payoff, vals: np.ndarray) -> tuple:
     }[payoff.kind]
 
 
-def _monotone(p: MarketParams, g: Grid1D) -> None:
-    """Refuse a Euclidean run of the one-factor generator on ``g`` whose
-    cell Peclet number exceeds 1: a central row then has a positive
-    off-diagonal, the scheme is no longer monotone, and a price can go
-    negative. The message names the node count that would satisfy it."""
+def _euclidean(p: MarketParams, g: Grid1D, dt: float) -> None:
+    """Refuse a Euclidean Crank-Nicolson run of the one-factor generator
+    on ``g`` that no longer reproduces the semigroup exp(-tau H): a cell
+    Peclet number above 1, where a central row has a positive
+    off-diagonal, the scheme is not monotone and a price can go negative
+    (the message names a node count that satisfies it), then a step with
+    r dt >= 2, where the discount of a constant per step,
+    (1 - r dt/2)/(1 + r dt/2), is zero or negative (the message names
+    the bound dt < 2/r)."""
     pe = _cell_peclet(p, p.r, g.h)
     if pe > 1.0:
         # more than (n - 1) Pe cells bring it to 1 or below
@@ -508,12 +512,6 @@ def _monotone(p: MarketParams, g: Grid1D) -> None:
             f"cell Peclet number Pe = h * |sigma_sq/2 - r| / sigma_sq = {pe:.6g} exceeds 1 "
             f"on {g.n_points} nodes, so the Euclidean scheme is not monotone; use {fix}"
         )
-
-
-def _discounting(p: MarketParams, dt: float) -> None:
-    """Refuse a Euclidean Crank-Nicolson step with r dt >= 2: the scheme's
-    discount of a constant per step, (1 - r dt/2)/(1 + r dt/2), is then
-    zero or negative. The message names the bound dt < 2/r."""
     if not p.r * dt < 2.0:
         raise ValueError(
             f"the step dt = {dt!r} at r = {p.r!r} turns the Crank-Nicolson discount "
@@ -528,15 +526,15 @@ def _price(
     mask) held at zero, each free edge at its far field. ``dt`` is a
     target step; the count is derived so the steps land exactly on T. A
     grid whose cell Peclet number exceeds 1 is refused, and so is a
-    derived step with r dt >= 2.
+    derived step with r dt >= 2 (``_euclidean``).
 
     Only the free edges take a column of targets; the stepper holds the
     knocked nodes at zero. A knock-out starts damped, so no solve reads
     the payoff at a knocked node."""
     g = op.grid
-    _monotone(p, g)
     n_steps = _step_count(T, dt, "maturity")
     dt = T / n_steps
+    _euclidean(p, g, dt)
     vals = payoff.values_on(g)
     pairs = _edge_pairs(payoff, vals)
     knocked = op.dirichlet_mask
@@ -545,7 +543,6 @@ def _price(
     damped = 0 if smooth else min(_DAMPED_STEPS, n_steps)
     held = np.array([0, g.n_points - 1])[~knocked[[0, -1]]]
     targets = np.zeros((n_steps + damped, held.size))
-    _discounting(p, dt)
     if held.size:  # knocked edges read no discount, and allocate none
         # the scheme's own discount of a constant, which H maps to r times
         # itself after each solve: 1/(1 + a) per half-step of the damped
@@ -615,22 +612,24 @@ def kernel_row(p: MarketParams, x: float, tau: float, g: Grid1D) -> StateVector:
     clear of both grid edges: once it reaches one (the source plus its
     drift within a few sigma sqrt(tau) of x_min or x_max), a +, -, +
     sawtooth on the last nodes at that edge can go negative, and it grows
-    as the grid is refined. A grid whose cell Peclet number exceeds 1 is
-    refused, and so is a tau that needs more than ``model.MAX_STEPS``
-    steps of h/8.
+    as the grid is refined. A tau that needs more than ``model.MAX_STEPS``
+    steps of h/8 is refused, and so, as in the pricers, is a grid whose
+    cell Peclet number exceeds 1 and a derived step tau / n_steps with
+    r dt >= 2 (``_euclidean``).
     """
     _positive(tau, "kernel time")
     if not g.x_min <= _finite(x, "kernel source x") <= g.x_max:
         raise ValueError(f"kernel source x={x} lies outside the grid [{g.x_min}, {g.x_max}]")
-    _monotone(p, g)
+    what = f"kernel time {tau} over the step h/8 = {g.h / 8.0}"
+    n_steps = max(50, int(np.ceil(_within_budget(8.0 * tau / g.h, what))))
+    dt = tau / n_steps
+    _euclidean(p, g, dt)
     idx = int(np.argmin(np.abs(g.points - x)))
     op = build_bs_hamiltonian(p, g)
     delta = np.zeros(g.n_points)
     delta[idx] = 1.0 / g.h
-    what = f"kernel time {tau} over the step h/8 = {g.h / 8.0}"
-    n_steps = max(50, int(np.ceil(_within_budget(8.0 * tau / g.h, what))))
     steps = _cn_run(
-        op.matrix.T.tocsr(), delta, tau / n_steps, False, np.zeros(g.n_points, dtype=bool),
+        op.matrix.T.tocsr(), delta, dt, False, np.zeros(g.n_points, dtype=bool),
         np.zeros(0, dtype=int), np.zeros((n_steps + _DAMPED_STEPS, 0)), _DAMPED_STEPS,
     )
     return StateVector(np.real(_final(steps)), g)
