@@ -47,6 +47,7 @@ from .model import (
     _integer,
     _nonnegative,
     _positive,
+    _shown,
     _step_count,
     _within_budget,
 )
@@ -104,7 +105,7 @@ class EvolutionConfig:
     def __post_init__(self) -> None:
         _positive(self.dt, "dt")
         if _integer(self.n_steps, "n_steps") < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+            raise ValueError(f"n_steps must be >= 1, got {_shown(self.n_steps)}")
         _within_budget(self.n_steps, "evolve's n_steps")
         _computed(
             lambda: self.n_steps * self.dt,
@@ -430,7 +431,7 @@ def evolve(
     for i, value in (boundary_values or {}).items():
         idx = _integer(i, "boundary node")
         if not 0 <= idx < op.grid.size:
-            raise ValueError(f"boundary node {idx} outside grid")
+            raise ValueError(f"boundary node {_shown(idx)} outside grid")
         prescribed[idx] = value
     held = np.array(sorted(prescribed), dtype=int)
     targets = np.zeros((cfg.n_steps, held.size), complex if unitary else float)
@@ -613,9 +614,9 @@ def kernel_row(p: MarketParams, x: float, tau: float, g: Grid1D) -> StateVector:
     drift within a few sigma sqrt(tau) of x_min or x_max), a +, -, +
     sawtooth on the last nodes at that edge can go negative, and it grows
     as the grid is refined. A tau that needs more than ``model.MAX_STEPS``
-    steps of h/8 is refused, and so, as in the pricers, is a grid whose
-    cell Peclet number exceeds 1 and a derived step tau / n_steps with
-    r dt >= 2 (``_euclidean``).
+    steps of h/8 is refused. As in the pricers, the grid's cell Peclet
+    number must not exceed 1, and the derived step dt = tau / n_steps
+    must satisfy r dt < 2 (``_euclidean``).
     """
     _positive(tau, "kernel time")
     if not g.x_min <= _finite(x, "kernel source x") <= g.x_max:

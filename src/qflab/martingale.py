@@ -23,6 +23,7 @@ from .model import (
     _integer,
     _nonnegative,
     _record,
+    _shown,
     mg_cross_coef,
     mg_yy_coef,
 )
@@ -188,7 +189,7 @@ def mc_martingale_check(
     result is identical under any worker decomposition.
     """
     if _integer(n_paths, "n_paths") < 1000:
-        raise ValueError(f"need n_paths >= 1000, got {n_paths}")
+        raise ValueError(f"need n_paths >= 1000, got {_shown(n_paths)}")
     discounted_sp = SDEParams(sp.expected_return - sp.base.r, sp.base)
     discounted = simulate_gbm(discounted_sp, s0, T, T, n_paths, seed).terminal()
     statistic = float(discounted.mean() - s0)

@@ -21,6 +21,9 @@ import numpy as np
 IDENTITY_TOL = 1e-12
 
 MAX_STEPS = 10**7  # the most steps a run takes: 0.72 GB at a price's 72 bytes per step
+# the most nodes a grid holds: it keeps a 1D generator's 3 n + 2 entries and
+# a 2D one's at most 16 per row within int32 indices
+MAX_NODES = 10**7
 
 CONFIG_INT_KEYS = frozenset({"n_points", "m_points"})
 CONFIG_KEYS = frozenset(
@@ -135,8 +138,9 @@ class Grid1D:
     """Uniform lattice on a closed interval of the log-price axis.
 
     The bounds must be finite and ``n_points`` an integer (not a bool) of
-    at least 3. The spacing h must leave h^2 and 1/h^2, the scales of the
-    difference stencils, positive finite floats.
+    at least 3 and at most ``MAX_NODES``. The spacing h must leave h^2
+    and 1/h^2, the scales of the difference stencils, positive finite
+    floats.
     """
 
     x_min: float
@@ -149,7 +153,11 @@ class Grid1D:
         if not x_min < x_max:
             raise ValueError(f"invalid grid: need x_min < x_max, got [{x_min}, {x_max}]")
         if _integer(self.n_points, "invalid grid: n_points") < 3:
-            raise ValueError(f"invalid grid: need n_points >= 3, got {self.n_points}")
+            raise ValueError(f"invalid grid: need n_points >= 3, got {_shown(self.n_points)}")
+        if self.n_points > MAX_NODES:
+            raise ValueError(
+                f"invalid grid: n_points exceeds the node budget MAX_NODES = {MAX_NODES}"
+            )
         # as Python floats, so that an overflow or underflow raises no numpy warning
         h = (x_max - x_min) / (int(self.n_points) - 1)
         if not math.isfinite(h):
@@ -187,7 +195,8 @@ class Grid2D:
     """Tensor lattice: x is log-price, y is log-variance (variance = e^y).
 
     Flattening is row-major with x outer and y inner: the node (i, j) maps
-    to flat index i * y_axis.n_points + j.
+    to flat index i * y_axis.n_points + j. It holds at most ``MAX_NODES``
+    nodes.
     """
 
     x_axis: Grid1D
@@ -196,6 +205,11 @@ class Grid2D:
     def __post_init__(self) -> None:
         if not (isinstance(self.x_axis, Grid1D) and isinstance(self.y_axis, Grid1D)):
             raise ValueError(f"both axes must be Grid1D, got {self.x_axis!r}, {self.y_axis!r}")
+        if self.size > MAX_NODES:
+            raise ValueError(
+                "invalid grid: x_axis.n_points * y_axis.n_points exceeds the node budget "
+                f"MAX_NODES = {MAX_NODES}"
+            )
 
     @property
     def size(self) -> int:
@@ -270,6 +284,18 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _shown(count) -> str:
+    """``str(count)``, or, for an integer with more digits than ``str``
+    converts (``sys.get_int_max_str_digits()``, say 4300), the bound it
+    passes, "10**4300 or more" or "-10**4300 or less": a count in a
+    refusal text, which must not itself fail to print."""
+    try:
+        return str(count)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        return f"-10**{limit} or less" if count < 0 else f"10**{limit} or more"
+
+
 def _finite(value, name: str, need: str = "finite, not NaN or infinite") -> float:
     """``value`` as a float if it is a real number, numpy's included, that
     is not a bool and is finite: the one rule for every scalar input.
@@ -339,7 +365,9 @@ def _finite_table(values, what: str) -> np.ndarray:
 def _within_budget(n_steps, what: str):
     """``n_steps`` if at most ``MAX_STEPS``; refuses a larger or NaN count, naming ``what``."""
     if not n_steps <= MAX_STEPS:
-        raise ValueError(f"{n_steps} steps ({what}) exceed the step budget MAX_STEPS = {MAX_STEPS}")
+        raise ValueError(
+            f"{_shown(n_steps)} steps ({what}) exceed the step budget MAX_STEPS = {MAX_STEPS}"
+        )
     return n_steps
 
 

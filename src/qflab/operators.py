@@ -304,8 +304,8 @@ def build_effective_bs(
 
     # Entries summed as the sparse expression sums them, so every bit matches
     # it; pinned rows and exact zeros are dropped, as sparse sums drop them.
-    idx = np.int32 if 3 * n + 2 <= np.iinfo(np.int32).max else np.int64
-    indptr, cols = _stencil_pattern(n, idx)
+    # model.MAX_NODES keeps the 3 n + 2 entries within int32 indices.
+    indptr, cols = _stencil_pattern(n, np.int32)
     data = _computed(
         lambda: _entries(n, g.h, -0.5 * p.sigma_sq, 0.5 * p.sigma_sq - vals, vals),
         f"the generator's entries overflow a float on spacing h = {g.h!r} "
@@ -314,7 +314,8 @@ def build_effective_bs(
     keep = data != 0.0
     if mask.any() or not keep.all():
         keep &= ~_bands(n, mask[0], (mask[1:-1],) * 3, mask[-1], bool)
-        indptr, cols, data = np.cumsum(np.r_[0, keep], dtype=idx)[indptr], cols[keep], data[keep]
+        indptr = np.cumsum(np.r_[0, keep], dtype=np.int32)[indptr]
+        cols, data = cols[keep], data[keep]
     a = sparse.csr_matrix((data, cols, indptr), shape=(n, n))
     return OperatorMatrix(matrix=a, grid=g, dirichlet_mask=mask)
 
@@ -394,12 +395,12 @@ def build_mg_hamiltonian(p: MGParams, g: Grid2D) -> OperatorMatrix:
     reps = nx - 2
     lo, hi = d0.size, d0.size + reps * d1.size
     nnz = hi + dl.size
-    idx = np.int32 if max(nx * ny, nnz) <= np.iinfo(np.int32).max else np.int64
-    data, indices, indptr = np.empty(nnz), np.empty(nnz, idx), np.empty(nx * ny + 1, idx)
+    # model.MAX_NODES keeps the nnz, at most 16 per row, within int32 indices
+    data, indices, indptr = np.empty(nnz), np.empty(nnz, np.int32), np.empty(nx * ny + 1, np.int32)
     data[:lo], indices[:lo], indptr[:ny] = d0, c0, p0[:-1]
     data[lo:hi].reshape(reps, d1.size)[:] = d1
-    shift = np.arange(reps, dtype=idx)[:, None]
-    np.add(c1.astype(idx), ny * shift, out=indices[lo:hi].reshape(reps, d1.size))
+    shift = np.arange(reps, dtype=np.int32)[:, None]
+    np.add(c1.astype(np.int32), ny * shift, out=indices[lo:hi].reshape(reps, d1.size))
     np.add(p1[:-1], lo + d1.size * shift, out=indptr[ny:-ny - 1].reshape(reps, ny))
     data[hi:], indices[hi:], indptr[-ny - 1:] = dl, cl, pl + hi
     a = sparse.csr_matrix((data, indices, indptr), shape=(nx * ny, nx * ny))

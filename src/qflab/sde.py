@@ -25,6 +25,7 @@ from .model import (
     _float_reprs,
     _integer,
     _positive,
+    _shown,
     _step_count,
 )
 
@@ -90,9 +91,9 @@ def _check_sizes(s0: float, T: float, dt: float, n_paths: int, seed: int) -> int
     """The step count of an ensemble, refusing a bad start, size or seed."""
     _positive(s0, "s0")
     if _integer(n_paths, "n_paths") < 1:
-        raise ValueError(f"n_paths must be positive, got {n_paths}")
+        raise ValueError(f"n_paths must be positive, got {_shown(n_paths)}")
     if not 0 <= _integer(seed, "seed") < 2**63:
-        raise ValueError(f"seed must lie in [0, 2**63), got {seed}")
+        raise ValueError(f"seed must lie in [0, 2**63), got {_shown(seed)}")
     return _step_count(T, dt)
 
 
@@ -100,7 +101,7 @@ def _check_rows(rows: int, force: bool = False) -> None:
     """Refuse a CSV export of more than ``CSV_ROW_GUARD`` rows unless forced."""
     if rows > CSV_ROW_GUARD and not force:
         raise ValueError(
-            f"export of {rows} rows exceeds the guard of {CSV_ROW_GUARD}; "
+            f"export of {_shown(rows)} rows exceeds the guard of {CSV_ROW_GUARD}; "
             "pass force=True to override"
         )
 
@@ -138,7 +139,7 @@ def simulate_gbm(
     drift = (sp.expected_return - 0.5 * base.sigma_sq) * dt_eff
     scale = sig * np.sqrt(dt_eff)
 
-    with _affordable(f"a path table of {n_paths} x {n_steps + 1} values"):
+    with _affordable(f"a path table of {_shown(n_paths)} x {n_steps + 1} values"):
         paths = np.empty((n_paths, n_steps + 1))
     paths[:, 0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -180,7 +181,7 @@ def simulate_mg(
     sq_dt = np.sqrt(dt_eff)
     rho_perp = np.sqrt(1.0 - p.rho**2)
 
-    with _affordable(f"two path tables of {n_paths} x {n_steps + 1} values"):
+    with _affordable(f"two path tables of {_shown(n_paths)} x {n_steps + 1} values"):
         s_paths = np.empty((n_paths, n_steps + 1))
         v_paths = np.empty((n_paths, n_steps + 1))
     s_paths[:, 0] = s0

@@ -23,8 +23,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .model import (
-    IDENTITY_TOL, MarketParams, MGParams, _computed, _finite, _integer, _record, mg_cross_coef,
-    mg_y_drift, mg_yy_coef,
+    IDENTITY_TOL, MarketParams, MGParams, _computed, _finite, _integer, _record, _shown,
+    mg_cross_coef, mg_y_drift, mg_yy_coef,
 )
 
 REGIME_EXACT = "exact"
@@ -136,7 +136,7 @@ def _orders(n: int, m: int | None) -> None:
     included); ``m`` may be None for a one-field point."""
     for name, order in (("n", n), ("m", m)):
         if order is not None and _integer(order, f"order {name}") < 0:
-            raise ValueError(f"order {name} must be >= 0, got {order}")
+            raise ValueError(f"order {name} must be >= 0, got {_shown(order)}")
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ def bs_potential_residual(p: MarketParams, n: int, phi: float) -> float:
         return t1 + t2 + t3
 
     return _computed(
-        residual, f"the potential polynomial of order {n} overflows a float at phi = {phi}"
+        residual, f"the potential polynomial of order {_shown(n)} overflows a float at phi = {phi}"
     )
 
 
@@ -220,7 +220,8 @@ def _bs_points(p: MarketParams, n: int, regime: str, roots: Callable[[], list]) 
     where they leave the float range."""
     values = _computed(
         roots,
-        f"{regime} roots of order {n} overflow a float at r = {p.r!r}, sigma_sq = {p.sigma_sq!r}",
+        f"{regime} roots of order {_shown(n)} overflow a float at r = {p.r!r}, "
+        f"sigma_sq = {p.sigma_sq!r}",
     )
     return [FieldPoint(v, n=n) for v in values]
 
@@ -284,7 +285,7 @@ def bs_vacuum_exact(p: MarketParams, n: int) -> VacuumSolution:
     """
     _orders(n, None)
     if n < 1:
-        raise ValueError(f"order n must be >= 1, got {n}")
+        raise ValueError(f"order n must be >= 1, got {_shown(n)}")
     if n == 1:
         roots = _bs_points(
             p, n, REGIME_EXACT, lambda: [0.0, float(1.0 - p.sigma_sq / (2.0 * p.r))]
@@ -338,7 +339,7 @@ def bs_extremum_roots(p: MarketParams, n: int) -> VacuumSolution:
     """
     _orders(n, None)
     if n < 1:
-        raise ValueError(f"order n must be >= 1, got {n}")
+        raise ValueError(f"order n must be >= 1, got {_shown(n)}")
     if n == 1:
         return _solution(REGIME_EXTREMUM, n, None, [FieldPoint(0.0, n=n)])
     ratio = p.sigma_sq / (2.0 * p.r)
@@ -356,7 +357,7 @@ def extremum_quadratic_residual(p: MarketParams, n: int, phi: float) -> float:
         return phi**2 + (ratio - 1.0) * (n - 1) * phi - ratio * (n - 1) * (n - 2)
 
     return _computed(
-        residual, f"the extremum quadratic of order {n} overflows a float at phi = {phi}"
+        residual, f"the extremum quadratic of order {_shown(n)} overflows a float at phi = {phi}"
     )
 
 
@@ -395,8 +396,8 @@ def mg_polynomial_residual(p: MGParams, point: FieldPoint, y: float) -> float:
         return t1 + t2 + t3 + t4 + t5 + t6
 
     return _computed(
-        residual, f"the two-field polynomial of orders ({n}, {m}) overflows a float at "
-        f"phi_x = {phi_x}, phi_y = {phi_y}, y = {y}"
+        residual, f"the two-field polynomial of orders ({_shown(n)}, {_shown(m)}) overflows a "
+        f"float at phi_x = {phi_x}, phi_y = {phi_y}, y = {y}"
     )
 
 
@@ -450,7 +451,9 @@ def mg_case_solver(p: MGParams, y: float, n: int, m: int) -> VacuumSolution:
             product_value=cross / p.r if all(flags.values()) else None,
             notes=("solution set is a curve; degeneracy is continuous",),
         )
-    raise ValueError(f"unsupported case (n, m) = ({n}, {m}); expected (0,1), (1,0), (1,1)")
+    raise ValueError(
+        f"unsupported case (n, m) = ({_shown(n)}, {_shown(m)}); expected (0,1), (1,0), (1,1)"
+    )
 
 
 def mg_regime_solver(
@@ -475,7 +478,7 @@ def mg_regime_solver(
     _orders(n, m)
     phi_x = _finite(phi_x, "price field scale phi_x")
     solution = functools.partial(_solution, tag, n, m, approximate=True)
-    overflow = f"the {tag} formulas overflow a float at orders n = {n}, m = {m}"
+    overflow = f"the {tag} formulas overflow a float at orders n = {_shown(n)}, m = {_shown(m)}"
 
     if tag == REGIME_STRONG_STRONG:
         a_y, a_x = _computed(lambda: ((1.0 - ey / (2.0 * p.r)) * n, (cy / p.r) * m), overflow)

@@ -642,6 +642,44 @@ class TestExitCodes:
         assert main([*argv, "--out", str(out)]) == 2
         assert not out.exists()
 
+    # 10**400 wrote an error = OverflowError record from the spacing h,
+    # 10**13 raised numpy's array memory error from the grid points, and
+    # 10**20 exited 2 with numpy's bare "Maximum allowed size exceeded"
+    @pytest.mark.parametrize("n_points", [str(10**400), str(10**13), str(10**20)],
+                             ids=["past_float_range", "past_memory", "past_numpy_size_limit"])
+    @pytest.mark.parametrize("verb", [["martingale-check", "--model", "bs"],
+                                      ["price", "--payoff", "call", "--strike", "1", "--t", "1"]],
+                             ids=["martingale_check", "price"])
+    def test_node_count_past_the_budget_is_validation_error(self, tmp_path, capsys, verb,
+                                                            n_points):
+        out = tmp_path / "x.out"
+        assert main([*verb, "--r", "0.05", "--sigma-sq", "0.04", "--x-min", "-4", "--x-max", "4",
+                     "--n-points", n_points, "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert printed.err.endswith(
+            "message = invalid grid: n_points exceeds the node budget MAX_NODES = 10000000\n")
+        assert "OverflowError" not in printed.out + printed.err
+        assert not out.exists()
+
+    def test_two_factor_node_count_past_the_budget_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "x.out"
+        assert main(["martingale-check", "--model", "mg", *MG_ZETA, "0.1", "--x-min", "-1",
+                     "--x-max", "1", "--n-points", "5000", "--y-min", "-4", "--y-max", "-2",
+                     "--m-points", "2001", "--out", str(out)]) == 2
+        assert "x_axis.n_points * y_axis.n_points exceeds the node budget" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_row_count_too_long_to_print_is_named_by_its_bound(self, tmp_path, capsys):
+        # 4300 nines times 11 rows per path: a row count str refuses to print
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--model", "gbm", "--r", "0.05", "--sigma-sq", "0.04",
+                     "--drift", "0.05", "--s0", "1", "--t", "1", "--dt", "0.1",
+                     "--n-paths", "9" * 4300, "--out", str(out)]) == 2
+        assert f"message = export of 10**{sys.get_int_max_str_digits()} or more rows exceeds " \
+            "the guard" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv,message",
         [

@@ -1282,6 +1282,12 @@ class TestDiscountGuard:
         with pytest.raises(ValueError, match="dt < 2/r"):
             price_barrier(self.P, Payoff.call(1.0), Potential.down_and_out(-1.0), 9.0, self.G, 3.0)
 
+    def test_kernel_refused(self):
+        # 50 steps of 2e-4 at r = 1e6: r dt = 200, and each step discounts by
+        # (1 - 100)/(1 + 100) = -0.98; the row's min was -24.6
+        with pytest.raises(ValueError, match=r"r = 1000000\.0 .* dt < 2/r = 2e-06"):
+            kernel_row(MarketParams(r=1e6, sigma_sq=1e8), 0.0, 0.01, Grid1D(-2.0, 2.0, 201))
+
     def test_step_below_the_bound_prices_a_positive_bond(self):
         # two steps of 1.5: each discounts by (1 - 0.75)/(1 + 0.75) = 1/7
         curve = price_option(self.P, Payoff.bond(), 3.0, self.G, 1.5)

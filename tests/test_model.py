@@ -2,6 +2,7 @@
 
 import re
 import struct
+import sys
 import time
 import warnings
 from dataclasses import fields
@@ -12,9 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflab.cli import main
-from qflab.evolution import EvolutionConfig, Payoff, kernel_row, price_barrier, price_option
-from qflab.martingale import martingale_residual, solve_extended_constraint
+from qflab.evolution import (
+    EvolutionConfig,
+    Payoff,
+    evolve,
+    kernel_row,
+    price_barrier,
+    price_option,
+)
+from qflab.martingale import martingale_residual, mc_martingale_check, solve_extended_constraint
 from qflab.model import (
+    MAX_NODES,
     MAX_STEPS,
     Grid1D,
     Grid2D,
@@ -37,6 +46,8 @@ from qflab.operators import Potential, build_bs_hamiltonian
 from qflab.sde import simulate_gbm, simulate_mg
 from qflab.vacuum import (
     FieldPoint,
+    bs_vacuum_exact,
+    bs_vacuum_weak,
     classify_information_flow,
     mg_case_solver,
     mg_polynomial_residual,
@@ -181,6 +192,14 @@ class TestGrid1D:
         with pytest.raises(ValueError, match="integer"):
             Grid1D(0.0, 1.0, n)
 
+    @pytest.mark.parametrize("n", [MAX_NODES + 1, 10**13, 10**400],
+                             ids=["one_past", "past_memory", "past_float_range"])
+    def test_node_budget(self, n):
+        # refused before h is formed, and without printing the count
+        with pytest.raises(ValueError, match=re.escape(
+                f"invalid grid: n_points exceeds the node budget MAX_NODES = {MAX_NODES}")):
+            Grid1D(0.0, 1.0, n)
+
     def test_numpy_integer_points_allowed(self):
         assert Grid1D(0.0, 1.0, np.int64(11)).points.shape == (11,)
 
@@ -203,6 +222,13 @@ class TestGrid2D:
         g = Grid2D(Grid1D(0.0, 1.0, 5), Grid1D(-1.0, 0.0, 4))
         assert g.shape == (5, 4)
         assert g.size == 20
+
+    def test_node_budget(self):
+        # each axis within the budget, their 11 x 909091 = MAX_NODES + 1 nodes past it
+        with pytest.raises(ValueError, match=re.escape(
+                "invalid grid: x_axis.n_points * y_axis.n_points exceeds the node budget "
+                f"MAX_NODES = {MAX_NODES}")):
+            Grid2D(Grid1D(0.0, 1.0, 11), Grid1D(-1.0, 0.0, 909091))
 
     def test_cell_and_coarser_spacing(self):
         g = Grid2D(Grid1D(0.0, 1.0, 5), Grid1D(-1.0, 0.0, 3))
@@ -610,6 +636,47 @@ class TestStepBudget:
         with pytest.raises(ValueError, match=f"400000000000000.0 steps .* {MAX_STEPS}"):
             kernel_row(BUDGET_P, 0.0, 1e12, Grid1D(-2.0, 2.0, 201))
         assert time.process_time() - start < 1.0
+
+
+LONG = 10**5000  # past the digits str converts, 4300 unless the interpreter sets another limit
+ABOVE = f"10**{sys.get_int_max_str_digits()} or more"
+BELOW = f"-10**{sys.get_int_max_str_digits()} or less"
+BOND_21 = StateVector(np.ones(21), KERNEL_GRID)
+GBM = SDEParams(0.05, BUDGET_P)
+# every refusal that names an integer input, given one too long to print
+TOO_LONG_TO_PRINT = {
+    "EvolutionConfig": (lambda: EvolutionConfig(dt=0.01, n_steps=LONG),
+                        f"{ABOVE} steps (evolve's n_steps) exceed the step budget "
+                        f"MAX_STEPS = {MAX_STEPS}"),
+    "EvolutionConfig negative": (lambda: EvolutionConfig(dt=0.01, n_steps=-LONG),
+                                 f"n_steps must be >= 1, got {BELOW}"),
+    "Grid1D negative": (lambda: Grid1D(0.0, 1.0, -LONG),
+                        f"invalid grid: need n_points >= 3, got {BELOW}"),
+    "evolve boundary node": (lambda: evolve(build_bs_hamiltonian(BUDGET_P, KERNEL_GRID), BOND_21,
+                                            EvolutionConfig(0.01, 1), {LONG: 1.0}),
+                             f"boundary node {ABOVE} outside grid"),
+    "simulate_gbm n_paths": (lambda: simulate_gbm(GBM, 1.0, 1.0, 0.1, -LONG, 0),
+                             f"n_paths must be positive, got {BELOW}"),
+    "simulate_gbm seed": (lambda: simulate_gbm(GBM, 1.0, 1.0, 0.1, 1, LONG),
+                          f"seed must lie in [0, 2**63), got {ABOVE}"),
+    "simulate_gbm path table": (lambda: simulate_gbm(GBM, 1.0, 1.0, 0.1, LONG, 0),
+                                f"a path table of {ABOVE} x 11 values cannot be allocated"),
+    "mc_martingale_check": (lambda: mc_martingale_check(GBM, 1.0, 1.0, -LONG, 0),
+                            f"need n_paths >= 1000, got {BELOW}"),
+    "bs_vacuum_exact negative order": (lambda: bs_vacuum_exact(BUDGET_P, -LONG),
+                                       f"order n must be >= 0, got {BELOW}"),
+    "bs_vacuum_weak order": (lambda: bs_vacuum_weak(BUDGET_P, LONG),
+                             f"weak-field roots of order {ABOVE} overflow a float at r = 0.05, "
+                             "sigma_sq = 0.04"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOO_LONG_TO_PRINT))
+def test_integer_too_long_to_print_named_by_its_bound(name):
+    # not Python's "Exceeds the limit (4300 digits) for integer string conversion"
+    run, message = TOO_LONG_TO_PRINT[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run()
 
 
 RECORD_VALUES = st.one_of(

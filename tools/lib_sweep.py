@@ -22,7 +22,8 @@ The cases reach the paths no command line reaches: ``kernel_row``,
 ``evolve`` under a barrier operator's mask with constant, callable and
 complex boundary values, two-factor ``evolve``, and tabulated payoffs
 under knock-outs, beside vanilla and knock-out prices of every payoff,
-and the refusals of the step budget and of an unknown closure.
+and the refusals of the step budget, of an unknown closure, of
+``kernel_row``'s step at r dt >= 2 and of the node budget.
 
 ``tests/lib_sweep_golden.txt`` holds this printout, and
 ``tests/test_lib_sweep.py`` runs ``sweep`` against it.
@@ -70,7 +71,7 @@ def _cases() -> list[tuple[str, object]]:
         price_barrier,
         price_option,
     )
-    from qflab.model import MAX_STEPS
+    from qflab.model import MAX_NODES, MAX_STEPS
     from qflab.operators import BOUNDARY_DIRICHLET
     from scipy import sparse
 
@@ -210,6 +211,10 @@ def _cases() -> list[tuple[str, object]]:
             EvolutionConfig(dt=0.01, n_steps=MAX_STEPS + 1)),
         "build_bs_hamiltonian boundary dirichlet": lambda: build_bs_hamiltonian(
             p, grids[201], boundary="dirichlet"),
+        # kernel_row's derived step at r dt = 200, and one node past the grid budget
+        "kernel_row r=1e6 tau=0.01 n=201": lambda: kernel_row(
+            MarketParams(r=1e6, sigma_sq=1e8), 0.0, 0.01, Grid1D(-2.0, 2.0, 201)),
+        "Grid1D one node past the budget": lambda: Grid1D(0.0, 1.0, MAX_NODES + 1),
     }
     cases += [(f"refused {name}", run) for name, run in refusals.items()]
     return cases
