@@ -155,6 +155,14 @@ def _runs() -> list[list[str]]:
     for knock in (["--barrier-level", "0.61"], ["--corridor", "4.0", "8.605"],
                   ["--corridor", "4.0", "4.02"], ["--dt", "0.0005", "--barrier-level", "4.382"]):
         runs.append([*call, "--t", "1", *knock])
+    # outputs of more than one 8192-row CSV block: a curve of 20,001 rows
+    # (three blocks) and a flow series of 9,001 rows (two blocks)
+    runs += [
+        ["price", *BS, "--payoff", "call", "--strike", "100", "--t", "1", *big_grid, "20001",
+         "--dt", "0.25"],
+        ["evolve", *BS, "--state", "gaussian", *EVOLVE_GRID, "--dt", "0.0001", "--n-steps",
+         "9000"],
+    ]
     return runs
 
 
