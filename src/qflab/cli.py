@@ -44,9 +44,10 @@ from .model import (
     StateVector,
     _computed,
     _finite,
-    _float_reprs,
     _positive,
     _record,
+    _row_blocks,
+    _write_csv,
     load_config,
     sample_extended_martingale_state,
     sample_martingale_state,
@@ -239,11 +240,6 @@ def _write_manifest(out: str, verb: str, opts: dict, argv: list[str]) -> None:
     ]))
 
 
-def _curve_csv(xs: np.ndarray, values: np.ndarray, header: str = "x,value") -> str:
-    rows = [f"{x},{v}\n" for x, v in zip(_float_reprs(xs), _float_reprs(values))]
-    return header + "\n" + "".join(rows)
-
-
 def _run_bs_vacuum(args) -> None:
     p = _market_params(args)
     Path(args.out).write_text(_BS_FAMILIES[args.family](p, args.n).to_csv())
@@ -314,7 +310,7 @@ def _run_price(args) -> None:
         curve = price_option(p, payoff, args.t, g, dt)
     else:
         curve = price_barrier(p, payoff, barrier, args.t, g, dt)
-    Path(args.out).write_text(_curve_csv(g.points, curve.values))
+    _write_csv(args.out, "x,value", _row_blocks(g.points, curve.values))
 
 
 def _run_evolve(args) -> None:
@@ -342,7 +338,7 @@ def _run_evolve(args) -> None:
     out, flow = evolve(op, state, cfg_run)
     vals = np.abs(out.values) if args.mode == "unitary" else np.real(out.values)
     header = "x,modulus" if args.mode == "unitary" else "x,value"
-    Path(args.out).write_text(_curve_csv(g.points, vals, header=header))
+    _write_csv(args.out, header, _row_blocks(g.points, vals))
     if args.flow_out:
         flow.to_csv(args.flow_out)
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Union
 
 import numpy as np
@@ -43,13 +42,14 @@ from .model import (
     _finite,
     _finite_complex,
     _finite_table,
-    _float_reprs,
     _integer,
     _nonnegative,
     _positive,
+    _row_blocks,
     _shown,
     _step_count,
     _within_budget,
+    _write_csv,
 )
 from .operators import (
     KIND_DOUBLE_KNOCKOUT,
@@ -74,7 +74,6 @@ PAYOFF_ASSET = "martingale-asset"
 PAYOFF_TABULATED = "tabulated"
 
 _EPS = 1e-300
-_CSV_BLOCK = 8192  # flow CSV rows formatted per write
 _FLOW_BLOCK = 16  # states per mass and norm reduction in evolve
 _DAMPED_STEPS = 2  # Rannacher steps that start a run from rough data
 # A balanced solve's two scalings and edge eliminations cost a fixed
@@ -191,15 +190,9 @@ class FlowReport:
     mode: str
 
     def to_csv(self, path) -> None:
-        """Stream the series to ``path`` as a t,mass,norm CSV, one block of rows per write."""
-        with Path(path).open("w") as f:
-            f.write("t,mass,norm\n")
-            for start in range(0, self.mass_series.size, _CSV_BLOCK):
-                block = slice(start, start + _CSV_BLOCK)
-                masses = _float_reprs(self.mass_series[block])
-                norms = _float_reprs(self.norm_series[block])
-                rows = enumerate(zip(masses, norms), start)
-                f.write("".join([f"{k * self.dt!r},{m},{n}\n" for k, (m, n) in rows]))
+        """Stream the series to ``path`` as a t,mass,norm CSV; step k is at t = k * dt."""
+        t = np.arange(self.mass_series.size) * self.dt
+        _write_csv(path, "t,mass,norm", _row_blocks(t, self.mass_series, self.norm_series))
 
 
 BoundarySpec = Mapping[int, Union[float, Callable[[float], float]]]

@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass, fields
 from numbers import Complex, Integral, Real
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ MAX_STEPS = 10**7  # the most steps a run takes: 0.72 GB at a price's 72 bytes p
 # the most nodes a grid holds: it keeps a 1D generator's 3 n + 2 entries and
 # a 2D one's at most 16 per row within int32 indices
 MAX_NODES = 10**7
+_CSV_BLOCK = 8192  # CSV rows formatted per write
 
 CONFIG_INT_KEYS = frozenset({"n_points", "m_points"})
 CONFIG_KEYS = frozenset(
@@ -387,6 +388,23 @@ def _float_reprs(a: np.ndarray) -> list[str]:
     """``repr(float(v))`` of every value of a 1D array, through one list
     repr: the CSV cells of the path, price and flow exports."""
     return str(np.asarray(a, dtype=float).tolist())[1:-1].split(", ") if a.size else []
+
+
+def _row_blocks(*arrays: np.ndarray) -> Iterator[tuple[list[str], ...]]:
+    """The ``_float_reprs`` cells of equal-length 1D arrays, one tuple of
+    columns per block of ``_CSV_BLOCK`` rows."""
+    for start in range(0, len(arrays[0]), _CSV_BLOCK):
+        yield tuple(_float_reprs(a[start:start + _CSV_BLOCK]) for a in arrays)
+
+
+def _write_csv(path, header: str, blocks: Iterable[tuple[Iterable[str], ...]]) -> None:
+    """The one CSV writer of the price, evolve, flow and path exports: the
+    ``header`` line, then each block (a tuple of string-cell columns) as its
+    rows in one write, so memory stays at one block however many are written."""
+    with Path(path).open("w") as f:
+        f.write(header + "\n")
+        for cells in blocks:
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _record(pairs) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import repeat
 from typing import Iterator
 
 import numpy as np
@@ -27,6 +27,7 @@ from .model import (
     _positive,
     _shown,
     _step_count,
+    _write_csv,
 )
 
 PATH_BLOCK = 8192
@@ -215,22 +216,15 @@ def export_csv(ens: PathEnsemble, path, force: bool = False) -> int:
     """Long-format CSV export (path_id, t, S[, V]); returns rows written.
 
     Refuses ensembles larger than ``CSV_ROW_GUARD`` rows unless forced, so a
-    sweep script cannot silently fill a disk. The file is streamed one
-    path per write, so memory stays at one path's text however many
-    rows are written.
+    sweep script cannot silently fill a disk. The file is streamed one path
+    per block, so memory stays at one path's text however many rows are
+    written; the t cells, the same on every path, are formatted once.
     """
     rows = ens.n_paths * (ens.n_steps + 1)
     _check_rows(rows, force)
-    with_v = ens.v_paths is not None
-    # the ",t," cell of each step is the same on every path: format it once
-    times = [f",{k * ens.dt!r}," for k in range(ens.n_steps + 1)]
-    with Path(path).open("w") as f:
-        f.write("path_id,t,S,V\n" if with_v else "path_id,t,S\n")
-        for i in range(ens.n_paths):
-            s_cells = _float_reprs(ens.paths[i])
-            if with_v:
-                v_cells = _float_reprs(ens.v_paths[i])
-                f.write("".join([f"{i}{t}{s},{v}\n" for t, s, v in zip(times, s_cells, v_cells)]))
-            else:
-                f.write("".join([f"{i}{t}{s}\n" for t, s in zip(times, s_cells)]))
+    tables = (ens.paths,) if ens.v_paths is None else (ens.paths, ens.v_paths)
+    times = _float_reprs(np.arange(ens.n_steps + 1) * ens.dt)
+    blocks = ((repeat(str(i)), times, *(_float_reprs(table[i]) for table in tables))
+              for i in range(ens.n_paths))
+    _write_csv(path, "path_id,t,S,V" if ens.v_paths is not None else "path_id,t,S", blocks)
     return rows

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,9 +18,11 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import qflab.cli
+import qflab.model
 from qflab.cli import main
+from qflab.evolution import Payoff, price_option
 from qflab.martingale import solve_extended_constraint
-from qflab.model import MGParams
+from qflab.model import Grid1D, MarketParams, MGParams
 
 
 def read_kv(path):
@@ -385,6 +388,33 @@ class TestPrice:
             assert np.allclose(vals, np.exp(-0.05), rtol=1e-6)
         else:
             assert np.all(np.isfinite(vals)) and vals[-1] == 0.0
+
+    def test_curve_blocks_join_seamlessly(self, tmp_path, monkeypatch):
+        # blocks of 3 rows over 21 rows: the text is the one-shot rendering
+        monkeypatch.setattr(qflab.model, "_CSV_BLOCK", 3)
+        out = tmp_path / "curve.csv"
+        code = main(["price", "--payoff", "call", "--strike", "1", "--r", "0.05",
+                     "--sigma-sq", "0.04", "--t", "1", "--x-min", "-1", "--x-max", "1",
+                     "--n-points", "21", "--out", str(out)])
+        assert code == 0
+        g = Grid1D(-1.0, 1.0, 21)
+        curve = price_option(MarketParams(0.05, 0.04), Payoff("call", 1.0), 1.0, g, 1.0 / 400.0)
+        rows = zip(g.points.tolist(), curve.values.tolist())
+        assert out.read_text() == "x,value\n" + "".join(f"{x!r},{v!r}\n" for x, v in rows)
+
+    def test_curve_is_streamed(self, tmp_path):
+        # formatting all rows at once peaked near 12.6 MB here; one block keeps it below 10
+        argv = ["price", "--payoff", "call", "--strike", "100", "--r", "0.05",
+                "--sigma-sq", "0.04", "--t", "1", "--x-min", "0.605", "--x-max", "8.605",
+                "--dt", "0.5", "--out", str(tmp_path / "curve.csv"), "--n-points"]
+        assert main([*argv, "101"]) == 0  # the first run's lazy imports are not the writer's
+        tracemalloc.start()
+        try:
+            assert main([*argv, "50001"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000, f"price peaked at {peak / 1e6:.1f} MB"
 
     def test_strike_required_for_call(self, tmp_path):
         code = main([

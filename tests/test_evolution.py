@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import norm
 
 import qflab.evolution
+import qflab.model
 from qflab.evolution import (
     EvolutionConfig,
     Payoff,
@@ -158,7 +159,7 @@ class TestEvolve:
 
     def test_flow_csv_blocks_join_seamlessly(self, tmp_path, monkeypatch):
         # blocks of 3 rows over 8 rows: every row is written once, with its own time
-        monkeypatch.setattr(qflab.evolution, "_CSV_BLOCK", 3)
+        monkeypatch.setattr(qflab.model, "_CSV_BLOCK", 3)
         g = Grid1D(-1.0, 1.0, 51)
         op = build_bs_hamiltonian(P, g)
         _, flow = evolve(op, sample_martingale_state(g), EvolutionConfig(dt=0.01, n_steps=7))
