@@ -208,13 +208,13 @@ def _bands(n: int, first, interior, last, dtype=float) -> np.ndarray:
     return out
 
 
-def _stencil_pattern(n: int, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
+def _stencil_pattern(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row pointers and sorted column indices of the D2 pattern: rows of
-    k, 3, ..., 3, k entries, k = min(n, 4)."""
+    k, 3, ..., 3, k entries, k = min(n, 4), as int32: model.MAX_NODES keeps them in range."""
     k = min(n, 4)
     cols = _bands(n, np.arange(k), [np.arange(j, j + n - 2) for j in range(3)],
-                  np.arange(n - k, n), dtype)
-    indptr = np.arange(k - 3, 3 * n + k - 2, 3, dtype=dtype)
+                  np.arange(n - k, n), np.int32)
+    indptr = np.arange(k - 3, 3 * n + k - 2, 3, dtype=np.int32)
     indptr[0], indptr[-1] = 0, cols.size
     return indptr, cols
 
@@ -304,8 +304,7 @@ def build_effective_bs(
 
     # Entries summed as the sparse expression sums them, so every bit matches
     # it; pinned rows and exact zeros are dropped, as sparse sums drop them.
-    # model.MAX_NODES keeps the 3 n + 2 entries within int32 indices.
-    indptr, cols = _stencil_pattern(n, np.int32)
+    indptr, cols = _stencil_pattern(n)
     data = _computed(
         lambda: _entries(n, g.h, -0.5 * p.sigma_sq, 0.5 * p.sigma_sq - vals, vals),
         f"the generator's entries overflow a float on spacing h = {g.h!r} "
@@ -400,7 +399,7 @@ def build_mg_hamiltonian(p: MGParams, g: Grid2D) -> OperatorMatrix:
     data[:lo], indices[:lo], indptr[:ny] = d0, c0, p0[:-1]
     data[lo:hi].reshape(reps, d1.size)[:] = d1
     shift = np.arange(reps, dtype=np.int32)[:, None]
-    np.add(c1.astype(np.int32), ny * shift, out=indices[lo:hi].reshape(reps, d1.size))
+    np.add(c1, ny * shift, out=indices[lo:hi].reshape(reps, d1.size))
     np.add(p1[:-1], lo + d1.size * shift, out=indptr[ny:-ny - 1].reshape(reps, ny))
     data[hi:], indices[hi:], indptr[-ny - 1:] = dl, cl, pl + hi
     a = sparse.csr_matrix((data, indices, indptr), shape=(nx * ny, nx * ny))
